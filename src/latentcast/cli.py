@@ -17,20 +17,18 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .checkpoint import CheckpointError
-from .data import (DataError, SyntheticSpec, generate_synthetic, ingest_csv,
-                   prepare_samples, windows_for_role, write_csv)
+from .cvae import CvaePair
+from .data import DataError, SyntheticSpec, generate_synthetic, ingest_csv, write_csv
 from .decomposition import DecompositionError, decompose
 from .evaluation import METRIC_NAMES, MetricError
 from .forecaster import write_forecast_csv
 from .latent import dump_latents, separation_score, write_dump
-from .training import (TrainConfig, TrainingError, VARIANTS, build_cvae, build_model,
-                       evaluate_split, load_full, load_stage1, multi_seed_evaluate,
-                       pipeline_split, save_full, save_stage1,
-                       stage1_pretrain, stage2_train, RunRecord)
+from .training import (TrainConfig, TrainingError, VARIANTS, RunRecord, build,
+                       eval_windows, evaluate_model, evaluate_split, load_full,
+                       load_stage1, multi_seed_evaluate, pipeline_split, pretrain,
+                       save_full, save_stage1, train, training_data)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -216,20 +214,16 @@ def cmd_decompose(args) -> int:
 def cmd_pretrain(args) -> int:
     cfg = apply_overrides(load_config_file(args.config), args.set)
     config = train_config_from(cfg, args)
-    if config.variant in ("e2e", "no_latent"):
+    if not config.two_stage:
         raise UsageError(f"variant {config.variant!r} has no separate pretraining stage")
     datasets = _load_datasets(args, config)
     out = resolve_out(args.out, args.overwrite)
-    split, domain_index, domain_map = pipeline_split(datasets, config)
-    windows = windows_for_role(datasets, split, "train", config.lookback,
-                               config.horizon, config.stride)
-    samples = prepare_samples(windows)
-    rng = np.random.default_rng([config.seed, 1])
-    pair = build_cvae(config, len(split.train_domains), rng)
+    data = training_data(datasets, config, ("train",))
+    pair, _ = build(config, len(data.split.train_domains))
     record = RunRecord(seed=config.seed)
-    stage1_pretrain(pair, samples, domain_index, config, record)
+    pretrain(pair, data, config, record)
     ckpt = out / "stage1.ckpt.json"
-    save_stage1(ckpt, pair, domain_map, config)
+    save_stage1(ckpt, pair, data.domain_map, config)
     (out / "runrecord_stage1.json").write_text(
         json.dumps(record.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8")
     write_manifest(out, "pretrain", config.to_dict(),
@@ -239,48 +233,44 @@ def cmd_pretrain(args) -> int:
     return EXIT_OK
 
 
+def _load_pretrained(path: str, pair: CvaePair, config: TrainConfig,
+                     domain_map: list[list]) -> None:
+    """Restore a stage-1 checkpoint into `pair` after checking that it was
+    pretrained for this config and domain split."""
+    ckpt_config, ckpt_map = load_stage1(path, pair)
+    for key in ("lookback", "d_z", "hidden", "alpha", "kernel", "seed", "dropout"):
+        if getattr(ckpt_config, key) != getattr(config, key):
+            raise CheckpointError(
+                f"pretrain checkpoint {key}={getattr(ckpt_config, key)} does not match "
+                f"config {key}={getattr(config, key)}")
+    if [list(row) for row in ckpt_map] != [list(row) for row in domain_map]:
+        raise CheckpointError(
+            "pretrain checkpoint was built on a different domain split; "
+            "check data, seed, and split fractions")
+
+
 def cmd_train(args) -> int:
     cfg = apply_overrides(load_config_file(args.config), args.set)
     config = train_config_from(cfg, args)
-    datasets = _load_datasets(args, config)
-    out = resolve_out(args.out, args.overwrite)
-    split, domain_index, domain_map = pipeline_split(datasets, config)
-    feat_dim = datasets[0].feat_dim
-
-    rng = np.random.default_rng([config.seed, 1])
-    pair = build_cvae(config, len(split.train_domains), rng)
-    model = build_model(config, pair, feat_dim, rng)
-    if config.variant not in ("e2e", "no_latent"):
+    if config.two_stage:
         if not args.pretrained:
             raise UsageError("train requires --pretrained CHECKPOINT unless --variant e2e/no_latent")
         if not Path(args.pretrained).exists():
             raise UsageError(f"pretrain checkpoint not found: {args.pretrained}")
-        ckpt_config, ckpt_map = load_stage1(args.pretrained, pair)
-        for key in ("lookback", "d_z", "hidden", "alpha", "kernel", "seed", "dropout"):
-            if getattr(ckpt_config, key) != getattr(config, key):
-                raise CheckpointError(
-                    f"pretrain checkpoint {key}={getattr(ckpt_config, key)} does not match "
-                    f"config {key}={getattr(config, key)}")
-        if [list(row) for row in ckpt_map] != [list(row) for row in domain_map]:
-            raise CheckpointError(
-                "pretrain checkpoint was built on a different domain split; "
-                "check data, seed, and split fractions")
-
-    train_windows = windows_for_role(datasets, split, "train", config.lookback,
-                                     config.horizon, config.stride)
-    val_windows = windows_for_role(datasets, split, "val", config.lookback,
-                                   config.horizon, config.stride)
+    datasets = _load_datasets(args, config)
+    out = resolve_out(args.out, args.overwrite)
+    feat_dim = datasets[0].feat_dim
+    data = training_data(datasets, config, ("train", "val"))
+    pair, model = build(config, len(data.split.train_domains), feat_dim)
+    if config.two_stage:
+        _load_pretrained(args.pretrained, pair, config, data.domain_map)
     record = RunRecord(seed=config.seed)
-    stage2_train(model, prepare_samples(train_windows), prepare_samples(val_windows),
-                 config, record,
-                 domain_index=domain_index if config.variant == "e2e" else None)
-
-    eval_rng = np.random.default_rng([config.seed, 4])
-    report_train, _, _ = evaluate_split(model, datasets, split, config, "train", eval_rng)
-    report_test, wins, dists = evaluate_split(model, datasets, split, config, "test", eval_rng)
+    train(model, data, config, record)
+    report_train, report_test, wins, dists = evaluate_model(model, datasets, data.split,
+                                                            config)
 
     ckpt = out / "model.ckpt.json"
-    save_full(ckpt, model, domain_map, config, feat_dim)
+    save_full(ckpt, model, data.domain_map, config, feat_dim)
     (out / "runrecord.json").write_text(
         json.dumps(record.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8")
     artifacts = {"checkpoint": str(ckpt), "runrecord": str(out / 'runrecord.json')}
@@ -301,9 +291,7 @@ def cmd_evaluate(args) -> int:
     datasets = _load_datasets(args, config)
     out = resolve_out(args.out, args.overwrite)
     split, _, _ = pipeline_split(datasets, config)
-    eval_rng = np.random.default_rng([config.seed, 4])
-    report_train, _, _ = evaluate_split(model, datasets, split, config, "train", eval_rng)
-    report_test, _, _ = evaluate_split(model, datasets, split, config, "test", eval_rng)
+    report_train, report_test, _, _ = evaluate_model(model, datasets, split, config)
     artifacts = _write_reports(out, {"train": report_train, "test": report_test})
     write_manifest(out, "evaluate", config.to_dict(), artifacts)
     for name, report in (("train", report_train), ("test", report_test)):
@@ -317,8 +305,7 @@ def cmd_forecast(args) -> int:
     datasets = _load_datasets(args, config)
     out = resolve_out(args.out, args.overwrite)
     split, _, _ = pipeline_split(datasets, config)
-    eval_rng = np.random.default_rng([config.seed, 4])
-    _, wins, dists = evaluate_split(model, datasets, split, config, args.split, eval_rng)
+    _, wins, dists = evaluate_split(model, datasets, split, config, args.split)
     path = out / f"forecasts_{args.split}.csv"
     write_forecast_csv(path, wins, dists)
     write_manifest(out, "forecast", config.to_dict(), {"forecasts": str(path)})
@@ -331,9 +318,7 @@ def cmd_dump_latents(args) -> int:
     datasets = _load_datasets(args, config)
     out = resolve_out(args.out, args.overwrite)
     split, _, _ = pipeline_split(datasets, config)
-    role = "test" if args.split == "test" else "val"
-    windows = windows_for_role(datasets, split, role, config.lookback,
-                               config.horizon, config.eval_stride)
+    windows = eval_windows(datasets, split, config, args.split)
     if not windows:
         raise DataError(f"no windows available for split {args.split!r}")
     dump = dump_latents(model.pair, windows)

@@ -183,6 +183,13 @@ class CvaePair:
         x_t, x_s = decompose_batch(x, self.kernel)
         return {TREND: x_t, SEASONAL: x_s}
 
+    def encode(self, x: np.ndarray, rng=None, training: bool = False) -> dict[str, Tensor]:
+        """Each component's posterior mean for (N, T) windows, in component
+        order (so dropout draws come trend first, then seasonal)."""
+        comps = self.component_inputs(x)
+        return {which: comp.encoder(Tensor(comps[which]), rng=rng, training=training)[0]
+                for which, comp in self.components.items()}
+
     def encoder_params(self) -> list[Tensor]:
         out = []
         for comp in self.components.values():

@@ -243,12 +243,8 @@ class ForecastModel:
         if self.zero_latent:
             z = Tensor(np.zeros((n, pair.d_z)))
         else:
-            comps = pair.component_inputs(x)
-            per = {}
-            for which, comp in pair.components.items():
-                mu, _ = comp.encoder(Tensor(comps[which]), rng=rng, training=training)
-                per[which] = mu
-            z = per[FULL] if not pair.decomposed else fuse_latents(per[TREND], per[SEASONAL])
+            mus = pair.encode(x, rng=rng, training=training)
+            z = mus[FULL] if not pair.decomposed else fuse_latents(mus[TREND], mus[SEASONAL])
             if self.shared_only:
                 kept = T.slice_last(z, 0, pair.index)
                 z = T.concat([kept, Tensor(np.zeros((n, pair.d_z - pair.index)))])
@@ -285,6 +281,13 @@ class ForecastModel:
             return {"mu": mu.data.copy(), "sigma": sigma.data.copy()}
 
     def params(self) -> list[Tensor]:
-        """Stage-2 trainables: encoders, augmentation, decoder. The
-        conditional VAE decoders stay out (frozen and unused)."""
-        return self.pair.encoder_params() + [self.w, self.b] + self.decoder.params()
+        """Stage-2 trainables: encoders (unless the latent pathway is off),
+        augmentation, decoder. The conditional VAE decoders stay out (frozen
+        and unused)."""
+        encoders = [] if self.zero_latent else self.pair.encoder_params()
+        return encoders + [self.w, self.b] + self.decoder.params()
+
+    def checkpoint_params(self) -> list[Tensor]:
+        """Every parameter a full checkpoint holds: the whole VAE pair,
+        augmentation, decoder."""
+        return self.pair.params() + [self.w, self.b] + self.decoder.params()

@@ -1,40 +1,25 @@
-"""Hot numeric kernels with numba-accelerated and pure-numpy implementations.
+"""Hot numeric kernels in numpy.
 
 Two loop families dominate training time: the edge-padded moving average used
 by the trend/seasonal split (applied per batch inside the differentiable
 linear decoder path) and the O(N^2 d) pairwise-distance sums of the domain
-regularizer. Both are provided as @njit kernels with numpy fallbacks.
-
-Set LATENTCAST_PURE_NUMPY=1 to force the numpy path (the default path is
-numba whenever it is importable). `BACKEND` reports the active choice, and
-`implementations(name)` exposes every available path for benchmarking.
+regularizer. tests/test_kernels.py checks each against brute-force loops or
+finite differences.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-
-_FORCE_NUMPY = os.environ.get("LATENTCAST_PURE_NUMPY", "").strip() in ("1", "true", "yes")
-
-try:
-    if _FORCE_NUMPY:
-        raise ImportError("numba disabled via LATENTCAST_PURE_NUMPY")
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:
-    _HAVE_NUMBA = False
 
 
 # ---------------------------------------------------------------------------
 # Edge-padded moving average (rows of a 2-D array) and its adjoint
 # ---------------------------------------------------------------------------
 
-def _moving_average_np(x: np.ndarray, kernel: int) -> np.ndarray:
+def moving_average(x: np.ndarray, kernel: int) -> np.ndarray:
     """Centered moving average over the last axis, edges replicated."""
+    x = np.asarray(x, dtype=np.float64)
     if kernel == 1:
         return x.copy()
     pad = (kernel - 1) // 2
@@ -42,8 +27,9 @@ def _moving_average_np(x: np.ndarray, kernel: int) -> np.ndarray:
     return sliding_window_view(xp, kernel, axis=-1).mean(axis=-1)
 
 
-def _moving_average_adjoint_np(g: np.ndarray, kernel: int) -> np.ndarray:
+def moving_average_adjoint(g: np.ndarray, kernel: int) -> np.ndarray:
     """Transpose of the moving-average operator applied to upstream grads."""
+    g = np.asarray(g, dtype=np.float64)
     if kernel == 1:
         return g.copy()
     pad = (kernel - 1) // 2
@@ -58,54 +44,18 @@ def _moving_average_adjoint_np(g: np.ndarray, kernel: int) -> np.ndarray:
     return out
 
 
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _moving_average_nb(x, kernel):  # pragma: no cover - exercised via dispatch
-        n, t = x.shape
-        pad = (kernel - 1) // 2
-        out = np.empty((n, t))
-        for r in range(n):
-            for i in range(t):
-                acc = 0.0
-                for p in range(i - pad, i + pad + 1):
-                    j = p
-                    if j < 0:
-                        j = 0
-                    elif j > t - 1:
-                        j = t - 1
-                    acc += x[r, j]
-                out[r, i] = acc / kernel
-        return out
-
-    @njit(cache=True)
-    def _moving_average_adjoint_nb(g, kernel):  # pragma: no cover
-        n, t = g.shape
-        pad = (kernel - 1) // 2
-        out = np.zeros((n, t))
-        for r in range(n):
-            for i in range(t):
-                gi = g[r, i] / kernel
-                for p in range(i - pad, i + pad + 1):
-                    j = p
-                    if j < 0:
-                        j = 0
-                    elif j > t - 1:
-                        j = t - 1
-                    out[r, j] += gi
-        return out
-
-
 # ---------------------------------------------------------------------------
 # Pairwise L2-distance sums over ordered sample pairs
 # ---------------------------------------------------------------------------
 
-def _pair_dist_sum_np(z: np.ndarray) -> float:
+def pair_dist_sum(z: np.ndarray) -> float:
+    z = np.asarray(z, dtype=np.float64)
     d = np.sqrt(((z[:, None, :] - z[None, :, :]) ** 2).sum(axis=-1))
     return float(d.sum())
 
 
-def _pair_dist_grad_np(z: np.ndarray) -> np.ndarray:
+def pair_dist_grad(z: np.ndarray) -> np.ndarray:
+    z = np.asarray(z, dtype=np.float64)
     diff = z[:, None, :] - z[None, :, :]
     d = np.sqrt((diff ** 2).sum(axis=-1))
     with np.errstate(divide="ignore"):
@@ -113,153 +63,20 @@ def _pair_dist_grad_np(z: np.ndarray) -> np.ndarray:
     return 2.0 * (diff * w[:, :, None]).sum(axis=1)
 
 
-def _cross_pair_dist_sum_np(z: np.ndarray, dom: np.ndarray) -> tuple[float, int]:
+def cross_pair_dist_sum(z: np.ndarray, dom: np.ndarray) -> tuple[float, int]:
+    z = np.asarray(z, dtype=np.float64)
+    dom = np.asarray(dom, dtype=np.int64)
     mask = dom[:, None] != dom[None, :]
     d = np.sqrt(((z[:, None, :] - z[None, :, :]) ** 2).sum(axis=-1))
     return float(d[mask].sum()), int(mask.sum())
 
 
-def _cross_pair_dist_grad_np(z: np.ndarray, dom: np.ndarray) -> np.ndarray:
+def cross_pair_dist_grad(z: np.ndarray, dom: np.ndarray) -> np.ndarray:
+    z = np.asarray(z, dtype=np.float64)
+    dom = np.asarray(dom, dtype=np.int64)
     mask = (dom[:, None] != dom[None, :]).astype(np.float64)
     diff = z[:, None, :] - z[None, :, :]
     d = np.sqrt((diff ** 2).sum(axis=-1))
     with np.errstate(divide="ignore"):
         w = np.where(d > 0.0, 1.0 / np.where(d > 0.0, d, 1.0), 0.0)
     return 2.0 * (diff * (w * mask)[:, :, None]).sum(axis=1)
-
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _pair_dist_sum_nb(z):  # pragma: no cover
-        n, k = z.shape
-        total = 0.0
-        for i in range(n):
-            for j in range(n):
-                acc = 0.0
-                for c in range(k):
-                    t = z[i, c] - z[j, c]
-                    acc += t * t
-                total += np.sqrt(acc)
-        return total
-
-    @njit(cache=True)
-    def _pair_dist_grad_nb(z):  # pragma: no cover
-        n, k = z.shape
-        out = np.zeros((n, k))
-        for i in range(n):
-            for j in range(n):
-                acc = 0.0
-                for c in range(k):
-                    t = z[i, c] - z[j, c]
-                    acc += t * t
-                d = np.sqrt(acc)
-                if d > 0.0:
-                    for c in range(k):
-                        out[i, c] += 2.0 * (z[i, c] - z[j, c]) / d
-        return out
-
-    @njit(cache=True)
-    def _cross_pair_dist_sum_nb(z, dom):  # pragma: no cover
-        n, k = z.shape
-        total = 0.0
-        count = 0
-        for i in range(n):
-            for j in range(n):
-                if dom[i] != dom[j]:
-                    count += 1
-                    acc = 0.0
-                    for c in range(k):
-                        t = z[i, c] - z[j, c]
-                        acc += t * t
-                    total += np.sqrt(acc)
-        return total, count
-
-    @njit(cache=True)
-    def _cross_pair_dist_grad_nb(z, dom):  # pragma: no cover
-        n, k = z.shape
-        out = np.zeros((n, k))
-        for i in range(n):
-            for j in range(n):
-                if dom[i] != dom[j]:
-                    acc = 0.0
-                    for c in range(k):
-                        t = z[i, c] - z[j, c]
-                        acc += t * t
-                    d = np.sqrt(acc)
-                    if d > 0.0:
-                        for c in range(k):
-                            out[i, c] += 2.0 * (z[i, c] - z[j, c]) / d
-        return out
-
-
-# ---------------------------------------------------------------------------
-# Dispatch
-# ---------------------------------------------------------------------------
-
-BACKEND = "numba" if _HAVE_NUMBA else "numpy"
-
-if _HAVE_NUMBA:
-
-    def moving_average(x: np.ndarray, kernel: int) -> np.ndarray:
-        x = np.ascontiguousarray(x, dtype=np.float64)
-        if x.ndim == 1:
-            return _moving_average_nb(x[None, :], kernel)[0]
-        return _moving_average_nb(x, kernel)
-
-    def moving_average_adjoint(g: np.ndarray, kernel: int) -> np.ndarray:
-        g = np.ascontiguousarray(g, dtype=np.float64)
-        if g.ndim == 1:
-            return _moving_average_adjoint_nb(g[None, :], kernel)[0]
-        return _moving_average_adjoint_nb(g, kernel)
-
-    def pair_dist_sum(z: np.ndarray) -> float:
-        return float(_pair_dist_sum_nb(np.ascontiguousarray(z, dtype=np.float64)))
-
-    def pair_dist_grad(z: np.ndarray) -> np.ndarray:
-        return _pair_dist_grad_nb(np.ascontiguousarray(z, dtype=np.float64))
-
-    def cross_pair_dist_sum(z: np.ndarray, dom: np.ndarray) -> tuple[float, int]:
-        s, c = _cross_pair_dist_sum_nb(
-            np.ascontiguousarray(z, dtype=np.float64),
-            np.ascontiguousarray(dom, dtype=np.int64),
-        )
-        return float(s), int(c)
-
-    def cross_pair_dist_grad(z: np.ndarray, dom: np.ndarray) -> np.ndarray:
-        return _cross_pair_dist_grad_nb(
-            np.ascontiguousarray(z, dtype=np.float64),
-            np.ascontiguousarray(dom, dtype=np.int64),
-        )
-
-else:
-
-    def moving_average(x: np.ndarray, kernel: int) -> np.ndarray:
-        return _moving_average_np(np.asarray(x, dtype=np.float64), kernel)
-
-    def moving_average_adjoint(g: np.ndarray, kernel: int) -> np.ndarray:
-        return _moving_average_adjoint_np(np.asarray(g, dtype=np.float64), kernel)
-
-    def pair_dist_sum(z: np.ndarray) -> float:
-        return _pair_dist_sum_np(np.asarray(z, dtype=np.float64))
-
-    def pair_dist_grad(z: np.ndarray) -> np.ndarray:
-        return _pair_dist_grad_np(np.asarray(z, dtype=np.float64))
-
-    def cross_pair_dist_sum(z: np.ndarray, dom: np.ndarray) -> tuple[float, int]:
-        return _cross_pair_dist_sum_np(
-            np.asarray(z, dtype=np.float64), np.asarray(dom, dtype=np.int64)
-        )
-
-    def cross_pair_dist_grad(z: np.ndarray, dom: np.ndarray) -> np.ndarray:
-        return _cross_pair_dist_grad_np(
-            np.asarray(z, dtype=np.float64), np.asarray(dom, dtype=np.int64)
-        )
-
-
-def implementations(name: str) -> dict:
-    """All available implementations of a kernel, keyed by backend name."""
-    table = {"numpy": globals()["_" + name + "_np"]}
-    if _HAVE_NUMBA:
-        table["numba"] = globals()["_" + name + "_nb"]
-    return table

@@ -17,7 +17,7 @@ import numpy as np
 
 from .cvae import FULL, SEASONAL, TREND, CvaePair
 from .data import WindowSample, prepare_samples
-from .tensor import Tensor, no_grad
+from .tensor import no_grad
 
 
 @dataclass
@@ -44,12 +44,8 @@ def dump_latents(pair: CvaePair, windows: list[WindowSample]) -> LatentDump:
     if not prepared:
         return dump
     x = np.stack([s.x for s in prepared])
-    comps = pair.component_inputs(x)
-    mus = {}
     with no_grad():
-        for which, comp in pair.components.items():
-            mu, _ = comp.encoder(Tensor(comps[which]), training=False)
-            mus[which] = mu.data
+        mus = {which: mu.data for which, mu in pair.encode(x).items()}
     if pair.decomposed:
         shared = np.concatenate([mus[TREND][:, :index], mus[SEASONAL][:, :index]], axis=1)
         specific = np.concatenate([mus[TREND][:, index:], mus[SEASONAL][:, index:]], axis=1)

@@ -4,8 +4,8 @@ A Tensor wraps an ndarray plus an optional gradient buffer. Operations on
 grad-enabled tensors record a dynamic graph (parents + a backprop closure on
 the result); `Tensor.backward()` walks that graph once in reverse topological
 order. Elementwise broadcasting is restricted to scalar-with-tensor so shape
-mistakes fail loudly. Default dtype is float64; switch to float32 for
-throughput with `set_default_dtype` (finite-difference checks need float64).
+mistakes fail loudly. Every tensor holds float64, which the finite-difference
+checks need.
 """
 
 from __future__ import annotations
@@ -28,20 +28,7 @@ class GraphError(RuntimeError):
     """Misuse of the autodiff graph (non-scalar loss, reused graph, ...)."""
 
 
-_default_dtype = np.float64
 _grad_mode = True
-
-
-def set_default_dtype(dtype) -> None:
-    global _default_dtype
-    dtype = np.dtype(dtype)
-    if dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
-        raise ValueError(f"unsupported dtype {dtype}")
-    _default_dtype = dtype.type
-
-
-def get_default_dtype():
-    return _default_dtype
 
 
 @contextmanager
@@ -60,7 +47,7 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_backprop", "_consumed")
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
-        self.data = np.asarray(data, dtype=_default_dtype)
+        self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = requires_grad
         self.grad = np.zeros_like(self.data) if requires_grad else None
         self.name = name
@@ -186,7 +173,7 @@ def _nonscalar(t: Tensor):
 
 
 def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=_default_dtype))
+    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
 
 
 def _node(data: np.ndarray, parents: Sequence[Tensor]) -> Tensor:
@@ -488,7 +475,7 @@ def custom_op(data: np.ndarray, parents: Sequence[Tensor],
     (None for non-differentiable inputs). Used by kernel-backed ops.
     """
     parents = tuple(parents)
-    out = _node(np.asarray(data, dtype=_default_dtype), parents)
+    out = _node(np.asarray(data, dtype=np.float64), parents)
     if out._parents:
         def backprop():
             for p, fn in zip(parents, grad_fns):

@@ -6,6 +6,10 @@ while fine-tuning the encoders; the conditional VAE decoders are frozen and
 unused. Every Table-4-style variant is a single `variant` string. All
 randomness is derived from the config seed, so a (config, data) pair fully
 determines the run.
+
+`run_pipeline` composes the steps (`training_data`, `build`, `pretrain`,
+`train`, `evaluate_model`); the CLI runs the same steps one command at a time,
+with checkpoints in between.
 """
 
 from __future__ import annotations
@@ -85,6 +89,11 @@ class TrainConfig:
         return self.variant not in ("no_reg", "no_latent") and self.reg_weight != 0.0
 
     @property
+    def two_stage(self) -> bool:
+        """Whether the VAE pair is pretrained in a stage of its own."""
+        return self.variant not in ("e2e", "no_latent")
+
+    @property
     def decomposed(self) -> bool:
         return self.variant != "no_decomp"
 
@@ -159,6 +168,46 @@ def build_model(config: TrainConfig, pair: CvaePair, feat_dim: int,
                          zero_latent=(config.variant == "no_latent"))
 
 
+def build(config: TrainConfig, num_domains: int, feat_dim: int | None = None
+          ) -> tuple[CvaePair, ForecastModel | None]:
+    """The VAE pair and, given the feature width, the forecasting model
+    around it. Both draw from the seed's initialization stream, pair first, so
+    a pair built alone equals the pair of a full build."""
+    rng = np.random.default_rng([config.seed, 1])
+    pair = build_cvae(config, num_domains, rng)
+    if feat_dim is None:
+        return pair, None
+    return pair, build_model(config, pair, feat_dim, rng)
+
+
+def pipeline_split(datasets: Sequence[DomainDataset], config: TrainConfig):
+    split = split_domains(datasets, config.test_fraction, config.seed, config.val_fraction)
+    by_id = {ds.domain_id: ds for ds in datasets}
+    domain_index = {dom: i for i, dom in enumerate(split.train_domains)}
+    domain_map = [[dom, by_id[dom].domain_name, i] for dom, i in domain_index.items()]
+    return split, domain_index, domain_map
+
+
+@dataclass
+class TrainingData:
+    """A run's domain split and the prepared training-stride samples of the
+    split roles a step uses."""
+    split: DomainSplit
+    domain_index: dict[int, int]
+    domain_map: list[list]
+    samples: dict[str, list[WindowSample]]
+
+
+def training_data(datasets: Sequence[DomainDataset], config: TrainConfig,
+                  roles: Sequence[str]) -> TrainingData:
+    """Split the domains, then window and prepare only the given roles."""
+    split, domain_index, domain_map = pipeline_split(datasets, config)
+    samples = {role: prepare_samples(windows_for_role(datasets, split, role, config.lookback,
+                                                      config.horizon, config.stride))
+               for role in roles}
+    return TrainingData(split, domain_index, domain_map, samples)
+
+
 # ---------------------------------------------------------------------------
 # Stage 1
 # ---------------------------------------------------------------------------
@@ -206,6 +255,12 @@ def stage1_pretrain(pair: CvaePair, samples: list[WindowSample],
     _restore(params, best_snap)
 
 
+def pretrain(pair: CvaePair, data: TrainingData, config: TrainConfig,
+             record: RunRecord) -> None:
+    """Stage 1 on the training-role samples (`data` needs the train role)."""
+    stage1_pretrain(pair, data.samples["train"], data.domain_index, config, record)
+
+
 # ---------------------------------------------------------------------------
 # Stage 2 (and the end-to-end variant)
 # ---------------------------------------------------------------------------
@@ -241,14 +296,11 @@ def stage2_train(model: ForecastModel, train_samples: list[WindowSample],
     x_all, a_all, y_all = _stack(train_samples, feat_dim)
     x_val, a_val, y_val = _stack(val_samples, feat_dim)
 
-    enc_params = [] if config.variant == "no_latent" else model.pair.encoder_params()
-    rest = [model.w, model.b] + model.decoder.params()
-    params = enc_params + rest
-    scales = [config.encoder_lr_scale] * len(enc_params) + [1.0] * len(rest)
+    params = model.params()
+    n_enc = 0 if model.zero_latent else len(model.pair.encoder_params())
     if e2e:
-        dec_params = model.pair.decoder_params()
-        params = params + dec_params
-        scales = scales + [1.0] * len(dec_params)
+        params = params + model.pair.decoder_params()
+    scales = [config.encoder_lr_scale] * n_enc + [1.0] * (len(params) - n_enc)
     opt = Adam(params, lr=config.learning_rate, lr_scales=scales)
 
     rng = np.random.default_rng([config.seed, 3])
@@ -297,6 +349,14 @@ def stage2_train(model: ForecastModel, train_samples: list[WindowSample],
     _restore(params, best_snap)
 
 
+def train(model: ForecastModel, data: TrainingData, config: TrainConfig,
+          record: RunRecord) -> None:
+    """Stage 2 on the training-role samples, validated and early-stopped on
+    the val role (`data` needs both)."""
+    stage2_train(model, data.samples["train"], data.samples["val"], config, record,
+                 domain_index=data.domain_index)
+
+
 # ---------------------------------------------------------------------------
 # Evaluation over a fitted model
 # ---------------------------------------------------------------------------
@@ -323,27 +383,43 @@ def predict_windows(model: ForecastModel, windows: list[WindowSample],
     return dists
 
 
-def evaluate_split(model: ForecastModel, datasets: Sequence[DomainDataset],
-                   split: DomainSplit, config: TrainConfig, which: str,
-                   rng: np.random.Generator | None
-                   ) -> tuple[MetricReport, list[WindowSample], list[ForecastDistribution]]:
-    """Metrics on the held-out periods of training domains ("train") or on
-    every window of the test domains ("test")."""
-    if which == "train":
-        windows = windows_for_role(datasets, split, "val", config.lookback,
-                                   config.horizon, config.eval_stride)
-        domains = split.train_domains
-    elif which == "test":
-        windows = windows_for_role(datasets, split, "test", config.lookback,
-                                   config.horizon, config.eval_stride)
-        domains = split.test_domains
-    else:
+EVAL_SPLITS = ("train", "test")
+
+
+def eval_windows(datasets: Sequence[DomainDataset], split: DomainSplit,
+                 config: TrainConfig, which: str) -> list[WindowSample]:
+    """Evaluation-stride windows of the held-out periods of training domains
+    ("train") or of the test domains ("test")."""
+    if which not in EVAL_SPLITS:
         raise ValueError(f"which must be 'train' or 'test', got {which!r}")
+    role = "val" if which == "train" else "test"
+    return windows_for_role(datasets, split, role, config.lookback, config.horizon,
+                            config.eval_stride)
+
+
+def evaluate_split(model: ForecastModel, datasets: Sequence[DomainDataset],
+                   split: DomainSplit, config: TrainConfig, which: str
+                   ) -> tuple[MetricReport, list[WindowSample], list[ForecastDistribution]]:
+    """Metrics on the windows of `eval_windows`. Each split samples from a
+    stream of its own, so every command that forecasts a split agrees."""
+    windows = eval_windows(datasets, split, config, which)
     if not windows:
         raise TrainingError(f"no evaluation windows for the {which} domain set")
+    rng = np.random.default_rng([config.seed, 4, EVAL_SPLITS.index(which)])
     dists = predict_windows(model, windows, config, rng)
+    domains = split.train_domains if which == "train" else split.test_domains
     report = aggregate(windows, dists, domains, which, config.seed, config.config_hash())
     return report, windows, dists
+
+
+def evaluate_model(model: ForecastModel, datasets: Sequence[DomainDataset],
+                   split: DomainSplit, config: TrainConfig
+                   ) -> tuple[MetricReport, MetricReport, list[WindowSample],
+                              list[ForecastDistribution]]:
+    """Both splits' reports, then the test split's windows and forecasts."""
+    report_train, _, _ = evaluate_split(model, datasets, split, config, "train")
+    report_test, windows, dists = evaluate_split(model, datasets, split, config, "test")
+    return report_train, report_test, windows, dists
 
 
 # ---------------------------------------------------------------------------
@@ -364,52 +440,20 @@ class PipelineResult:
     forecasts_test: list[tuple[WindowSample, ForecastDistribution]]
 
 
-def pipeline_split(datasets: Sequence[DomainDataset], config: TrainConfig):
-    split = split_domains(datasets, config.test_fraction, config.seed, config.val_fraction)
-    by_id = {ds.domain_id: ds for ds in datasets}
-    domain_index = {dom: i for i, dom in enumerate(split.train_domains)}
-    domain_map = [[dom, by_id[dom].domain_name, i] for dom, i in domain_index.items()]
-    return split, domain_index, domain_map
-
-
-def run_pipeline(datasets: Sequence[DomainDataset], config: TrainConfig,
-                 evaluate: bool = True) -> PipelineResult:
+def run_pipeline(datasets: Sequence[DomainDataset], config: TrainConfig) -> PipelineResult:
     config.validate()
-    split, domain_index, domain_map = pipeline_split(datasets, config)
-    feat_dim = datasets[0].feat_dim
-
-    train_windows = windows_for_role(datasets, split, "train", config.lookback,
-                                     config.horizon, config.stride)
-    val_windows = windows_for_role(datasets, split, "val", config.lookback,
-                                   config.horizon, config.stride)
-    train_samples = prepare_samples(train_windows)
-    val_samples = prepare_samples(val_windows)
-
-    init_rng = np.random.default_rng([config.seed, 1])
-    pair = build_cvae(config, len(split.train_domains), init_rng)
-    model = build_model(config, pair, feat_dim, init_rng)
+    data = training_data(datasets, config, ("train", "val"))
+    pair, model = build(config, len(data.split.train_domains), datasets[0].feat_dim)
     record = RunRecord(seed=config.seed)
-
-    if config.variant == "e2e":
-        stage2_train(model, train_samples, val_samples, config, record,
-                     domain_index=domain_index)
-    elif config.variant == "no_latent":
-        stage2_train(model, train_samples, val_samples, config, record)
-    else:
-        stage1_pretrain(pair, train_samples, domain_index, config, record)
-        stage2_train(model, train_samples, val_samples, config, record)
-
-    report_train = report_test = None
-    forecasts_test: list = []
-    if evaluate:
-        eval_rng = np.random.default_rng([config.seed, 4])
-        report_train, _, _ = evaluate_split(model, datasets, split, config, "train", eval_rng)
-        report_test, wins, dists = evaluate_split(model, datasets, split, config, "test", eval_rng)
-        forecasts_test = list(zip(wins, dists))
-    return PipelineResult(config=config, split=split, domain_map=domain_map,
-                          domain_index=domain_index, pair=pair, model=model,
+    if config.two_stage:
+        pretrain(pair, data, config, record)
+    train(model, data, config, record)
+    report_train, report_test, windows, dists = evaluate_model(model, datasets, data.split,
+                                                               config)
+    return PipelineResult(config=config, split=data.split, domain_map=data.domain_map,
+                          domain_index=data.domain_index, pair=pair, model=model,
                           record=record, report_train=report_train,
-                          report_test=report_test, forecasts_test=forecasts_test)
+                          report_test=report_test, forecasts_test=list(zip(windows, dists)))
 
 
 # ---------------------------------------------------------------------------
@@ -435,8 +479,7 @@ def load_stage1(path, pair: CvaePair) -> tuple[TrainConfig, list[list]]:
 def save_full(path, model: ForecastModel, domain_map: list[list],
               config: TrainConfig, feat_dim: int) -> None:
     from .checkpoint import save_checkpoint
-    params = model.pair.params() + [model.w, model.b] + model.decoder.params()
-    save_checkpoint(path, "full", config.to_dict(), domain_map, params,
+    save_checkpoint(path, "full", config.to_dict(), domain_map, model.checkpoint_params(),
                     extra={"feat_dim": feat_dim})
 
 
@@ -447,11 +490,8 @@ def load_full(path) -> tuple[TrainConfig, ForecastModel, list[list], dict[int, i
     if blob["kind"] != "full":
         raise CheckpointError(f"expected a full checkpoint, got {blob['kind']!r}")
     config = TrainConfig(**blob["config"])
-    feat_dim = blob["extra"]["feat_dim"]
-    rng = np.random.default_rng([config.seed, 1])
-    pair = build_cvae(config, len(blob["domain_map"]), rng)
-    model = build_model(config, pair, feat_dim, rng)
-    restore_params(blob, pair.params() + [model.w, model.b] + model.decoder.params())
+    _, model = build(config, len(blob["domain_map"]), blob["extra"]["feat_dim"])
+    restore_params(blob, model.checkpoint_params())
     domain_index = {int(dom): int(i) for dom, _, i in blob["domain_map"]}
     return config, model, blob["domain_map"], domain_index
 

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from latentcast.cli import main
+from latentcast.data import ingest_csv
+from latentcast.training import TrainConfig, run_pipeline
 
 TINY_CONFIG = {
     "synthetic": {
@@ -154,6 +156,33 @@ class TestPipelineFlow:
             assert row["n_seeds"] == 2
             assert "q50_mean" in row and "q50_std" in row
         assert (root / "abl" / "ablation.txt").exists()
+
+    @staticmethod
+    def _pretrain_and_train(root, cfg, data_csv, decoder):
+        dec = f"train.decoder={decoder}"
+        assert run("pretrain", "--config", cfg, "--data", data_csv, "--set", dec,
+                   "--out", root / "pre") == 0
+        assert run("train", "--config", cfg, "--data", data_csv, "--set", dec,
+                   "--pretrained", root / "pre" / "stage1.ckpt.json",
+                   "--out", root / "fit") == 0
+
+    @pytest.mark.parametrize("decoder", ["linear", "recurrent"])
+    def test_cli_report_equals_run_pipeline(self, workdir, data_csv, decoder):
+        root, cfg = workdir
+        self._pretrain_and_train(root, cfg, data_csv, decoder)
+        config = TrainConfig(**{**TINY_CONFIG["train"], "decoder": decoder})
+        result = run_pipeline(ingest_csv(data_csv), config)
+        assert ((root / "fit" / "report_test.json").read_text(encoding="utf-8")
+                == result.report_test.to_json() + "\n")
+
+    def test_forecast_matches_train_for_recurrent_decoder(self, workdir, data_csv):
+        root, cfg = workdir
+        self._pretrain_and_train(root, cfg, data_csv, "recurrent")
+        assert run("forecast", "--config", cfg, "--data", data_csv,
+                   "--checkpoint", root / "fit" / "model.ckpt.json",
+                   "--out", root / "fc") == 0
+        assert ((root / "fc" / "forecasts_test.csv").read_bytes()
+                == (root / "fit" / "forecasts_test.csv").read_bytes())
 
     def test_unknown_variant_lists_valid_names(self, workdir, data_csv, capsys):
         root, cfg = workdir
