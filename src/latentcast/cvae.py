@@ -140,8 +140,7 @@ class CvaePair:
     """
 
     def __init__(self, components: dict[str, ComponentVae], beta: float, alpha: float,
-                 d_z: int, kernel: int, num_domains: int, conditional: bool,
-                 encoder_kind: str, hidden: int, drop: float):
+                 d_z: int, kernel: int, num_domains: int, conditional: bool):
         self.components = components
         self.beta = beta
         self.alpha = alpha
@@ -149,9 +148,6 @@ class CvaePair:
         self.kernel = kernel
         self.num_domains = num_domains
         self.conditional = conditional
-        self.encoder_kind = encoder_kind
-        self.hidden = hidden
-        self.drop = drop
         self.index = split_index(alpha, d_z)
 
     @classmethod
@@ -170,8 +166,7 @@ class CvaePair:
                 decoder=CondDecoder(rng, d_z, num_domains, lookback, conditional,
                                     f"{which}.dec"),
             )
-        return cls(comps, beta, alpha, d_z, kernel, num_domains, conditional,
-                   encoder_kind, hidden, drop)
+        return cls(comps, beta, alpha, d_z, kernel, num_domains, conditional)
 
     @property
     def decomposed(self) -> bool:
@@ -254,18 +249,16 @@ def domain_regularizer(z_shared: Tensor, z_specific: Tensor,
     if dom.shape != (n,):
         raise T.ShapeError(f"domain_ids shape {dom.shape} does not match batch {n}")
 
-    shared_sum = kernels.pair_dist_sum(z_shared.data)
-    pull = custom_op(
-        shared_sum / (n * n), (z_shared,),
-        (lambda g: float(g) * kernels.pair_dist_grad(z_shared.data) / (n * n),),
-    )
-    cross_sum, n_diff = kernels.cross_pair_dist_sum(z_specific.data, dom)
+    shared_sum, shared_grad = kernels.pair_dist_sum(z_shared.data)
+    pull = custom_op(shared_sum / (n * n), (z_shared,),
+                     (lambda g: float(g) * shared_grad / (n * n),))
+    cross = dom[:, None] != dom[None, :]
+    n_diff = int(cross.sum())
     if n_diff == 0:
         return pull
-    push = custom_op(
-        cross_sum / n_diff, (z_specific,),
-        (lambda g: float(g) * kernels.cross_pair_dist_grad(z_specific.data, dom) / n_diff,),
-    )
+    cross_sum, cross_grad = kernels.pair_dist_sum(z_specific.data, cross)
+    push = custom_op(cross_sum / n_diff, (z_specific,),
+                     (lambda g: float(g) * cross_grad / n_diff,))
     return pull - push
 
 
@@ -338,14 +331,12 @@ def latent_loss(pair: CvaePair, batch: Stage1Batch,
     return loss, parts, latents
 
 
-def split_for(pair: CvaePair, latents: dict[str, LatentSample],
-              use_sample: bool = False) -> SplitLatents:
-    """Shared/specific split of a latent dict from either VAE layout.
+def split_for(pair: CvaePair, latents: dict[str, LatentSample]) -> SplitLatents:
+    """Shared/specific split of the posterior means from either VAE layout.
 
-    Defaults to the posterior means: regularizing sampled draws has a
-    degenerate optimum where specific-dim variance inflates to satisfy the
-    cross-domain push without structuring the means."""
-    pick = (lambda s: s.z) if use_sample else (lambda s: s.mu)
+    The means, not the sampled draws: regularizing draws has a degenerate
+    optimum where specific-dim variance inflates to satisfy the cross-domain
+    push without structuring the means."""
     if pair.decomposed:
-        return split_latents(pick(latents[TREND]), pick(latents[SEASONAL]), pair.alpha)
-    return split_single(pick(latents[FULL]), pair.alpha)
+        return split_latents(latents[TREND].mu, latents[SEASONAL].mu, pair.alpha)
+    return split_single(latents[FULL].mu, pair.alpha)

@@ -52,7 +52,6 @@ class WindowSample:
     scale: float = 1.0
     norm_mean: float = 0.0
     norm_std: float = 1.0
-    normalized: bool = False
 
 
 @dataclass
@@ -124,12 +123,11 @@ def ingest_csv(path, value_scale: float = 1.0, fill_missing: float = 0.0) -> lis
         if header[:4] != ["domain", "series", "timestamp", "value"]:
             raise DataError(f"unexpected header {header!r}; need domain,series,timestamp,value[,feat_*]")
         feat_dim = len(header) - 4
-        n_feat = feat_dim
         for line_no, row in enumerate(reader, start=2):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
-            if len(row) != 4 + n_feat:
-                raise DataError(f"line {line_no}: expected {4 + n_feat} columns, got {len(row)}")
+            if len(row) != 4 + feat_dim:
+                raise DataError(f"line {line_no}: expected {4 + feat_dim} columns, got {len(row)}")
             dom, ser = row[0].strip(), row[1].strip()
             ts = _parse_timestamp(row[2], line_no)
             try:
@@ -280,7 +278,7 @@ def normalize_sample(sample: WindowSample) -> WindowSample:
     """Instance-normalize x (stats from x) and map y into the same frame."""
     xn, (mean, std) = revin_normalize(sample.x)
     yn = (sample.y - mean) / (std + REVIN_EPS)
-    return replace(sample, x=xn, y=yn, norm_mean=mean, norm_std=std, normalized=True)
+    return replace(sample, x=xn, y=yn, norm_mean=mean, norm_std=std)
 
 
 def prepare_samples(windows: Iterable[WindowSample]) -> list[WindowSample]:

@@ -1,8 +1,10 @@
-"""Trend/seasonal split by edge-padded moving average.
+"""Trend/seasonal split by edge-replicated moving average.
 
 The trend is the centered moving average of the window (edges replicated so
 the length is preserved); the seasonal part is the residual, so the two
-components always reconstruct the input exactly.
+components always reconstruct the input exactly. The moving average is the
+sparse linear operator `A` of `kernels.moving_average_operator`, so the
+differentiable trend's backward pass is the transpose, `g @ A`.
 """
 
 from __future__ import annotations
@@ -54,5 +56,6 @@ def trend_component(x: Tensor, kernel: int) -> Tensor:
     The operator is linear, so the backward pass is its transpose.
     """
     _check_kernel(kernel, x.shape[-1])
+    a = kernels.moving_average_operator(x.shape[-1], kernel)
     out = kernels.moving_average(x.data, kernel)
-    return custom_op(out, (x,), (lambda g: kernels.moving_average_adjoint(g, kernel),))
+    return custom_op(out, (x,), (lambda g: g @ a,))

@@ -59,8 +59,6 @@ class RecurrentDecoder:
     Gaussian steps. Horizon-side external features are unknown and fed as
     zeros; lookback features join each conditioning step."""
 
-    kind = "recurrent-gaussian"
-
     def __init__(self, rng: np.random.Generator, feat_dim: int, hidden: int,
                  horizon: int, drop: float, name: str = "fdec"):
         if horizon <= 0:
@@ -130,8 +128,6 @@ class LinearDecoder:
     """Trend/seasonal re-decomposition of the decoder input, independent
     linear maps to the horizon, and a linear-softplus scale head. Ignores
     external features."""
-
-    kind = "linear-decomposition"
 
     def __init__(self, rng: np.random.Generator, lookback: int, horizon: int,
                  kernel: int, name: str = "fdec"):

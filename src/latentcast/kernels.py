@@ -1,82 +1,77 @@
 """Hot numeric kernels in numpy.
 
-Two loop families dominate training time: the edge-padded moving average used
-by the trend/seasonal split (applied per batch inside the differentiable
-linear decoder path) and the O(N^2 d) pairwise-distance sums of the domain
-regularizer. tests/test_kernels.py checks each against brute-force loops or
-finite differences.
+Two operators carry the method: the edge-replicated moving average used by
+the trend/seasonal split, and the O(N^2 d) pairwise-distance sums of the
+domain regularizer.
+
+The moving average is a fixed linear map, so it is kept as one sparse (T, T)
+matrix `A` per (length, kernel): the trend of rows `x` is `x @ A.T`, and the
+backward pass of anything built on it is `g @ A`. The pairwise kernel returns
+the sum and its gradient from one difference tensor. tests/test_kernels.py
+checks both against brute-force loops or finite differences.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from scipy import sparse
 
 
 # ---------------------------------------------------------------------------
-# Edge-padded moving average (rows of a 2-D array) and its adjoint
+# Edge-replicated moving average as a sparse linear operator
 # ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=64)
+def moving_average_operator(length: int, kernel: int) -> sparse.csr_array:
+    """(length, length) matrix of the centered moving average.
+
+    Row i holds `kernel` entries of 1/kernel at columns i - pad .. i + pad,
+    clipped to [0, length - 1]: a window running off an end repeats the edge
+    column, and CSR sums the duplicates, which is exactly edge replication.
+    The cached matrix is shared between callers, so its arrays are read-only.
+    """
+    pad = (kernel - 1) // 2
+    cols = np.arange(length)[:, None] + np.arange(-pad, pad + 1)[None, :]
+    indices = np.clip(cols, 0, length - 1).ravel()
+    indptr = np.arange(0, length * kernel + 1, kernel)
+    data = np.full(length * kernel, 1.0 / kernel)
+    a = sparse.csr_array((data, indices, indptr), shape=(length, length))
+    for arr in (a.data, a.indices, a.indptr):
+        arr.flags.writeable = False
+    return a
+
 
 def moving_average(x: np.ndarray, kernel: int) -> np.ndarray:
-    """Centered moving average over the last axis, edges replicated."""
+    """Centered moving average of a 1-D window or of each row of a 2-D
+    array, edges replicated."""
     x = np.asarray(x, dtype=np.float64)
-    if kernel == 1:
-        return x.copy()
-    pad = (kernel - 1) // 2
-    xp = np.pad(x, [(0, 0)] * (x.ndim - 1) + [(pad, pad)], mode="edge")
-    return sliding_window_view(xp, kernel, axis=-1).mean(axis=-1)
-
-
-def moving_average_adjoint(g: np.ndarray, kernel: int) -> np.ndarray:
-    """Transpose of the moving-average operator applied to upstream grads."""
-    g = np.asarray(g, dtype=np.float64)
-    if kernel == 1:
-        return g.copy()
-    pad = (kernel - 1) // 2
-    t = g.shape[-1]
-    gz = np.pad(g, [(0, 0)] * (g.ndim - 1) + [(kernel - 1, kernel - 1)], mode="constant")
-    # gxp[p] = mean-window sum of upstream grads hitting padded position p
-    gxp = sliding_window_view(gz, kernel, axis=-1).sum(axis=-1) / kernel
-    out = gxp[..., pad:pad + t].copy()
-    # replicated edge samples absorb every window that ran off the ends
-    out[..., 0] += gxp[..., :pad].sum(axis=-1)
-    out[..., t - 1] += gxp[..., pad + t:].sum(axis=-1)
-    return out
+    a = moving_average_operator(x.shape[-1], kernel)
+    # dense @ sparse comes back in Fortran order; the trend feeds row-major
+    # matmuls, so it is returned in C order like every other window array
+    return np.ascontiguousarray(x @ a.T)
 
 
 # ---------------------------------------------------------------------------
 # Pairwise L2-distance sums over ordered sample pairs
 # ---------------------------------------------------------------------------
 
-def pair_dist_sum(z: np.ndarray) -> float:
-    z = np.asarray(z, dtype=np.float64)
-    d = np.sqrt(((z[:, None, :] - z[None, :, :]) ** 2).sum(axis=-1))
-    return float(d.sum())
+def pair_dist_sum(z: np.ndarray, mask: np.ndarray | None = None
+                  ) -> tuple[float, np.ndarray]:
+    """Sum of ||z_i - z_j|| over ordered pairs (i, j), and its gradient in z.
 
-
-def pair_dist_grad(z: np.ndarray) -> np.ndarray:
+    With an (N, N) boolean `mask`, only the pairs it marks count. Coincident
+    rows (distance 0) add nothing to the sum or the gradient. The gradient is
+    written into the difference buffer in place, so one (N, N, d) tensor
+    serves the sum and the gradient.
+    """
     z = np.asarray(z, dtype=np.float64)
     diff = z[:, None, :] - z[None, :, :]
     d = np.sqrt((diff ** 2).sum(axis=-1))
-    with np.errstate(divide="ignore"):
-        w = np.where(d > 0.0, 1.0 / np.where(d > 0.0, d, 1.0), 0.0)
-    return 2.0 * (diff * w[:, :, None]).sum(axis=1)
-
-
-def cross_pair_dist_sum(z: np.ndarray, dom: np.ndarray) -> tuple[float, int]:
-    z = np.asarray(z, dtype=np.float64)
-    dom = np.asarray(dom, dtype=np.int64)
-    mask = dom[:, None] != dom[None, :]
-    d = np.sqrt(((z[:, None, :] - z[None, :, :]) ** 2).sum(axis=-1))
-    return float(d[mask].sum()), int(mask.sum())
-
-
-def cross_pair_dist_grad(z: np.ndarray, dom: np.ndarray) -> np.ndarray:
-    z = np.asarray(z, dtype=np.float64)
-    dom = np.asarray(dom, dtype=np.int64)
-    mask = (dom[:, None] != dom[None, :]).astype(np.float64)
-    diff = z[:, None, :] - z[None, :, :]
-    d = np.sqrt((diff ** 2).sum(axis=-1))
-    with np.errstate(divide="ignore"):
-        w = np.where(d > 0.0, 1.0 / np.where(d > 0.0, d, 1.0), 0.0)
-    return 2.0 * (diff * (w * mask)[:, :, None]).sum(axis=1)
+    total = float(d.sum() if mask is None else d[mask].sum())
+    w = np.where(d > 0.0, 1.0 / np.where(d > 0.0, d, 1.0), 0.0)
+    if mask is not None:
+        w *= mask
+    diff *= w[:, :, None]
+    return total, 2.0 * diff.sum(axis=1)

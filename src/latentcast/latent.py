@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cvae import FULL, SEASONAL, TREND, CvaePair
+from .cvae import FULL, SEASONAL, TREND, CvaePair, split_latents, split_single
 from .data import WindowSample, prepare_samples
 from .tensor import no_grad
 
@@ -39,19 +39,17 @@ class LatentDump:
 def dump_latents(pair: CvaePair, windows: list[WindowSample]) -> LatentDump:
     """Posterior-mean latents of every window, split into shared/specific."""
     prepared = prepare_samples(windows)
-    index = pair.index
     dump = LatentDump(d_z=pair.d_z, alpha=pair.alpha)
     if not prepared:
         return dump
     x = np.stack([s.x for s in prepared])
     with no_grad():
-        mus = {which: mu.data for which, mu in pair.encode(x).items()}
-    if pair.decomposed:
-        shared = np.concatenate([mus[TREND][:, :index], mus[SEASONAL][:, :index]], axis=1)
-        specific = np.concatenate([mus[TREND][:, index:], mus[SEASONAL][:, index:]], axis=1)
-    else:
-        shared = mus[FULL][:, :index]
-        specific = mus[FULL][:, index:]
+        mus = pair.encode(x)
+        if pair.decomposed:
+            split = split_latents(mus[TREND], mus[SEASONAL], pair.alpha)
+        else:
+            split = split_single(mus[FULL], pair.alpha)
+    shared, specific = split.z_shared.data, split.z_specific.data
     for i, w in enumerate(windows):
         dump.rows.append(LatentRow(domain_id=w.domain_id, series_name=w.series_name,
                                    origin=w.origin, z_shared=shared[i].copy(),

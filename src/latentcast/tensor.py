@@ -120,6 +120,9 @@ class Tensor:
         for node in reversed(topo):
             if node._backprop is not None:
                 node._backprop()
+                # the closure refers back to its node: dropping it lets the graph
+                # be freed once the loss is released, not at the next gc pass
+                node._backprop = None
             node._consumed = True
 
     # -- operator sugar --------------------------------------------------

@@ -77,12 +77,18 @@ class TrainConfig:
             raise ValueError(f"decoder must be 'recurrent' or 'linear', got {self.decoder!r}")
         if self.encoder not in (None, "mlp", "bigru"):
             raise ValueError(f"encoder must be 'mlp' or 'bigru', got {self.encoder!r}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.reg_active and self.batch_size < 2:
             raise ValueError("batch_size must be >= 2 while the domain regularizer is active")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.lookback < 1 or self.horizon < 1:
             raise ValueError("lookback and horizon must be >= 1")
+        if self.two_stage and self.epochs_stage1 < 1:
+            raise ValueError(f"epochs_stage1 must be >= 1, got {self.epochs_stage1}")
+        if self.epochs_stage2 < 1:
+            raise ValueError(f"epochs_stage2 must be >= 1, got {self.epochs_stage2}")
 
     @property
     def reg_active(self) -> bool:
@@ -212,6 +218,20 @@ def training_data(datasets: Sequence[DomainDataset], config: TrainConfig,
 # Stage 1
 # ---------------------------------------------------------------------------
 
+def _latent_objective(pair: CvaePair, samples: list[WindowSample],
+                      domain_index: dict[int, int], config: TrainConfig,
+                      rng: np.random.Generator) -> tuple[Tensor, dict[str, float]]:
+    """The stage-1 objective on one minibatch: the latent loss plus
+    reg_weight times the domain regularizer when it is active."""
+    batch = make_stage1_batch(pair, samples, domain_index)
+    loss, parts, latents = latent_loss(pair, batch, rng=rng, training=True)
+    if config.reg_active and len(samples) >= 2:
+        sl = split_for(pair, latents)
+        omega = domain_regularizer(sl.z_shared, sl.z_specific, batch.domain_ids)
+        loss = loss + config.reg_weight * omega
+    return loss, parts
+
+
 def stage1_pretrain(pair: CvaePair, samples: list[WindowSample],
                     domain_index: dict[int, int], config: TrainConfig,
                     record: RunRecord) -> None:
@@ -230,12 +250,8 @@ def stage1_pretrain(pair: CvaePair, samples: list[WindowSample],
         tick = time.perf_counter()
         losses = []
         for bi, idx in enumerate(_batches(len(samples), config.batch_size, rng)):
-            batch = make_stage1_batch(pair, [samples[i] for i in idx], domain_index)
-            loss, parts, latents = latent_loss(pair, batch, rng=rng, training=True)
-            if config.reg_active and len(idx) >= 2:
-                sl = split_for(pair, latents)
-                omega = domain_regularizer(sl.z_shared, sl.z_specific, batch.domain_ids)
-                loss = loss + config.reg_weight * omega
+            loss, parts = _latent_objective(pair, [samples[i] for i in idx], domain_index,
+                                            config, rng)
             value = float(loss.data)
             if not np.isfinite(value):
                 raise TrainingError(
@@ -314,14 +330,9 @@ def stage2_train(model: ForecastModel, train_samples: list[WindowSample],
             xb, ab, yb = x_all[idx], (a_all[idx] if a_all is not None else None), y_all[idx]
             loss = _forecast_loss(model, yb, xb, ab, rng=rng, training=True)
             if e2e:
-                batch = make_stage1_batch(model.pair, [train_samples[i] for i in idx],
-                                          domain_index)
-                lat, _, latents = latent_loss(model.pair, batch, rng=rng, training=True)
-                loss = loss + lat
-                if config.reg_active and len(idx) >= 2:
-                    sl = split_for(model.pair, latents)
-                    loss = loss + config.reg_weight * domain_regularizer(
-                        sl.z_shared, sl.z_specific, batch.domain_ids)
+                latent, _ = _latent_objective(model.pair, [train_samples[i] for i in idx],
+                                              domain_index, config, rng)
+                loss = loss + latent
             value = float(loss.data)
             if not np.isfinite(value):
                 raise TrainingError(f"stage 2 loss non-finite (epoch {epoch}, batch {bi})")

@@ -184,6 +184,19 @@ class TestPipelineFlow:
         assert ((root / "fc" / "forecasts_test.csv").read_bytes()
                 == (root / "fit" / "forecasts_test.csv").read_bytes())
 
+    @pytest.mark.parametrize("argv, field", [
+        (("pretrain", "--set", "train.epochs_stage1=0"), "epochs_stage1"),
+        (("train", "--variant", "e2e", "--set", "train.epochs_stage2=0"), "epochs_stage2"),
+        (("pretrain", "--variant", "no_reg", "--set", "train.batch_size=0"), "batch_size"),
+    ], ids=["epochs_stage1", "epochs_stage2", "batch_size"])
+    def test_empty_training_loop_is_a_usage_error(self, workdir, data_csv, capsys,
+                                                  argv, field):
+        # a loop that would run no epoch or no batch is refused up front
+        root, cfg = workdir
+        code = run(*argv, "--config", cfg, "--data", data_csv, "--out", root / "bad")
+        assert code == 1
+        assert field in capsys.readouterr().err
+
     def test_unknown_variant_lists_valid_names(self, workdir, data_csv, capsys):
         root, cfg = workdir
         code = run("ablate", "--config", cfg, "--data", data_csv,

@@ -289,9 +289,11 @@ class TestLatentLoss:
             sl = split_for(tiny_pair, latents)
             from latentcast import kernels
             n = sl.z_shared.shape[0]
-            pull = kernels.pair_dist_sum(sl.z_shared.data) / (n * n)
-            push, cnt = kernels.cross_pair_dist_sum(sl.z_specific.data,
-                                                    batch.domain_ids)
+            pull = kernels.pair_dist_sum(sl.z_shared.data)[0] / (n * n)
+            dom = batch.domain_ids
+            cross = dom[:, None] != dom[None, :]
+            push, _ = kernels.pair_dist_sum(sl.z_specific.data, cross)
+            cnt = int(cross.sum())
             return pull, (push / cnt if cnt else 0.0)
 
         before_pull, before_push = measure()

@@ -1,6 +1,8 @@
 """Autodiff engine: forward values, backward gradients against finite
 differences, shape/domain errors, and graph semantics."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -67,6 +69,22 @@ def test_backward_twice_is_an_error():
     loss.backward()
     with pytest.raises(GraphError):
         loss.backward()
+
+
+def test_backward_leaves_no_reference_cycles():
+    # a trained step's graph is freed by reference counting once the loss is
+    # dropped; left to the cycle collector, dead graphs pile up until it runs
+    x = Tensor(np.ones((4, 3)), requires_grad=True)
+    w = Tensor(np.full(3, 0.5), requires_grad=True)
+    gc.collect()
+    gc.disable()
+    try:
+        loss = T.tsum(T.tanh(x * 2.0) @ w)
+        loss.backward()
+        del loss
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_shape_errors_name_both_shapes():
