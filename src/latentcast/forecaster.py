@@ -158,9 +158,6 @@ class LinearDecoder:
 class ForecastDistribution:
     point: np.ndarray            # (h,), the q=0.5 row, original units
     quantiles: np.ndarray        # (9, h) for q in 0.1..0.9
-    scale: float
-    norm_stats: tuple[float, float]
-    samples: np.ndarray | None = None   # (S, h) raw paths, original units
     notes: list[str] = field(default_factory=list)
 
 
@@ -182,11 +179,7 @@ def to_distribution(mu: np.ndarray | None = None, sigma: np.ndarray | None = Non
         raise ValueError("to_distribution needs either (mu, sigma) or samples")
 
     grid = revin_denormalize(grid, norm_stats) * scale
-    out_samples = None
-    if samples is not None:
-        out_samples = revin_denormalize(samples, norm_stats) * scale
-    return ForecastDistribution(point=grid[4].copy(), quantiles=grid, scale=scale,
-                                norm_stats=norm_stats, samples=out_samples, notes=notes)
+    return ForecastDistribution(point=grid[4].copy(), quantiles=grid, notes=notes)
 
 
 def write_forecast_csv(path, windows, dists) -> None:

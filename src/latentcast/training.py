@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .cvae import (CvaePair, domain_regularizer, latent_loss, make_stage1_batch,
-                   split_for)
+                   split_for, split_index)
 from .data import (DomainDataset, DomainSplit, WindowSample, prepare_samples,
                    split_domains, windows_for_role)
 from .evaluation import METRIC_NAMES, MetricReport, aggregate
@@ -89,6 +89,11 @@ class TrainConfig:
             raise ValueError(f"epochs_stage1 must be >= 1, got {self.epochs_stage1}")
         if self.epochs_stage2 < 1:
             raise ValueError(f"epochs_stage2 must be >= 1, got {self.epochs_stage2}")
+        if self.sample_paths < 1:
+            raise ValueError(f"sample_paths must be >= 1, got {self.sample_paths}")
+        if not self.learning_rate > 0.0:
+            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+        split_index(self.alpha, self.d_z)
 
     @property
     def reg_active(self) -> bool:

@@ -188,14 +188,21 @@ class TestPipelineFlow:
         (("pretrain", "--set", "train.epochs_stage1=0"), "epochs_stage1"),
         (("train", "--variant", "e2e", "--set", "train.epochs_stage2=0"), "epochs_stage2"),
         (("pretrain", "--variant", "no_reg", "--set", "train.batch_size=0"), "batch_size"),
-    ], ids=["epochs_stage1", "epochs_stage2", "batch_size"])
+        (("train", "--variant", "e2e", "--set", "train.decoder=recurrent",
+          "--set", "train.sample_paths=0"), "sample_paths"),
+        (("pretrain", "--set", "train.d_z=1"), "d_z"),
+        (("pretrain", "--set", "train.learning_rate=-1"), "learning_rate"),
+    ], ids=["epochs_stage1", "epochs_stage2", "batch_size", "sample_paths", "latent_split",
+            "learning_rate"])
     def test_empty_training_loop_is_a_usage_error(self, workdir, data_csv, capsys,
                                                   argv, field):
-        # a loop that would run no epoch or no batch is refused up front
+        # a loop that would run no epoch or no batch, and a setting that would
+        # crash after training or train uphill, are refused before any data loads
         root, cfg = workdir
         code = run(*argv, "--config", cfg, "--data", data_csv, "--out", root / "bad")
         assert code == 1
         assert field in capsys.readouterr().err
+        assert not (root / "bad").exists()
 
     def test_unknown_variant_lists_valid_names(self, workdir, data_csv, capsys):
         root, cfg = workdir

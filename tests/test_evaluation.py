@@ -134,8 +134,7 @@ def _window(domain, y):
 
 def _dist(point):
     point = np.asarray(point, float)
-    return ForecastDistribution(point=point, quantiles=np.tile(point, (9, 1)),
-                                scale=1.0, norm_stats=(0.0, 1.0))
+    return ForecastDistribution(point=point, quantiles=np.tile(point, (9, 1)))
 
 
 class TestAggregate:
@@ -175,8 +174,7 @@ class TestAggregate:
                 y = rng.normal(size=5) * 2 + 5
                 wins.append(_window(dom, y))
                 stack = np.sort(rng.normal(size=(9, 5)) + 5, axis=0)
-                dists.append(ForecastDistribution(point=stack[4], quantiles=stack,
-                                                  scale=1.0, norm_stats=(0.0, 1.0)))
+                dists.append(ForecastDistribution(point=stack[4], quantiles=stack))
         report = aggregate(wins, dists, [0, 1, 2], "test", seed=0, config_hash="x")
         for vals in report.per_domain.values():
             assert all(v >= 0 for v in vals.values())

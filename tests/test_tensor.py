@@ -71,6 +71,45 @@ def test_backward_twice_is_an_error():
         loss.backward()
 
 
+def test_backward_through_a_consumed_intermediate_is_an_error():
+    x = Tensor([1.0, 2], requires_grad=True)
+    h = x * x
+    T.tsum(h).backward()
+    with pytest.raises(GraphError):
+        T.tsum(h * 2.0).backward()
+
+
+def test_intermediate_grad_is_allocated_by_backward():
+    x = Tensor([1.0, 2], requires_grad=True)
+    h = T.tanh(x)
+    loss = T.tsum(h * h)
+    assert h.grad is None and loss.grad is None
+    loss.backward()
+    assert np.allclose(h.grad, 2.0 * h.data)
+
+
+def test_first_accumulation_stores_a_copy():
+    # tsum hands back a read-only broadcast view and add the upstream array
+    # itself; kept as a grad buffer instead of a copy, either is written
+    # through by the next accumulation
+    w = np.array([0.5, -1.0, 2.0])
+    for tsum_first in (True, False):
+        x = Tensor([1.0, -2, 3], requires_grad=True)
+        h = x * 3.0
+        parts = [T.tsum(h), T.tsum(h * Tensor(w))]
+        if not tsum_first:
+            parts.reverse()
+        (parts[0] + parts[1]).backward()
+        assert np.array_equal(h.grad, 1.0 + w)
+        assert np.array_equal(x.grad, 3.0 * (1.0 + w))
+    x = Tensor([1.0, -2, 3], requires_grad=True)
+    h = x * 3.0
+    s = T.add(h, h)
+    T.tsum(s * Tensor(w)).backward()
+    assert np.array_equal(s.grad, w)
+    assert np.array_equal(h.grad, 2.0 * w)
+
+
 def test_backward_leaves_no_reference_cycles():
     # a trained step's graph is freed by reference counting once the loss is
     # dropped; left to the cycle collector, dead graphs pile up until it runs
@@ -151,6 +190,10 @@ PRIMITIVE_CASES = [
     ("slice", lambda a, b: T.tsum(T.slice_last(a, 1, 3) * T.slice_last(b, 0, 2)), (2, 4), (2, 3)),
     ("transpose", lambda a, b: T.tsum(a.T @ b), (3, 2), (3, 4)),
     ("add_bias", lambda a, b: T.tsum(T.square(T.add_bias(a, b))), (3, 4), (4,)),
+    ("matmul_vec_mat", lambda a, b: T.tsum(a @ b), (3,), (3, 4)),
+    ("matmul_mat_vec", lambda a, b: T.tsum(a @ b), (3, 2), (2,)),
+    ("matmul_dot", lambda a, b: a @ b, (4,), (4,)),
+    ("mul_scalar", lambda a, b: T.tsum(T.square(a * b)), (), (5,)),
 ]
 
 
