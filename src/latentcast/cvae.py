@@ -86,14 +86,12 @@ class BiGruEncoder:
     def __call__(self, x: Tensor, rng=None, training: bool = False) -> tuple[Tensor, Tensor]:
         if x.ndim != 2 or x.shape[-1] != self.in_dim:
             raise T.ShapeError(f"encoder expects (N, {self.in_dim}), got {x.shape}")
-        n, length = x.shape
-        hf = self.fwd.initial_state(n)
-        for t in range(length):
-            hf = self.fwd(T.slice_last(x, t, t + 1), hf)
-        hb = self.bwd.initial_state(n)
-        for t in reversed(range(length)):
-            hb = self.bwd(T.slice_last(x, t, t + 1), hb)
-        h = dropout(T.concat([hf, hb]), self.drop, rng, training)
+        if x.requires_grad:
+            # the reversed window is built from raw data, which would drop its gradient
+            raise T.GraphError("BiGruEncoder inputs must not require grad")
+        seq = x.data[:, :, None]
+        both = T.concat([self.fwd(Tensor(seq)), self.bwd(Tensor(seq[:, ::-1]))])
+        h = dropout(T.reshape(both, (x.shape[0], -1)), self.drop, rng, training)
         return self.mu_head(h), self.logvar_head(h)
 
     def params(self) -> list[Tensor]:

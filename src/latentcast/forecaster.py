@@ -70,54 +70,51 @@ class RecurrentDecoder:
         self.mu_head = Linear(rng, hidden, 1, f"{name}.mu")
         self.sigma_head = Linear(rng, hidden, 1, f"{name}.sigma")
 
-    def _step_input(self, value: Tensor, feats: np.ndarray | None) -> Tensor:
+    def _sequence(self, values: Tensor, a: np.ndarray | None) -> Tensor:
+        """(N, S) step values -> (N, S, 1 + feat_dim) cell inputs: the
+        lookback features join the first steps, later steps get zeros."""
+        n, steps = values.shape
+        xs = T.reshape(values, (n, steps, 1))
         if self.feat_dim == 0:
-            return value
-        if feats is None:
-            feats = np.zeros((value.shape[0], self.feat_dim))
-        return T.concat([value, Tensor(feats)])
-
-    def _condition(self, x_prime: Tensor, a: np.ndarray | None) -> Tensor:
-        n, length = x_prime.shape
-        h = self.cell.initial_state(n)
-        for t in range(length):
-            feats = a[:, t, :] if (a is not None and self.feat_dim) else None
-            h = self.cell(self._step_input(T.slice_last(x_prime, t, t + 1), feats), h)
-        return h
+            return xs
+        feats = np.zeros((n, steps, self.feat_dim))
+        if a is not None:
+            feats[:, :a.shape[1]] = a
+        return T.concat([xs, Tensor(feats)])
 
     def teacher_forced(self, x_prime: Tensor, a: np.ndarray | None, y: np.ndarray,
                        rng=None, training: bool = False) -> tuple[Tensor, Tensor]:
         """Per-step (mu, sigma) with each step conditioned on the true
-        previous target."""
+        previous target: one sequence over the window, its last value, then
+        y[:, :h-1], with the heads on the last h states."""
         n, length = x_prime.shape
-        h = self._condition(x_prime, a)
-        prev = T.slice_last(x_prime, length - 1, length)
-        mus, sigmas = [], []
-        for s in range(self.horizon):
-            h = self.cell(self._step_input(prev, None), h)
-            hd = dropout(h, self.drop, rng, training)
-            mus.append(self.mu_head(hd))
-            sigmas.append(T.softplus(self.sigma_head(hd)) + SIGMA_FLOOR)
-            prev = Tensor(y[:, s:s + 1])
-        return T.concat(mus), T.concat(sigmas)
+        h = self.horizon
+        values = T.concat([x_prime, T.slice_last(x_prime, length - 1, length),
+                           Tensor(y[:, :h - 1])])
+        states = self.cell(self._sequence(values, a), keep=h)
+        hd = T.reshape(dropout(states, self.drop, rng, training), (h * n, -1))
+        mu = T.reshape(self.mu_head(hd), (h, n))
+        sigma = T.reshape(T.softplus(self.sigma_head(hd)) + SIGMA_FLOOR, (h, n))
+        return mu.T, sigma.T
 
     def sample_paths(self, x_prime: Tensor, a: np.ndarray | None, n_paths: int,
                      rng: np.random.Generator) -> np.ndarray:
-        """Ancestral sampling: (N, n_paths, horizon) drawn paths."""
-        n, length = x_prime.shape
+        """Ancestral sampling: (N, n_paths, horizon) drawn paths. Each window
+        is conditioned once and its state shared by its paths (as in DeepAR,
+        Salinas et al. 2020, arXiv:1704.04110)."""
+        n = x_prime.shape[0]
         with no_grad():
-            xp = Tensor(np.repeat(x_prime.data, n_paths, axis=0))
-            rep_a = np.repeat(a, n_paths, axis=0) if (a is not None and self.feat_dim) else None
-            h = self._condition(xp, rep_a)
-            prev = T.slice_last(xp, length - 1, length)
+            h = self.cell(self._sequence(x_prime, a)).data[0]
+            h = Tensor(np.repeat(h, n_paths, axis=0))
+            prev = np.repeat(x_prime.data[:, -1:], n_paths, axis=0)
             draws = np.empty((n * n_paths, self.horizon))
             for s in range(self.horizon):
-                h = self.cell(self._step_input(prev, None), h)
+                h = Tensor(self.cell(self._sequence(Tensor(prev), None), h0=h).data[0])
                 mu = self.mu_head(h).data[:, 0]
                 sigma = T.softplus(self.sigma_head(h)).data[:, 0] + SIGMA_FLOOR
                 step = mu + sigma * rng.standard_normal(n * n_paths)
                 draws[:, s] = step
-                prev = Tensor(step[:, None])
+                prev = step[:, None]
         return draws.reshape(n, n_paths, self.horizon)
 
     def params(self) -> list[Tensor]:

@@ -31,7 +31,15 @@ class Linear:
 
 
 class GRUCell:
-    """Gated recurrent unit; gate layout [reset | update | candidate]."""
+    """Gated recurrent unit; gate layout [reset | update | candidate].
+
+    One call runs the cell over a whole sequence as one graph node: the input
+    projection of every step is a single GEMM, the recurrence runs in numpy,
+    and backward is hand-written backpropagation through time (Appleyard et
+    al. 2016, arXiv:1604.01946). The forward uses the same float operations
+    in the same order as a per-step graph of engine primitives, so its values
+    are bit-equal to it.
+    """
 
     def __init__(self, rng: np.random.Generator, in_dim: int, hidden: int, name: str):
         self.hidden = hidden
@@ -41,17 +49,70 @@ class GRUCell:
                          requires_grad=True, name=f"{name}.wh")
         self.b = Tensor(np.zeros(3 * hidden), requires_grad=True, name=f"{name}.b")
 
-    def __call__(self, x: Tensor, h: Tensor) -> Tensor:
+    def __call__(self, xs: Tensor, h0: Tensor | None = None, keep: int = 1) -> Tensor:
+        """The last `keep` states of the cell run over (N, T, D) inputs from
+        h0 (zeros when None), step-major: (keep, N, H)."""
         hid = self.hidden
-        px = T.add_bias(x @ self.wx, self.b)
-        ph = h @ self.wh
-        r = T.sigmoid(T.slice_last(px, 0, hid) + T.slice_last(ph, 0, hid))
-        u = T.sigmoid(T.slice_last(px, hid, 2 * hid) + T.slice_last(ph, hid, 2 * hid))
-        c = T.tanh(T.slice_last(px, 2 * hid, 3 * hid) + r * T.slice_last(ph, 2 * hid, 3 * hid))
-        return u * h + (1.0 - u) * c
+        if xs.ndim != 3 or xs.shape[2] != self.wx.shape[0]:
+            raise T.ShapeError(f"GRUCell expects (N, T, {self.wx.shape[0]}) inputs, got {xs.shape}")
+        n, length, in_dim = xs.shape
+        if not 1 <= keep <= length:
+            raise ValueError(f"keep must be in [1, {length}], got {keep}")
+        if h0 is not None and h0.shape != (n, hid):
+            raise T.ShapeError(f"GRUCell expects an initial state of shape {(n, hid)}, got {h0.shape}")
+        wx, wh = self.wx.data, self.wh.data
 
-    def initial_state(self, batch: int) -> Tensor:
-        return Tensor(np.zeros((batch, self.hidden)))
+        # step-major throughout, so every per-step slice is contiguous
+        x_flat = xs.data.transpose(1, 0, 2).reshape(length * n, in_dim)
+        px = (x_flat @ wx).reshape(length, n, 3 * hid) + self.b.data
+        hs = np.zeros((length + 1, n, hid))           # hs[t] is the state entering step t
+        if h0 is not None:
+            hs[0] = h0.data
+        ru = np.empty((length, n, 2 * hid))           # reset | update gates
+        cs = np.empty((length, n, hid))               # candidates
+        phc = np.empty((length, n, hid))              # candidate slice of h @ wh
+        for t in range(length):
+            ph = hs[t] @ wh
+            ru[t] = T._sigmoid(px[t, :, :2 * hid] + ph[:, :2 * hid])
+            phc[t] = ph[:, 2 * hid:]
+            u = ru[t, :, hid:]
+            cs[t] = np.tanh(px[t, :, 2 * hid:] + ru[t, :, :hid] * phc[t])
+            hs[t + 1] = u * hs[t] + (1.0 - u) * cs[t]
+
+        tape: dict[str, np.ndarray] = {}
+
+        def bptt(g: np.ndarray) -> dict[str, np.ndarray]:
+            """Grads of the pre-activations, h0 and wh; one pass per backward,
+            shared by every parent's vjp."""
+            if tape.get("g") is g:
+                return tape
+            dph = np.empty((length, n, 3 * hid))      # grad of h @ wh, per step
+            dpc = np.empty((length, n, hid))          # grad of the candidate's input slice
+            dh = np.zeros((n, hid))
+            for t in reversed(range(length)):
+                if t >= length - keep:
+                    dh = dh + g[t - length + keep]
+                r, u, c = ru[t, :, :hid], ru[t, :, hid:], cs[t]
+                dpc[t] = dh * (1.0 - u) * (1.0 - c * c)
+                dph[t, :, :hid] = dpc[t] * phc[t] * r * (1.0 - r)
+                dph[t, :, hid:2 * hid] = dh * (hs[t] - c) * u * (1.0 - u)
+                dph[t, :, 2 * hid:] = dpc[t] * r
+                dh = dh * u + dph[t] @ wh.T
+            dph_flat = dph.reshape(length * n, 3 * hid)
+            tape.update(g=g, dh0=dh, dwh=hs[:-1].reshape(length * n, hid).T @ dph_flat)
+            dph[:, :, 2 * hid:] = dpc                 # dph now holds the grad of px
+            tape["dpx"] = dph_flat
+            return tape
+
+        parents = [xs, self.wx, self.wh, self.b]
+        vjps = [lambda g: (bptt(g)["dpx"] @ wx.T).reshape(length, n, in_dim).transpose(1, 0, 2),
+                lambda g: x_flat.T @ bptt(g)["dpx"],
+                lambda g: bptt(g)["dwh"],
+                lambda g: bptt(g)["dpx"].sum(axis=0)]
+        if h0 is not None:
+            parents.append(h0)
+            vjps.append(lambda g: bptt(g)["dh0"])
+        return T.custom_op(hs[length - keep + 1:], parents, vjps)
 
     def params(self) -> list[Tensor]:
         return [self.wx, self.wh, self.b]

@@ -389,6 +389,17 @@ def transpose(a) -> Tensor:
     return custom_op(a.data.T.copy(), (a,), (np.transpose,))
 
 
+def reshape(a, shape: tuple[int, ...]) -> Tensor:
+    """Same entries in row-major order, new shape (one entry may be -1)."""
+    a = _as_tensor(a)
+    in_shape = a.shape
+    try:
+        data = a.data.reshape(shape)
+    except ValueError:
+        raise ShapeError(f"reshape: cannot reshape {in_shape} to {shape}") from None
+    return custom_op(data, (a,), (lambda g: g.reshape(in_shape),))
+
+
 # -- utilities -----------------------------------------------------------
 
 

@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from latentcast.cvae import CvaePair
 from latentcast.data import SyntheticSpec, generate_synthetic
 from latentcast.training import TrainConfig
+
+# Property tests draw the same examples on every run, so tier-1 stays
+# deterministic, and a bounded number of them, so it stays fast.
+settings.register_profile("tier1", derandomize=True, deadline=None, max_examples=60)
+settings.load_profile("tier1")
 
 
 @pytest.fixture

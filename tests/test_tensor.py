@@ -194,6 +194,7 @@ PRIMITIVE_CASES = [
     ("matmul_mat_vec", lambda a, b: T.tsum(a @ b), (3, 2), (2,)),
     ("matmul_dot", lambda a, b: a @ b, (4,), (4,)),
     ("mul_scalar", lambda a, b: T.tsum(T.square(a * b)), (), (5,)),
+    ("reshape", lambda a, b: T.tsum(T.square(T.reshape(a, (3, 4))) * b), (2, 6), (3, 4)),
 ]
 
 
