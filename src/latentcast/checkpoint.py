@@ -5,6 +5,7 @@ encodings. float64 values round-trip exactly through JSON repr."""
 from __future__ import annotations
 
 import json
+import os
 from typing import Iterable
 
 import numpy as np
@@ -41,8 +42,17 @@ def save_checkpoint(path, kind: str, config: dict, domain_map: list[list],
     }
     if extra:
         blob["extra"] = extra
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(blob, fh, sort_keys=True)
+    # written beside the target and renamed over it, so a crash mid-write
+    # leaves any existing checkpoint intact
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(blob, fh, sort_keys=True)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path) -> dict:

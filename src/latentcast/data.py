@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import datetime as _dt
+import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
@@ -135,6 +136,8 @@ def ingest_csv(path, value_scale: float = 1.0, fill_missing: float = 0.0) -> lis
                 feats = tuple(float(v) for v in row[4:])
             except ValueError:
                 raise DataError(f"line {line_no}: unparseable numeric value") from None
+            if not math.isfinite(val) or (feat_dim and not all(map(math.isfinite, feats))):
+                raise DataError(f"line {line_no}: non-finite value")
             per_series = rows.setdefault(dom, {}).setdefault(ser, {})
             if ts in per_series:
                 raise DataError(f"line {line_no}: duplicate (domain={dom}, series={ser}, timestamp={ts})")

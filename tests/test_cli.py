@@ -223,6 +223,15 @@ class TestUsage:
         assert run("synth", "--config", cfg, "--out", "relative_dir") == 0
         assert (root / "relative_dir" / "data.csv").exists()
 
+    def test_non_finite_data_is_a_data_error(self, workdir, capsys):
+        root, cfg = workdir
+        data = root / "nan.csv"
+        data.write_text("domain,series,timestamp,value\na,s0,0,1.0\na,s0,1,nan\n",
+                        encoding="utf-8")
+        code = run("pretrain", "--config", cfg, "--data", data, "--out", root / "x")
+        assert code == 2
+        assert "line 3: non-finite value" in capsys.readouterr().err
+
     def test_missing_data_file(self, workdir, capsys):
         root, cfg = workdir
         code = run("pretrain", "--config", cfg, "--data", root / "missing.csv",

@@ -59,6 +59,14 @@ class TestIngest:
         with pytest.raises(DataError, match="line 3"):
             ingest_csv(_write(tmp_path, text))
 
+    @pytest.mark.parametrize("row", ["a,s0,1,nan,0.5", "a,s0,1,inf,0.5",
+                                     "a,s0,1,1.0,-inf", "a,s0,1,1e308,0.5"],
+                             ids=["nan", "inf", "feature", "overflow_after_scaling"])
+    def test_non_finite_value_names_line_number(self, tmp_path, row):
+        text = "domain,series,timestamp,value,feat_0\na,s0,0,1.0,0.5\n" + row
+        with pytest.raises(DataError, match="line 3: non-finite value"):
+            ingest_csv(_write(tmp_path, text), value_scale=1e-3)
+
     def test_iso_dates_become_ordinals(self, tmp_path):
         text = ("domain,series,timestamp,value\n"
                 "a,s0,2024-01-01,1.0\na,s0,2024-01-02,2.0")

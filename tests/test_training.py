@@ -8,6 +8,7 @@ from latentcast.cvae import FULL
 from latentcast.data import WindowSample, prepare_samples
 from latentcast.evaluation import METRIC_NAMES
 from latentcast.forecaster import gaussian_nll
+from latentcast.tensor import Tensor
 from latentcast.training import (RunRecord, TrainConfig, TrainingError, build_cvae,
                                  build_model, load_full, load_stage1,
                                  multi_seed_evaluate, run_pipeline, save_full,
@@ -221,6 +222,18 @@ class TestPipeline:
         load_stage1(path, pair2)
         for p, q in zip(pair.params(), pair2.params()):
             assert np.array_equal(p.data, q.data)
+
+    def test_failed_checkpoint_write_keeps_the_old_file(self, tmp_path):
+        from latentcast.checkpoint import save_checkpoint
+        params = [Tensor(np.arange(6.0).reshape(2, 3), name="w")]
+        path = tmp_path / "model.ckpt.json"
+        save_checkpoint(path, "full", {"lookback": 3}, [], params)
+        before = path.read_bytes()
+        # json.dump writes the keys sorted before "extra" and then fails on it
+        with pytest.raises(TypeError):
+            save_checkpoint(path, "full", {"lookback": 4}, [], params, extra={"bad": object()})
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt.json"]
 
 
 class TestSelection:
