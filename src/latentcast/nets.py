@@ -4,6 +4,7 @@ recurrent cell, and inverted dropout."""
 from __future__ import annotations
 
 import numpy as np
+from scipy.special import expit
 
 from . import tensor as T
 from .tensor import Tensor
@@ -73,7 +74,7 @@ class GRUCell:
         phc = np.empty((length, n, hid))              # candidate slice of h @ wh
         for t in range(length):
             ph = hs[t] @ wh
-            ru[t] = T._sigmoid(px[t, :, :2 * hid] + ph[:, :2 * hid])
+            ru[t] = expit(px[t, :, :2 * hid] + ph[:, :2 * hid])
             phc[t] = ph[:, 2 * hid:]
             u = ru[t, :, hid:]
             cs[t] = np.tanh(px[t, :, 2 * hid:] + ru[t, :, :hid] * phc[t])

@@ -16,6 +16,7 @@ from itertools import accumulate
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
+from scipy.special import expit
 
 
 class ShapeError(ValueError):
@@ -296,18 +297,9 @@ def tanh(a) -> Tensor:
     return custom_op(y, (a,), (lambda g: g * (1.0 - y * y),))
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    pos = x >= 0
-    out = np.empty_like(x)
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
 def sigmoid(a) -> Tensor:
     a = _as_tensor(a)
-    y = _sigmoid(a.data)
+    y = expit(a.data)
     return custom_op(y, (a,), (lambda g: g * y * (1.0 - y),))
 
 
@@ -315,7 +307,7 @@ def softplus(a) -> Tensor:
     a = _as_tensor(a)
     x = a.data
     return custom_op(np.log1p(np.exp(-np.abs(x))) + np.maximum(x, 0.0), (a,),
-                     (lambda g: g * _sigmoid(x),))
+                     (lambda g: g * expit(x),))
 
 
 def square(a) -> Tensor:
