@@ -66,19 +66,17 @@ class GRUCell:
         # step-major throughout, so every per-step slice is contiguous
         x_flat = xs.data.transpose(1, 0, 2).reshape(length * n, in_dim)
         px = (x_flat @ wx).reshape(length, n, 3 * hid) + self.b.data
-        hs = np.zeros((length + 1, n, hid))           # hs[t] is the state entering step t
-        if h0 is not None:
-            hs[0] = h0.data
-        ru = np.empty((length, n, 2 * hid))           # reset | update gates
-        cs = np.empty((length, n, hid))               # candidates
-        phc = np.empty((length, n, hid))              # candidate slice of h @ wh
+        hs = [np.zeros((n, hid)) if h0 is None else h0.data]   # hs[t] enters step t
+        gates, cands, phcs = [], [], []   # reset | update, candidate, candidate slice of h @ wh
         for t in range(length):
             ph = hs[t] @ wh
-            ru[t] = expit(px[t, :, :2 * hid] + ph[:, :2 * hid])
-            phc[t] = ph[:, 2 * hid:]
-            u = ru[t, :, hid:]
-            cs[t] = np.tanh(px[t, :, 2 * hid:] + ru[t, :, :hid] * phc[t])
-            hs[t + 1] = u * hs[t] + (1.0 - u) * cs[t]
+            ru = expit(px[t, :, :2 * hid] + ph[:, :2 * hid])
+            u = ru[:, hid:]
+            c = np.tanh(px[t, :, 2 * hid:] + ru[:, :hid] * ph[:, 2 * hid:])
+            hs.append(u * hs[t] + (1.0 - u) * c)
+            gates.append(ru)
+            cands.append(c)
+            phcs.append(ph[:, 2 * hid:])
 
         tape: dict[str, np.ndarray] = {}
 
@@ -93,14 +91,15 @@ class GRUCell:
             for t in reversed(range(length)):
                 if t >= length - keep:
                     dh = dh + g[t - length + keep]
-                r, u, c = ru[t, :, :hid], ru[t, :, hid:], cs[t]
+                r, u, c = gates[t][:, :hid], gates[t][:, hid:], cands[t]
                 dpc[t] = dh * (1.0 - u) * (1.0 - c * c)
-                dph[t, :, :hid] = dpc[t] * phc[t] * r * (1.0 - r)
+                dph[t, :, :hid] = dpc[t] * phcs[t] * r * (1.0 - r)
                 dph[t, :, hid:2 * hid] = dh * (hs[t] - c) * u * (1.0 - u)
                 dph[t, :, 2 * hid:] = dpc[t] * r
                 dh = dh * u + dph[t] @ wh.T
             dph_flat = dph.reshape(length * n, 3 * hid)
-            tape.update(g=g, dh0=dh, dwh=hs[:-1].reshape(length * n, hid).T @ dph_flat)
+            h_prev = np.stack(hs[:-1]).reshape(length * n, hid)
+            tape.update(g=g, dh0=dh, dwh=h_prev.T @ dph_flat)
             dph[:, :, 2 * hid:] = dpc                 # dph now holds the grad of px
             tape["dpx"] = dph_flat
             return tape
@@ -113,7 +112,7 @@ class GRUCell:
         if h0 is not None:
             parents.append(h0)
             vjps.append(lambda g: bptt(g)["dh0"])
-        return T.custom_op(hs[length - keep + 1:], parents, vjps)
+        return T.custom_op(np.stack(hs[length - keep + 1:]), parents, vjps)
 
     def params(self) -> list[Tensor]:
         return [self.wx, self.wh, self.b]
