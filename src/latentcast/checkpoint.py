@@ -49,10 +49,9 @@ def save_checkpoint(path, kind: str, config: dict, domain_map: list[list],
         with open(tmp, "w", encoding="utf-8") as fh:
             json.dump(blob, fh, sort_keys=True)
         os.replace(tmp, path)
-    except BaseException:
+    finally:
         if os.path.exists(tmp):
             os.remove(tmp)
-        raise
 
 
 def load_checkpoint(path) -> dict:

@@ -88,13 +88,13 @@ class RecurrentDecoder:
         previous target: one sequence over the window, its last value, then
         y[:, :h-1], with the heads on the last h states."""
         n, length = x_prime.shape
-        h = self.horizon
+        horizon = self.horizon
         values = T.concat([x_prime, T.slice_last(x_prime, length - 1, length),
-                           Tensor(y[:, :h - 1])])
-        states = self.cell(self._sequence(values, a), keep=h)
-        hd = T.reshape(dropout(states, self.drop, rng, training), (h * n, -1))
-        mu = T.reshape(self.mu_head(hd), (h, n))
-        sigma = T.reshape(T.softplus(self.sigma_head(hd)) + SIGMA_FLOOR, (h, n))
+                           Tensor(y[:, :horizon - 1])])
+        states = self.cell(self._sequence(values, a), keep=horizon)
+        hd = T.reshape(dropout(states, self.drop, rng, training), (horizon * n, -1))
+        mu = T.reshape(self.mu_head(hd), (horizon, n))
+        sigma = T.reshape(T.softplus(self.sigma_head(hd)) + SIGMA_FLOOR, (horizon, n))
         return mu.T, sigma.T
 
     def sample_paths(self, x_prime: Tensor, a: np.ndarray | None, n_paths: int,

@@ -1,5 +1,5 @@
 """Small neural building blocks: Glorot-initialized linear layers, a gated
-recurrent cell, and inverted dropout."""
+recurrent cell run over whole sequences, and inverted dropout."""
 
 from __future__ import annotations
 
@@ -39,7 +39,8 @@ class GRUCell:
     and backward is hand-written backpropagation through time (Appleyard et
     al. 2016, arXiv:1604.01946). The forward uses the same float operations
     in the same order as a per-step graph of engine primitives, so its values
-    are bit-equal to it.
+    are bit-equal to it wherever numpy sends both to the same BLAS routine
+    (a one-row step product goes to a matrix-vector routine instead).
     """
 
     def __init__(self, rng: np.random.Generator, in_dim: int, hidden: int, name: str):

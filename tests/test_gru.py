@@ -200,12 +200,17 @@ def test_teacher_forced_equals_per_step_loop(feat_dim, horizon):
         assert _rel_err(got, want) <= 1e-10
 
 
-@pytest.mark.parametrize("feat_dim", [0, 2])
-def test_sample_paths_equal_repeat_then_condition_sampler(feat_dim):
-    dec = RecurrentDecoder(np.random.default_rng(6), feat_dim, 5, 4, drop=0.1)
+@pytest.mark.parametrize("feat_dim,windows", [(0, 3), (2, 3), (2, 1)])
+def test_sample_paths_equal_repeat_then_condition_sampler(feat_dim, windows):
+    dec = RecurrentDecoder(np.random.default_rng(6), feat_dim, 8, 4, drop=0.1)
     rng = np.random.default_rng(7)
-    xp = Tensor(rng.normal(size=(3, 6)))
-    a = rng.normal(size=(3, 6, feat_dim)) if feat_dim else None
+    xp = Tensor(rng.normal(size=(windows, 6)))
+    a = rng.normal(size=(windows, 6, feat_dim)) if feat_dim else None
     got = dec.sample_paths(xp, a, 7, np.random.default_rng(8))
     want = repeat_then_condition_sampler(dec, xp, a, 7, np.random.default_rng(8))
-    assert np.array_equal(got, want)
+    if windows == 1:
+        # conditioning one window multiplies one-row states, which numpy
+        # hands to a matrix-vector BLAS routine that rounds differently
+        assert _rel_err(got, want) <= 1e-12
+    else:
+        assert np.array_equal(got, want)
