@@ -100,21 +100,22 @@ class RecurrentDecoder:
     def sample_paths(self, x_prime: Tensor, a: np.ndarray | None, n_paths: int,
                      rng: np.random.Generator) -> np.ndarray:
         """Ancestral sampling: (N, n_paths, horizon) drawn paths. Each window
-        is conditioned once and its state shared by its paths (as in DeepAR,
-        Salinas et al. 2020, arXiv:1704.04110)."""
-        n = x_prime.shape[0]
+        is conditioned once, through the first horizon step (whose input,
+        the window's last value, every path shares), and its state shared by
+        its paths (as in DeepAR, Salinas et al. 2020, arXiv:1704.04110)."""
+        n, length = x_prime.shape
         with no_grad():
-            h = self.cell(self._sequence(x_prime, a)).data[0]
-            h = Tensor(np.repeat(h, n_paths, axis=0))
-            prev = np.repeat(x_prime.data[:, -1:], n_paths, axis=0)
+            first = T.concat([x_prime, T.slice_last(x_prime, length - 1, length)])
+            h = np.repeat(self.cell(self._sequence(first, a)).data[0], n_paths, axis=0)
             draws = np.empty((n * n_paths, self.horizon))
             for s in range(self.horizon):
-                h = Tensor(self.cell(self._sequence(Tensor(prev), None), h0=h).data[0])
-                mu = self.mu_head(h).data[:, 0]
-                sigma = T.softplus(self.sigma_head(h)).data[:, 0] + SIGMA_FLOOR
-                step = mu + sigma * rng.standard_normal(n * n_paths)
-                draws[:, s] = step
-                prev = step[:, None]
+                if s:
+                    prev = Tensor(draws[:, s - 1:s])
+                    h = self.cell(self._sequence(prev, None), h0=Tensor(h)).data[0]
+                state = Tensor(h)
+                mu = self.mu_head(state).data[:, 0]
+                sigma = T.softplus(self.sigma_head(state)).data[:, 0] + SIGMA_FLOOR
+                draws[:, s] = mu + sigma * rng.standard_normal(n * n_paths)
         return draws.reshape(n, n_paths, self.horizon)
 
     def params(self) -> list[Tensor]:
