@@ -287,10 +287,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    config, model, _, _ = _load_full_checkpoint(args.checkpoint)
-    datasets = _load_datasets(args, config)
-    out = resolve_out(args.out, args.overwrite)
-    split, _, _ = pipeline_split(datasets, config)
+    config, model, datasets, out, split = _fitted(args)
     report_train, report_test, _, _ = evaluate_model(model, datasets, split, config)
     artifacts = _write_reports(out, {"train": report_train, "test": report_test})
     write_manifest(out, "evaluate", config.to_dict(), artifacts)
@@ -301,10 +298,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_forecast(args) -> int:
-    config, model, _, _ = _load_full_checkpoint(args.checkpoint)
-    datasets = _load_datasets(args, config)
-    out = resolve_out(args.out, args.overwrite)
-    split, _, _ = pipeline_split(datasets, config)
+    config, model, datasets, out, split = _fitted(args)
     _, wins, dists = evaluate_split(model, datasets, split, config, args.split)
     path = out / f"forecasts_{args.split}.csv"
     write_forecast_csv(path, wins, dists)
@@ -314,10 +308,7 @@ def cmd_forecast(args) -> int:
 
 
 def cmd_dump_latents(args) -> int:
-    config, model, _, _ = _load_full_checkpoint(args.checkpoint)
-    datasets = _load_datasets(args, config)
-    out = resolve_out(args.out, args.overwrite)
-    split, _, _ = pipeline_split(datasets, config)
+    config, model, datasets, out, split = _fitted(args)
     windows = eval_windows(datasets, split, config, args.split)
     if not windows:
         raise DataError(f"no windows available for split {args.split!r}")
@@ -325,7 +316,7 @@ def cmd_dump_latents(args) -> int:
     path = out / f"latents_{args.split}.csv"
     write_dump(dump, path)
     artifacts = {"latents": str(path)}
-    lines = [f"rows={len(dump.rows)}"]
+    lines = [f"rows={len(dump)}"]
     try:
         shared_ratio, specific_ratio, notes = separation_score(dump)
         lines.append(f"shared_ratio={shared_ratio:.6f} specific_ratio={specific_ratio:.6f}")
@@ -384,11 +375,16 @@ def cmd_ablate(args) -> int:
     return EXIT_TRAINING if any_failed else EXIT_OK
 
 
-def _load_full_checkpoint(path: str):
-    p = Path(path)
-    if not p.exists():
-        raise UsageError(f"checkpoint not found: {p}")
-    return load_full(p)
+def _fitted(args):
+    """A trained model's config and model, the data, the output directory and
+    the domain split, for the commands that read a full checkpoint."""
+    path = Path(args.checkpoint)
+    if not path.exists():
+        raise UsageError(f"checkpoint not found: {path}")
+    config, model, _, _ = load_full(path)
+    datasets = _load_datasets(args, config)
+    out = resolve_out(args.out, args.overwrite)
+    return config, model, datasets, out, pipeline_split(datasets, config)[0]
 
 
 # ---------------------------------------------------------------------------

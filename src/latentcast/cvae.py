@@ -16,7 +16,7 @@ import numpy as np
 
 from . import kernels
 from . import tensor as T
-from .data import DataError, WindowSample, one_hot_domain
+from .data import DataError, WindowSample, WindowSet, as_window_set, one_hot_domain
 from .decomposition import decompose_batch
 from .nets import GRUCell, Linear, dropout
 from .tensor import Tensor, custom_op
@@ -271,18 +271,24 @@ class Stage1Batch:
     onehot: np.ndarray | None          # (N, M) when decoders are conditional
     domain_ids: np.ndarray             # (N,) training-domain indexes
 
+    def take(self, index: np.ndarray) -> "Stage1Batch":
+        """The minibatch of the given rows."""
+        return Stage1Batch(self.x[index], {k: v[index] for k, v in self.components.items()},
+                           None if self.onehot is None else self.onehot[index],
+                           self.domain_ids[index])
 
-def make_stage1_batch(pair: CvaePair, samples: list[WindowSample],
+
+def make_stage1_batch(pair: CvaePair, samples: WindowSet | list[WindowSample],
                       domain_index: dict[int, int]) -> Stage1Batch:
-    for s in samples:
-        if s.domain_id not in domain_index:
-            raise DataError(f"window from domain {s.domain_id} is not in the training domains")
-    x = np.stack([s.x for s in samples])
-    idx = np.array([domain_index[s.domain_id] for s in samples], dtype=np.int64)
-    onehot = None
-    if pair.conditional:
-        onehot = np.stack([one_hot_domain(int(i), pair.num_domains) for i in idx])
-    return Stage1Batch(x=x, components=pair.component_inputs(x), onehot=onehot,
+    """Stage-1 inputs of every window: built once per set, decomposition
+    included, then gathered per minibatch with `Stage1Batch.take`."""
+    ws = as_window_set(samples)
+    idx = np.array([domain_index.get(d, -1) for d in ws.domain_id.tolist()], dtype=np.int64)
+    if np.any(idx < 0):
+        raise DataError(f"window from domain {ws.domain_id[idx < 0][0]} "
+                        "is not in the training domains")
+    onehot = one_hot_domain(idx, pair.num_domains) if pair.conditional else None
+    return Stage1Batch(x=ws.x, components=pair.component_inputs(ws.x), onehot=onehot,
                        domain_ids=idx)
 
 

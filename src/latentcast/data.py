@@ -11,12 +11,15 @@ from __future__ import annotations
 import csv
 import datetime as _dt
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Iterable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 REVIN_EPS = 1e-5
+MAX_SERIES_STEPS = 10_000_000    # longest timestamp span a series may fill gaps over
+PREPARE_BLOCK = 1 << 14          # rows per block of prepare_samples' temporaries
 
 
 class DataError(ValueError):
@@ -43,6 +46,7 @@ class DomainDataset:
 
 @dataclass
 class WindowSample:
+    """One window as a record; a `WindowSet` row's arrays are views into the set."""
     x: np.ndarray                 # (T,) lookback
     a: np.ndarray                 # (T, feat_dim), feat_dim may be 0
     y: np.ndarray                 # (h,) target horizon
@@ -53,6 +57,42 @@ class WindowSample:
     scale: float = 1.0
     norm_mean: float = 0.0
     norm_std: float = 1.0
+
+
+@dataclass
+class WindowSet:
+    """N windows as arrays: `WindowSample`'s fields, each with a leading row
+    axis, rows in domain, series, origin order. It is a sequence of rows: an
+    integer index gives a `WindowSample` whose arrays are views into the set;
+    a slice, mask or index array gives the sub-set."""
+    x: np.ndarray                 # (N, T)
+    a: np.ndarray                 # (N, T, feat_dim)
+    y: np.ndarray                 # (N, h)
+    domain_id: np.ndarray         # (N,) int64
+    series_name: np.ndarray       # (N,) str
+    origin: np.ndarray            # (N,) int64
+    y_raw: np.ndarray             # (N, h)
+    scale: np.ndarray             # (N,)
+    norm_mean: np.ndarray         # (N,)
+    norm_std: np.ndarray          # (N,)
+
+    def __len__(self) -> int:
+        return self.x.shape[0]
+
+    def __getitem__(self, index):
+        columns = {f.name: getattr(self, f.name)[index] for f in fields(self)}
+        if isinstance(index, (int, np.integer)):
+            return WindowSample(**{k: v if v.ndim else v.item() for k, v in columns.items()})
+        return WindowSet(**columns)
+
+
+def as_window_set(windows: WindowSet | Iterable[WindowSample]) -> WindowSet:
+    """The set itself, or the rows of a plain sequence stacked into one."""
+    if isinstance(windows, WindowSet):
+        return windows
+    rows = list(windows)
+    return WindowSet(**{f.name: np.array([getattr(r, f.name) for r in rows])
+                        for f in fields(WindowSet)})
 
 
 @dataclass
@@ -149,13 +189,15 @@ def ingest_csv(path, value_scale: float = 1.0, fill_missing: float = 0.0) -> lis
         for ser in sorted(rows[dom]):
             table = rows[dom][ser]
             lo, hi = min(table), max(table)
+            if hi - lo + 1 > MAX_SERIES_STEPS:
+                raise DataError(f"domain {dom!r}, series {ser!r}: timestamps {lo}..{hi} span "
+                                f"{hi - lo + 1} steps, over the gap-fill cap of {MAX_SERIES_STEPS}")
             full = np.arange(lo, hi + 1, dtype=np.int64)
             v = np.full(full.size, fill_missing, dtype=np.float64)
             f = np.zeros((full.size, feat_dim), dtype=np.float64)
-            for ts, (val, fr) in table.items():
-                v[ts - lo] = val
-                if feat_dim:
-                    f[ts - lo] = fr
+            at = np.fromiter(table, np.int64, len(table)) - lo
+            v[at] = [val for val, _ in table.values()]
+            f[at] = [fr for _, fr in table.values()]
             names.append(ser)
             stamps.append(full)
             vals.append(v)
@@ -176,11 +218,9 @@ def write_csv(datasets: Sequence[DomainDataset], path) -> None:
                         + [f"feat_{i}" for i in range(feat_dim)])
         for ds in datasets:
             for s, name in enumerate(ds.series_names):
-                for i, ts in enumerate(ds.timestamps[s]):
-                    row = [ds.domain_name, name, int(ts), repr(float(ds.values[s][i]))]
-                    if feat_dim:
-                        row += [repr(float(v)) for v in ds.features[s][i]]
-                    writer.writerow(row)
+                columns = [ds.timestamps[s].tolist(), ds.values[s].tolist()]
+                columns += ds.features[s].T.tolist() if feat_dim else []
+                writer.writerows([ds.domain_name, name, *row] for row in zip(*columns))
 
 
 # ---------------------------------------------------------------------------
@@ -188,40 +228,42 @@ def write_csv(datasets: Sequence[DomainDataset], path) -> None:
 # ---------------------------------------------------------------------------
 
 def make_windows(datasets: Iterable[DomainDataset], lookback: int, horizon: int,
-                 stride: int = 1) -> tuple[list[WindowSample], int]:
+                 stride: int = 1) -> tuple[WindowSet, int]:
     """Slide (lookback, horizon) windows over every series.
 
     Series shorter than lookback + horizon are skipped; the second return
-    value counts them.
+    value counts them. `y_raw` is the same array as `y`.
     """
     if lookback < 1 or horizon < 1 or stride < 1:
         raise DataError("lookback, horizon, stride must be >= 1")
-    windows: list[WindowSample] = []
-    skipped = 0
-    for ds in datasets:
-        for s, name in enumerate(ds.series_names):
-            v = ds.values[s]
-            ts = ds.timestamps[s]
-            f = ds.features[s] if ds.features is not None else np.zeros((v.size, 0))
-            if v.size < lookback + horizon:
-                skipped += 1
-                continue
-            for i in range(0, v.size - lookback - horizon + 1, stride):
-                y = v[i + lookback:i + lookback + horizon]
-                windows.append(WindowSample(
-                    x=v[i:i + lookback].copy(),
-                    a=f[i:i + lookback].copy(),
-                    y=y.copy(),
-                    domain_id=ds.domain_id,
-                    series_name=name,
-                    origin=int(ts[i + lookback - 1]),
-                    y_raw=y.copy(),
-                ))
-    return windows, skipped
+    span = lookback + horizon
+    series = [(ds, s) for ds in datasets for s in range(len(ds.series_names))]
+    counts = [len(range(0, ds.values[s].size - span + 1, stride)) for ds, s in series]
+    n, feat_dim = sum(counts), series[0][0].feat_dim if series else 0
+    x, y, a = np.empty((n, lookback)), np.empty((n, horizon)), np.empty((n, lookback, feat_dim))
+    origin = np.empty(n, dtype=np.int64)
+    end = 0
+    for (ds, s), k in zip(series, counts):
+        if not k:
+            continue
+        rows, end = slice(end, end + k), end + k
+        win = sliding_window_view(ds.values[s], span)[::stride]
+        x[rows], y[rows] = win[:, :lookback], win[:, lookback:]
+        if feat_dim:
+            feats = sliding_window_view(ds.features[s], lookback, axis=0)
+            a[rows] = feats[:k * stride:stride].transpose(0, 2, 1)
+        origin[rows] = ds.timestamps[s][lookback - 1::stride][:k]
+    windows = WindowSet(
+        x=x, a=a, y=y, y_raw=y, origin=origin, scale=np.ones(n), norm_mean=np.zeros(n),
+        norm_std=np.ones(n),
+        domain_id=np.repeat(np.array([ds.domain_id for ds, _ in series], dtype=np.int64), counts),
+        series_name=np.repeat(np.array([ds.series_names[s] for ds, s in series], dtype=str),
+                              counts))
+    return windows, counts.count(0)
 
 
 def windows_for_role(datasets: Sequence[DomainDataset], split: DomainSplit, role: str,
-                     lookback: int, horizon: int, stride: int = 1) -> list[WindowSample]:
+                     lookback: int, horizon: int, stride: int = 1) -> WindowSet:
     """Windows restricted by split role.
 
     train: window fits inside the training period of a training domain.
@@ -232,71 +274,66 @@ def windows_for_role(datasets: Sequence[DomainDataset], split: DomainSplit, role
         raise DataError(f"unknown window role {role!r}")
     by_id = {ds.domain_id: ds for ds in datasets}
     wanted = split.test_domains if role == "test" else split.train_domains
-    out: list[WindowSample] = []
+    windows, _ = make_windows([by_id[dom] for dom in wanted], lookback, horizon, stride)
+    if role == "test":
+        return windows
+    train_end = np.empty(len(windows), dtype=np.int64)
     for dom in wanted:
-        ds = by_id[dom]
-        wins, _ = make_windows([ds], lookback, horizon, stride)
-        if role == "test":
-            out.extend(wins)
-            continue
-        train_end, _ = split.boundaries[dom]
-        for w in wins:
-            target_start = w.origin + 1
-            target_end = w.origin + horizon
-            if role == "train" and target_end < train_end:
-                out.append(w)
-            elif role == "val" and target_start >= train_end:
-                out.append(w)
-    return out
+        train_end[windows.domain_id == dom] = split.boundaries[dom][0]
+    if role == "train":
+        return windows[windows.origin + horizon < train_end]
+    return windows[windows.origin + 1 >= train_end]
 
 
 # ---------------------------------------------------------------------------
 # Scaling and reversible instance normalization
 # ---------------------------------------------------------------------------
 
-def apply_scaling(sample: WindowSample) -> WindowSample:
-    """Divide x and y by 1 + mean(|x|); the factor is stored for inversion."""
-    scale = 1.0 + float(np.mean(np.abs(sample.x)))
-    return replace(sample, x=sample.x / scale, y=sample.y / scale,
-                   scale=sample.scale * scale)
-
-
-def invert_scaling(sample: WindowSample) -> WindowSample:
-    return replace(sample, x=sample.x * sample.scale, y=sample.y * sample.scale,
-                   scale=1.0)
-
-
-def revin_normalize(x: np.ndarray) -> tuple[np.ndarray, tuple[float, float]]:
-    mean = float(np.mean(x))
-    std = float(np.std(x))
+def revin_normalize(x: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """Instance normalization along the last axis; the (mean, std) stats
+    keep that axis with length 1."""
+    mean = np.mean(x, axis=-1, keepdims=True)
+    std = np.std(x, axis=-1, keepdims=True)
     return (x - mean) / (std + REVIN_EPS), (mean, std)
 
 
-def revin_denormalize(out: np.ndarray, stats: tuple[float, float]) -> np.ndarray:
+def revin_denormalize(out: np.ndarray, stats) -> np.ndarray:
     mean, std = stats
     return out * (std + REVIN_EPS) + mean
 
 
-def normalize_sample(sample: WindowSample) -> WindowSample:
-    """Instance-normalize x (stats from x) and map y into the same frame."""
-    xn, (mean, std) = revin_normalize(sample.x)
-    yn = (sample.y - mean) / (std + REVIN_EPS)
-    return replace(sample, x=xn, y=yn, norm_mean=mean, norm_std=std)
+def prepare_samples(windows: WindowSet | Iterable[WindowSample],
+                    in_place: bool = False) -> WindowSet:
+    """Scaling then instance normalization, the model-facing input frame.
+
+    Each row of x and y is divided by 1 + mean(|x|) (the factor multiplies
+    `scale`), then x is instance-normalized and y mapped into the same
+    frame. `in_place` overwrites the input set's x, for callers that drop
+    the raw windows.
+    """
+    ws = as_window_set(windows)
+    x = ws.x if in_place else ws.x.copy()
+    n = len(ws)
+    scale, mean, std = np.empty((n, 1)), np.empty((n, 1)), np.empty((n, 1))
+    for lo in range(0, n, PREPARE_BLOCK):
+        rows = slice(lo, lo + PREPARE_BLOCK)
+        scale[rows] = 1.0 + np.mean(np.abs(x[rows]), axis=-1, keepdims=True)
+        x[rows] /= scale[rows]
+        x[rows], (mean[rows], std[rows]) = revin_normalize(x[rows])
+    y = ws.y / scale
+    y -= mean
+    y /= std + REVIN_EPS
+    return replace(ws, x=x, y=y, scale=ws.scale * scale[:, 0], norm_mean=mean[:, 0],
+                   norm_std=std[:, 0])
 
 
-def prepare_samples(windows: Iterable[WindowSample]) -> list[WindowSample]:
-    """Scaling then instance normalization, the model-facing input frame."""
-    return [normalize_sample(apply_scaling(w)) for w in windows]
-
-
-def one_hot_domain(domain_index: int, num_train_domains: int) -> np.ndarray:
-    if not 0 <= domain_index < num_train_domains:
-        raise DataError(
-            f"domain index {domain_index} outside the {num_train_domains} training domains"
-        )
-    vec = np.zeros(num_train_domains)
-    vec[domain_index] = 1.0
-    return vec
+def one_hot_domain(domain_index, num_train_domains: int) -> np.ndarray:
+    """One-hot rows for a training-domain index or an array of them."""
+    index = np.asarray(domain_index)
+    if np.any((index < 0) | (index >= num_train_domains)):
+        raise DataError(f"domain index {domain_index} outside the {num_train_domains} "
+                        "training domains")
+    return np.eye(num_train_domains)[index]
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import WindowSample
-from .forecaster import QUANTILE_LEVELS, ForecastDistribution
+from .data import WindowSample, WindowSet, as_window_set
+from .forecaster import QUANTILE_LEVELS, ForecastDistribution, Forecasts, as_forecasts
 
 METRIC_NAMES = ("nrmse", "smape", "q50", "qmean")
 
@@ -127,29 +127,28 @@ def domain_metrics(y: np.ndarray, point: np.ndarray, quantiles: np.ndarray) -> d
     }
 
 
-def aggregate(windows: list[WindowSample], dists: list[ForecastDistribution],
+def aggregate(windows: WindowSet | list[WindowSample],
+              dists: Forecasts | list[ForecastDistribution],
               domains: list[int], split_name: str, seed: int,
               config_hash: str) -> MetricReport:
-    """Per-domain metrics over stacked windows, then an equal-weight average."""
-    if len(windows) != len(dists):
+    """Per-domain metrics over each domain's rows, then an equal-weight average."""
+    ws, fc = as_window_set(windows), as_forecasts(dists)
+    if len(ws) != len(fc):
         raise MetricError("aggregate: windows and forecasts differ in length")
     warnings: list[str] = []
     per_domain: dict[int, dict[str, float]] = {}
     counts: dict[int, int] = {}
     for dom in sorted(domains):
-        picked = [(w, d) for w, d in zip(windows, dists) if w.domain_id == dom]
-        counts[dom] = len(picked)
-        if not picked:
+        picked = ws.domain_id == dom
+        counts[dom] = int(picked.sum())
+        if not counts[dom]:
             warnings.append(f"domain {dom} has no evaluation windows; excluded")
             continue
-        y = np.stack([w.y_raw for w, _ in picked])
-        point = np.stack([d.point for _, d in picked])
-        quant = np.stack([d.quantiles for _, d in picked], axis=1)
-        for _, d in picked:
-            warnings.extend(d.notes)
-        per_domain[dom] = domain_metrics(y, point, quant)
+        quant = fc.quantiles[:, picked]
+        per_domain[dom] = domain_metrics(ws.y_raw[picked], quant[4], quant)
     if not per_domain:
         raise MetricError(f"aggregate: no domain in {split_name!r} produced windows")
+    warnings.extend(fc.notes)
     average = {m: float(np.mean([per_domain[d][m] for d in per_domain]))
                for m in METRIC_NAMES}
     return MetricReport(split_name=split_name, per_domain=per_domain, average=average,

@@ -10,6 +10,7 @@ the horizon. Both train by Gaussian negative log-likelihood.
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,6 +18,7 @@ from scipy.special import ndtri
 
 from . import tensor as T
 from .cvae import FULL, SEASONAL, TREND, CvaePair
+from .data import WindowSample, WindowSet, as_window_set, revin_denormalize
 from .decomposition import trend_component
 from .nets import GRUCell, Linear, dropout
 from .tensor import Tensor, no_grad
@@ -159,43 +161,69 @@ class ForecastDistribution:
     notes: list[str] = field(default_factory=list)
 
 
-def to_distribution(mu: np.ndarray | None = None, sigma: np.ndarray | None = None,
-                    samples: np.ndarray | None = None, scale: float = 1.0,
-                    norm_stats: tuple[float, float] = (0.0, 1.0)) -> ForecastDistribution:
-    """Quantile grid from a Gaussian head or sampled paths, then inverted
-    back to original units (instance denormalization, then unscaling)."""
-    from .data import revin_denormalize
+@dataclass
+class Forecasts:
+    """The forecast distributions of N windows as one (9, N, h) quantile
+    array. It is a sequence of rows: an integer index gives a
+    `ForecastDistribution` whose arrays are views into it."""
+    quantiles: np.ndarray
+    notes: list[str] = field(default_factory=list)
 
+    def __len__(self) -> int:
+        return self.quantiles.shape[1]
+
+    def __getitem__(self, i: int) -> ForecastDistribution:
+        return ForecastDistribution(point=self.quantiles[4, i], quantiles=self.quantiles[:, i],
+                                    notes=self.notes)
+
+
+def as_forecasts(dists: Forecasts | list[ForecastDistribution]) -> Forecasts:
+    """The set itself, or the rows of a plain sequence stacked into one."""
+    if isinstance(dists, Forecasts):
+        return dists
+    quantiles = [d.quantiles for d in dists]
+    return Forecasts(np.stack(quantiles, axis=1) if quantiles else np.zeros((9, 0, 0)),
+                     sorted({note for d in dists for note in d.notes}))
+
+
+def to_distribution(mu: np.ndarray | None = None, sigma: np.ndarray | None = None,
+                    samples: np.ndarray | None = None, scale=1.0,
+                    norm_stats=(0.0, 1.0)) -> ForecastDistribution:
+    """Quantile grid from a Gaussian head or sampled paths, then inverted
+    back to original units (instance denormalization, then unscaling).
+
+    One window's (h,) mu and sigma or (paths, h) samples give (9, h)
+    quantiles; m windows' (m, h) or (m, paths, h) give (9, m, h), with
+    `scale` and the (mean, std) stats as (m, 1) columns."""
     notes: list[str] = []
     if samples is not None:
-        if samples.shape[0] < 10:
-            notes.append(f"only {samples.shape[0]} sample paths; quantiles are coarse")
-        grid = np.quantile(samples, QUANTILE_LEVELS, axis=0)
+        if samples.shape[-2] < 10:
+            notes.append(f"only {samples.shape[-2]} sample paths; quantiles are coarse")
+        grid = np.quantile(samples, QUANTILE_LEVELS, axis=-2)
     elif mu is not None and sigma is not None:
-        grid = mu[None, :] + sigma[None, :] * ndtri(np.array(QUANTILE_LEVELS))[:, None]
+        z = ndtri(np.array(QUANTILE_LEVELS)).reshape((-1,) + (1,) * mu.ndim)
+        grid = mu + sigma * z
     else:
         raise ValueError("to_distribution needs either (mu, sigma) or samples")
 
     grid = revin_denormalize(grid, norm_stats) * scale
-    return ForecastDistribution(point=grid[4].copy(), quantiles=grid, notes=notes)
+    return ForecastDistribution(point=grid[4], quantiles=grid, notes=notes)
 
 
-def write_forecast_csv(path, windows, dists) -> None:
+def write_forecast_csv(path, windows: WindowSet | list[WindowSample],
+                       dists: Forecasts | list[ForecastDistribution]) -> None:
     """Per-step quantile rows in original units:
     domain,series,origin_timestamp,step,q10..q90,point."""
-    import csv
-
+    ws, fc = as_window_set(windows), as_forecasts(dists)
+    h = fc.quantiles.shape[2]
+    rows = zip(np.repeat(ws.domain_id, h).tolist(), np.repeat(ws.series_name, h).tolist(),
+               np.repeat(ws.origin, h).tolist(), np.tile(np.arange(1, h + 1), len(ws)).tolist(),
+               fc.quantiles.transpose(1, 2, 0).reshape(len(ws) * h, -1).tolist())
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["domain", "series", "origin_timestamp", "step"]
                         + [f"q{int(q * 100)}" for q in QUANTILE_LEVELS] + ["point"])
-        for w, d in zip(windows, dists):
-            for step in range(d.quantiles.shape[1]):
-                writer.writerow(
-                    [w.domain_id, w.series_name, w.origin, step + 1]
-                    + [repr(float(v)) for v in d.quantiles[:, step]]
-                    + [repr(float(d.point[step]))]
-                )
+        writer.writerows([*key, *q, q[4]] for *key, q in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -239,16 +267,14 @@ class ForecastModel:
             trace["z"] = z.data.copy()
         return z
 
-    def augmented(self, x: np.ndarray, rng=None, training: bool = False,
-                  trace: dict | None = None) -> Tensor:
-        z = self.latent_batch(x, rng=rng, training=training, trace=trace)
+    def augmented(self, x: np.ndarray, rng=None, training: bool = False) -> Tensor:
+        z = self.latent_batch(x, rng=rng, training=training)
         return augment_input(z, Tensor(x), self.w, self.b)
 
     def train_params(self, y: np.ndarray, x: np.ndarray, a: np.ndarray | None,
-                     rng=None, training: bool = False,
-                     trace: dict | None = None) -> tuple[Tensor, Tensor]:
+                     rng=None, training: bool = False) -> tuple[Tensor, Tensor]:
         """(mu, sigma) for the horizon, teacher-forced for the recurrent decoder."""
-        xp = self.augmented(x, rng=rng, training=training, trace=trace)
+        xp = self.augmented(x, rng=rng, training=training)
         if self.recurrent:
             return self.decoder.teacher_forced(xp, a, y, rng=rng, training=training)
         return self.decoder(xp)

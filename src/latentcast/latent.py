@@ -11,81 +11,69 @@ domains.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .cvae import FULL, SEASONAL, TREND, CvaePair, split_latents, split_single
-from .data import WindowSample, prepare_samples
+from .data import WindowSample, WindowSet, prepare_samples
 from .tensor import no_grad
 
 
 @dataclass
-class LatentRow:
-    domain_id: int
-    series_name: str
-    origin: int
-    z_shared: np.ndarray
-    z_specific: np.ndarray
-
-
-@dataclass
 class LatentDump:
+    """Posterior-mean latents, one row per window: its domain, series and
+    origin, then its shared and specific parts."""
     d_z: int
     alpha: float
-    rows: list[LatentRow] = field(default_factory=list)
+    domain_id: np.ndarray        # (N,)
+    series_name: np.ndarray      # (N,)
+    origin: np.ndarray           # (N,)
+    z_shared: np.ndarray         # (N, shared width)
+    z_specific: np.ndarray       # (N, specific width)
+
+    def __len__(self) -> int:
+        return self.domain_id.shape[0]
 
 
-def dump_latents(pair: CvaePair, windows: list[WindowSample]) -> LatentDump:
+def dump_latents(pair: CvaePair, windows: WindowSet | list[WindowSample]) -> LatentDump:
     """Posterior-mean latents of every window, split into shared/specific."""
     prepared = prepare_samples(windows)
-    dump = LatentDump(d_z=pair.d_z, alpha=pair.alpha)
-    if not prepared:
-        return dump
-    x = np.stack([s.x for s in prepared])
-    with no_grad():
-        mus = pair.encode(x)
-        if pair.decomposed:
-            split = split_latents(mus[TREND], mus[SEASONAL], pair.alpha)
-        else:
-            split = split_single(mus[FULL], pair.alpha)
-    shared, specific = split.z_shared.data, split.z_specific.data
-    for i, w in enumerate(windows):
-        dump.rows.append(LatentRow(domain_id=w.domain_id, series_name=w.series_name,
-                                   origin=w.origin, z_shared=shared[i].copy(),
-                                   z_specific=specific[i].copy()))
-    return dump
+    shared = specific = np.zeros((0, 0))
+    if len(prepared):
+        with no_grad():
+            mus = pair.encode(prepared.x)
+            if pair.decomposed:
+                split = split_latents(mus[TREND], mus[SEASONAL], pair.alpha)
+            else:
+                split = split_single(mus[FULL], pair.alpha)
+        shared, specific = split.z_shared.data, split.z_specific.data
+    return LatentDump(pair.d_z, pair.alpha, prepared.domain_id, prepared.series_name,
+                      prepared.origin, shared, specific)
 
 
 def write_dump(dump: LatentDump, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(f"# d_z={dump.d_z} alpha={dump.alpha}\n")
         writer = csv.writer(fh)
-        n_sh = dump.rows[0].z_shared.size if dump.rows else 0
-        n_sp = dump.rows[0].z_specific.size if dump.rows else 0
         writer.writerow(["domain_id", "series", "origin"]
-                        + [f"zsh_{i}" for i in range(n_sh)]
-                        + [f"zsp_{i}" for i in range(n_sp)])
-        for r in dump.rows:
-            writer.writerow([r.domain_id, r.series_name, r.origin]
-                            + [repr(float(v)) for v in r.z_shared]
-                            + [repr(float(v)) for v in r.z_specific])
+                        + [f"zsh_{i}" for i in range(dump.z_shared.shape[1])]
+                        + [f"zsp_{i}" for i in range(dump.z_specific.shape[1])])
+        writer.writerows(zip(dump.domain_id.tolist(), dump.series_name.tolist(),
+                             dump.origin.tolist(), *dump.z_shared.T.tolist(),
+                             *dump.z_specific.T.tolist()))
 
 
 def read_dump(path) -> LatentDump:
     with open(path, newline="", encoding="utf-8") as fh:
-        meta = fh.readline().strip().lstrip("#").split()
-        kv = dict(item.split("=") for item in meta)
+        kv = dict(item.split("=") for item in fh.readline().strip().lstrip("#").split())
         reader = csv.reader(fh)
-        header = next(reader)
-        n_sh = sum(1 for h in header if h.startswith("zsh_"))
-        dump = LatentDump(d_z=int(kv["d_z"]), alpha=float(kv["alpha"]))
-        for row in reader:
-            vals = np.array([float(v) for v in row[3:]])
-            dump.rows.append(LatentRow(domain_id=int(row[0]), series_name=row[1],
-                                       origin=int(row[2]), z_shared=vals[:n_sh],
-                                       z_specific=vals[n_sh:]))
-    return dump
+        n_sh = sum(1 for h in next(reader) if h.startswith("zsh_"))
+        rows = list(reader)
+    keys = np.array([row[:3] for row in rows], dtype=str).reshape(-1, 3)
+    z = np.array([[float(v) for v in row[3:]] for row in rows]).reshape(len(rows), -1)
+    return LatentDump(int(kv["d_z"]), float(kv["alpha"]), keys[:, 0].astype(np.int64),
+                      keys[:, 1], keys[:, 2].astype(np.int64), z[:, :n_sh], z[:, n_sh:])
 
 
 def _pair_means(vectors: np.ndarray, domains: np.ndarray) -> tuple[float, float, list[str]]:
@@ -113,14 +101,13 @@ def separation_score(dump: LatentDump) -> tuple[float, float, list[str]]:
 
     Degenerate 0/0 cases are reported as 1.0 with an explanatory note.
     """
-    if len({r.domain_id for r in dump.rows}) < 2:
+    domains = dump.domain_id
+    if np.unique(domains).size < 2:
         raise ValueError("separation_score needs latents from at least 2 domains")
-    domains = np.array([r.domain_id for r in dump.rows])
     ratios = []
     notes: list[str] = []
     for part in ("z_shared", "z_specific"):
-        vectors = np.stack([getattr(r, part) for r in dump.rows])
-        intra, inter, part_notes = _pair_means(vectors, domains)
+        intra, inter, part_notes = _pair_means(getattr(dump, part), domains)
         notes.extend(part_notes)
         if intra == 0.0 and inter == 0.0:
             notes.append(f"{part}: all pairwise distances zero; ratio defaults to 1.0")

@@ -1,4 +1,4 @@
-"""Two-stage optimization, model selection, and multi-seed evaluation.
+"""Two-stage optimization, early stopping, and multi-seed evaluation.
 
 Stage 1 pretrains the conditional VAE pair on the latent loss plus the domain
 regularizer. Stage 2 trains the forecasting decoder and the augmentation map
@@ -22,13 +22,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .cvae import (CvaePair, domain_regularizer, latent_loss, make_stage1_batch,
-                   split_for, split_index)
-from .data import (DomainDataset, DomainSplit, WindowSample, prepare_samples,
-                   split_domains, windows_for_role)
+from .checkpoint import CheckpointError, load_checkpoint, restore_params, save_checkpoint
+from .cvae import (CvaePair, Stage1Batch, domain_regularizer, latent_loss,
+                   make_stage1_batch, split_for, split_index)
+from .data import (DomainDataset, DomainSplit, WindowSample, WindowSet, as_window_set,
+                   prepare_samples, split_domains, windows_for_role)
 from .evaluation import METRIC_NAMES, MetricReport, aggregate
-from .forecaster import (ForecastDistribution, ForecastModel, LinearDecoder,
-                         RecurrentDecoder, gaussian_nll, to_distribution)
+from .forecaster import (QUANTILE_LEVELS, ForecastDistribution, ForecastModel, Forecasts,
+                         LinearDecoder, RecurrentDecoder, gaussian_nll, to_distribution)
 from .nets import glorot
 from .optim import Adam
 from .tensor import Tensor, clip_grad_norm, no_grad
@@ -206,7 +207,7 @@ class TrainingData:
     split: DomainSplit
     domain_index: dict[int, int]
     domain_map: list[list]
-    samples: dict[str, list[WindowSample]]
+    samples: dict[str, WindowSet]
 
 
 def training_data(datasets: Sequence[DomainDataset], config: TrainConfig,
@@ -214,7 +215,8 @@ def training_data(datasets: Sequence[DomainDataset], config: TrainConfig,
     """Split the domains, then window and prepare only the given roles."""
     split, domain_index, domain_map = pipeline_split(datasets, config)
     samples = {role: prepare_samples(windows_for_role(datasets, split, role, config.lookback,
-                                                      config.horizon, config.stride))
+                                                      config.horizon, config.stride),
+                                     in_place=True)
                for role in roles}
     return TrainingData(split, domain_index, domain_map, samples)
 
@@ -223,29 +225,28 @@ def training_data(datasets: Sequence[DomainDataset], config: TrainConfig,
 # Stage 1
 # ---------------------------------------------------------------------------
 
-def _latent_objective(pair: CvaePair, samples: list[WindowSample],
-                      domain_index: dict[int, int], config: TrainConfig,
+def _latent_objective(pair: CvaePair, batch: Stage1Batch, config: TrainConfig,
                       rng: np.random.Generator) -> tuple[Tensor, dict[str, float]]:
     """The stage-1 objective on one minibatch: the latent loss plus
     reg_weight times the domain regularizer when it is active."""
-    batch = make_stage1_batch(pair, samples, domain_index)
     loss, parts, latents = latent_loss(pair, batch, rng=rng, training=True)
-    if config.reg_active and len(samples) >= 2:
+    if config.reg_active and batch.x.shape[0] >= 2:
         sl = split_for(pair, latents)
         omega = domain_regularizer(sl.z_shared, sl.z_specific, batch.domain_ids)
         loss = loss + config.reg_weight * omega
     return loss, parts
 
 
-def stage1_pretrain(pair: CvaePair, samples: list[WindowSample],
+def stage1_pretrain(pair: CvaePair, samples: WindowSet | list[WindowSample],
                     domain_index: dict[int, int], config: TrainConfig,
                     record: RunRecord) -> None:
     """Minibatch Adam on latent loss + reg_weight * regularizer; keeps the
     best epoch-mean parameters."""
-    if not samples:
+    if not len(samples):
         raise TrainingError("stage 1: no training windows")
     if config.reg_active and len(set(domain_index.values())) < 2:
         raise TrainingError("stage 1: domain regularization needs at least 2 training domains")
+    inputs = make_stage1_batch(pair, samples, domain_index)
     rng = np.random.default_rng([config.seed, 2])
     params = pair.params()
     opt = Adam(params, lr=config.learning_rate)
@@ -255,8 +256,7 @@ def stage1_pretrain(pair: CvaePair, samples: list[WindowSample],
         tick = time.perf_counter()
         losses = []
         for bi, idx in enumerate(_batches(len(samples), config.batch_size, rng)):
-            loss, parts = _latent_objective(pair, [samples[i] for i in idx], domain_index,
-                                            config, rng)
+            loss, parts = _latent_objective(pair, inputs.take(idx), config, rng)
             value = float(loss.data)
             if not np.isfinite(value):
                 raise TrainingError(
@@ -286,19 +286,13 @@ def pretrain(pair: CvaePair, data: TrainingData, config: TrainConfig,
 # Stage 2 (and the end-to-end variant)
 # ---------------------------------------------------------------------------
 
-def _stack(samples: list[WindowSample], feat_dim: int):
-    x = np.stack([s.x for s in samples])
-    y = np.stack([s.y for s in samples])
-    a = np.stack([s.a for s in samples]) if feat_dim else None
-    return x, a, y
-
 def _forecast_loss(model: ForecastModel, y, x, a, rng=None, training=False):
     mu, sigma = model.train_params(y, x, a, rng=rng, training=training)
     return gaussian_nll(y, mu, sigma)
 
 
-def stage2_train(model: ForecastModel, train_samples: list[WindowSample],
-                 val_samples: list[WindowSample], config: TrainConfig,
+def stage2_train(model: ForecastModel, train_samples: WindowSet | list[WindowSample],
+                 val_samples: WindowSet | list[WindowSample], config: TrainConfig,
                  record: RunRecord, domain_index: dict[int, int] | None = None) -> None:
     """Forecast-NLL training with early stopping on validation loss.
 
@@ -306,16 +300,16 @@ def stage2_train(model: ForecastModel, train_samples: list[WindowSample],
     join the objective and the conditional decoders train too; otherwise they
     are frozen and unused.
     """
-    if not train_samples:
+    train_set, val = as_window_set(train_samples), as_window_set(val_samples)
+    if not len(train_set):
         raise TrainingError("stage 2: no training windows")
-    if not val_samples:
+    if not len(val):
         raise TrainingError("stage 2: validation set is empty")
     e2e = config.variant == "e2e"
     if e2e and domain_index is None:
         raise TrainingError("e2e training needs the domain index map")
-    feat_dim = train_samples[0].a.shape[1]
-    x_all, a_all, y_all = _stack(train_samples, feat_dim)
-    x_val, a_val, y_val = _stack(val_samples, feat_dim)
+    features = train_set.a.shape[2] > 0
+    latent_inputs = make_stage1_batch(model.pair, train_set, domain_index) if e2e else None
 
     params = model.params()
     n_enc = 0 if model.zero_latent else len(model.pair.encoder_params())
@@ -331,12 +325,12 @@ def stage2_train(model: ForecastModel, train_samples: list[WindowSample],
     for epoch in range(config.epochs_stage2):
         tick = time.perf_counter()
         losses = []
-        for bi, idx in enumerate(_batches(len(train_samples), config.batch_size, rng)):
-            xb, ab, yb = x_all[idx], (a_all[idx] if a_all is not None else None), y_all[idx]
-            loss = _forecast_loss(model, yb, xb, ab, rng=rng, training=True)
+        for bi, idx in enumerate(_batches(len(train_set), config.batch_size, rng)):
+            ab = train_set.a[idx] if features else None
+            loss = _forecast_loss(model, train_set.y[idx], train_set.x[idx], ab, rng=rng,
+                                  training=True)
             if e2e:
-                latent, _ = _latent_objective(model.pair, [train_samples[i] for i in idx],
-                                              domain_index, config, rng)
+                latent, _ = _latent_objective(model.pair, latent_inputs.take(idx), config, rng)
                 loss = loss + latent
             value = float(loss.data)
             if not np.isfinite(value):
@@ -348,7 +342,8 @@ def stage2_train(model: ForecastModel, train_samples: list[WindowSample],
             losses.append(value)
         record.stage2_train_losses.append(float(np.mean(losses)))
         with no_grad():
-            val_loss = float(_forecast_loss(model, y_val, x_val, a_val).data)
+            val_loss = float(_forecast_loss(model, val.y, val.x,
+                                            val.a if features else None).data)
         if not np.isfinite(val_loss):
             raise TrainingError(f"stage 2 validation loss non-finite (epoch {epoch})")
         record.stage2_val_losses.append(val_loss)
@@ -377,33 +372,36 @@ def train(model: ForecastModel, data: TrainingData, config: TrainConfig,
 # Evaluation over a fitted model
 # ---------------------------------------------------------------------------
 
-def predict_windows(model: ForecastModel, windows: list[WindowSample],
+def predict_windows(model: ForecastModel, windows: WindowSet | list[WindowSample],
                     config: TrainConfig, rng: np.random.Generator | None,
-                    chunk: int = 64) -> list[ForecastDistribution]:
-    """Per-window forecast distributions in original units."""
+                    chunk: int = 64) -> Forecasts:
+    """Per-window forecast distributions in original units, `chunk` windows
+    at a time. A trailing single window joins the chunk before it: a one-row
+    product goes through BLAS's matrix-vector routine, whose last bits differ
+    from a row of a matrix product, and forecasts must not depend on the
+    split size."""
     prepared = prepare_samples(windows)
-    feat_dim = prepared[0].a.shape[1] if prepared else 0
-    dists: list[ForecastDistribution] = []
-    for start in range(0, len(prepared), chunk):
-        part = prepared[start:start + chunk]
-        x, a, _ = _stack(part, feat_dim)
-        out = model.predict(x, a, config.sample_paths, rng)
-        for i, w in enumerate(part):
-            stats = (w.norm_mean, w.norm_std)
-            if "samples" in out:
-                dists.append(to_distribution(samples=out["samples"][i], scale=w.scale,
-                                             norm_stats=stats))
-            else:
-                dists.append(to_distribution(mu=out["mu"][i], sigma=out["sigma"][i],
-                                             scale=w.scale, norm_stats=stats))
-    return dists
+    n = len(prepared)
+    starts = list(range(0, n, chunk))
+    if n % chunk == 1 and n > 1:
+        starts.pop()
+    quantiles = np.empty((len(QUANTILE_LEVELS), n, config.horizon))
+    notes: list[str] = []
+    for lo, hi in zip(starts, starts[1:] + [n]):
+        part = prepared[lo:hi]
+        out = model.predict(part.x, part.a if part.a.shape[2] else None, config.sample_paths, rng)
+        dist = to_distribution(**out, scale=part.scale[:, None],
+                               norm_stats=(part.norm_mean[:, None], part.norm_std[:, None]))
+        quantiles[:, lo:hi] = dist.quantiles
+        notes = dist.notes
+    return Forecasts(quantiles=quantiles, notes=notes)
 
 
 EVAL_SPLITS = ("train", "test")
 
 
 def eval_windows(datasets: Sequence[DomainDataset], split: DomainSplit,
-                 config: TrainConfig, which: str) -> list[WindowSample]:
+                 config: TrainConfig, which: str) -> WindowSet:
     """Evaluation-stride windows of the held-out periods of training domains
     ("train") or of the test domains ("test")."""
     if which not in EVAL_SPLITS:
@@ -415,7 +413,7 @@ def eval_windows(datasets: Sequence[DomainDataset], split: DomainSplit,
 
 def evaluate_split(model: ForecastModel, datasets: Sequence[DomainDataset],
                    split: DomainSplit, config: TrainConfig, which: str
-                   ) -> tuple[MetricReport, list[WindowSample], list[ForecastDistribution]]:
+                   ) -> tuple[MetricReport, WindowSet, Forecasts]:
     """Metrics on the windows of `eval_windows`. Each split samples from a
     stream of its own, so every command that forecasts a split agrees."""
     windows = eval_windows(datasets, split, config, which)
@@ -430,8 +428,7 @@ def evaluate_split(model: ForecastModel, datasets: Sequence[DomainDataset],
 
 def evaluate_model(model: ForecastModel, datasets: Sequence[DomainDataset],
                    split: DomainSplit, config: TrainConfig
-                   ) -> tuple[MetricReport, MetricReport, list[WindowSample],
-                              list[ForecastDistribution]]:
+                   ) -> tuple[MetricReport, MetricReport, WindowSet, Forecasts]:
     """Both splits' reports, then the test split's windows and forecasts."""
     report_train, _, _ = evaluate_split(model, datasets, split, config, "train")
     report_test, windows, dists = evaluate_split(model, datasets, split, config, "test")
@@ -477,16 +474,13 @@ def run_pipeline(datasets: Sequence[DomainDataset], config: TrainConfig) -> Pipe
 # ---------------------------------------------------------------------------
 
 def save_stage1(path, pair: CvaePair, domain_map: list[list], config: TrainConfig) -> None:
-    from .checkpoint import save_checkpoint
     save_checkpoint(path, "stage1", config.to_dict(), domain_map, pair.params())
 
 
 def load_stage1(path, pair: CvaePair) -> tuple[TrainConfig, list[list]]:
     """Restore pretrained VAE parameters into a freshly built pair."""
-    from .checkpoint import load_checkpoint, restore_params
     blob = load_checkpoint(path)
     if blob["kind"] != "stage1":
-        from .checkpoint import CheckpointError
         raise CheckpointError(f"expected a stage1 checkpoint, got {blob['kind']!r}")
     restore_params(blob, pair.params())
     return TrainConfig(**blob["config"]), blob["domain_map"]
@@ -494,14 +488,12 @@ def load_stage1(path, pair: CvaePair) -> tuple[TrainConfig, list[list]]:
 
 def save_full(path, model: ForecastModel, domain_map: list[list],
               config: TrainConfig, feat_dim: int) -> None:
-    from .checkpoint import save_checkpoint
     save_checkpoint(path, "full", config.to_dict(), domain_map, model.checkpoint_params(),
                     extra={"feat_dim": feat_dim})
 
 
 def load_full(path) -> tuple[TrainConfig, ForecastModel, list[list], dict[int, int]]:
     """Rebuild the trained model (config echo + parameters) from disk."""
-    from .checkpoint import CheckpointError, load_checkpoint, restore_params
     blob = load_checkpoint(path)
     if blob["kind"] != "full":
         raise CheckpointError(f"expected a full checkpoint, got {blob['kind']!r}")
@@ -513,17 +505,8 @@ def load_full(path) -> tuple[TrainConfig, ForecastModel, list[list], dict[int, i
 
 
 # ---------------------------------------------------------------------------
-# Model selection and multi-seed evaluation
+# Multi-seed evaluation
 # ---------------------------------------------------------------------------
-
-def select_model(runs: Sequence[dict]) -> int:
-    """Index of the best run: minimal validation loss, ties to smaller beta,
-    then smaller hidden size."""
-    if not runs:
-        raise ValueError("select_model: no completed runs")
-    keys = [(r["val_loss"], r["beta"], r["hidden"]) for r in runs]
-    return int(min(range(len(runs)), key=lambda i: keys[i]))
-
 
 @dataclass
 class MultiSeedResult:

@@ -232,6 +232,15 @@ class TestUsage:
         assert code == 2
         assert "line 3: non-finite value" in capsys.readouterr().err
 
+    def test_overlong_series_span_is_a_data_error(self, workdir, capsys):
+        root, cfg = workdir
+        data = root / "span.csv"
+        data.write_text("domain,series,timestamp,value\na,s0,0,1.0\na,s0,1000000000,2.0\n",
+                        encoding="utf-8")
+        code = run("pretrain", "--config", cfg, "--data", data, "--out", root / "x")
+        assert code == 2
+        assert "series 's0'" in capsys.readouterr().err
+
     def test_missing_data_file(self, workdir, capsys):
         root, cfg = workdir
         code = run("pretrain", "--config", cfg, "--data", root / "missing.csv",

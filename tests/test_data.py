@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from latentcast import data as D
-from latentcast.data import (DataError, SyntheticSpec, WindowSample, apply_scaling,
-                             generate_synthetic, ingest_csv, invert_scaling,
-                             make_windows, normalize_sample, one_hot_domain,
+from latentcast.data import (DataError, SyntheticSpec, WindowSample, generate_synthetic,
+                             ingest_csv, make_windows, one_hot_domain, prepare_samples,
                              revin_denormalize, revin_normalize, split_domains,
                              synthetic_value, windows_for_role, write_csv)
 
@@ -67,6 +66,13 @@ class TestIngest:
         with pytest.raises(DataError, match="line 3: non-finite value"):
             ingest_csv(_write(tmp_path, text), value_scale=1e-3)
 
+    def test_gap_fill_span_capped_before_allocating(self, tmp_path):
+        # filling 0..1e9 would allocate 8 GB; the cap refuses it first
+        text = "domain,series,timestamp,value\na,s0,0,1.0\na,s0,1000000000,2.0"
+        with pytest.raises(DataError, match=r"domain 'a', series 's0': timestamps "
+                                            r"0\.\.1000000000 span 1000000001 steps"):
+            ingest_csv(_write(tmp_path, text))
+
     def test_iso_dates_become_ordinals(self, tmp_path):
         text = ("domain,series,timestamp,value\n"
                 "a,s0,2024-01-01,1.0\na,s0,2024-01-02,2.0")
@@ -118,7 +124,7 @@ class TestWindows:
 
     def test_short_series_skipped_with_count(self):
         wins, skipped = self._single([1.0, 2, 3], 3, 1)
-        assert wins == [] and skipped == 1
+        assert len(wins) == 0 and skipped == 1
 
     def test_windows_never_mix_series(self):
         # sentinel values per series; any mixing would surface the wrong sentinel
@@ -132,28 +138,38 @@ class TestWindows:
             assert np.all(w.x == w.x[0]) and w.y[0] == w.x[0]
 
 
+def _scaled(prepared, field):
+    """A prepared set's rows of x or y with the instance normalization undone:
+    the windows after scaling alone."""
+    stats = (prepared.norm_mean[:, None], prepared.norm_std[:, None])
+    return revin_denormalize(getattr(prepared, field), stats)
+
+
 class TestScalingAndNorm:
     def test_zero_window_scale_one(self):
         w = WindowSample(x=np.zeros(3), a=np.zeros((3, 0)), y=np.zeros(1),
                          domain_id=0, series_name="s", origin=2, y_raw=np.zeros(1))
-        scaled = apply_scaling(w)
-        assert scaled.scale == 1.0 and np.array_equal(scaled.x, w.x)
+        prepared = prepare_samples([w])
+        assert prepared.scale[0] == 1.0 and np.array_equal(prepared.x[0], w.x)
 
     def test_hand_scaling(self):
         w = WindowSample(x=np.array([2.0, 4.0]), a=np.zeros((2, 0)), y=np.array([6.0]),
                          domain_id=0, series_name="s", origin=1, y_raw=np.array([6.0]))
-        scaled = apply_scaling(w)
-        assert scaled.scale == 4.0
-        assert np.allclose(scaled.x, [0.5, 1.0]) and np.allclose(scaled.y, [1.5])
+        prepared = prepare_samples([w])
+        assert prepared.scale[0] == 4.0
+        assert np.allclose(_scaled(prepared, "x")[0], [0.5, 1.0])
+        assert np.allclose(_scaled(prepared, "y")[0], [1.5])
 
     def test_scaling_roundtrip(self):
         rng = np.random.default_rng(0)
         w = WindowSample(x=rng.normal(size=8) * 7, a=np.zeros((8, 0)),
                          y=rng.normal(size=3), domain_id=0, series_name="s",
                          origin=7, y_raw=np.zeros(3))
-        back = invert_scaling(apply_scaling(w))
-        assert np.allclose(back.x, w.x, atol=1e-12)
-        assert np.allclose(back.y, w.y, atol=1e-12)
+        prepared = prepare_samples([w])
+        back_x = _scaled(prepared, "x") * prepared.scale[:, None]
+        back_y = _scaled(prepared, "y") * prepared.scale[:, None]
+        assert np.allclose(back_x[0], w.x, atol=1e-12)
+        assert np.allclose(back_y[0], w.y, atol=1e-12)
 
     def test_revin_constant_series(self):
         xn, stats = revin_normalize(np.array([3.0, 3.0, 3.0]))
@@ -176,8 +192,8 @@ class TestScalingAndNorm:
     def test_normalize_sample_moves_y_with_x(self):
         w = WindowSample(x=np.array([1.0, 3.0]), a=np.zeros((2, 0)), y=np.array([2.0]),
                          domain_id=0, series_name="s", origin=1, y_raw=np.array([2.0]))
-        ns = normalize_sample(w)
-        assert abs(ns.y[0]) < 1e-4   # y=2 is the mean of x
+        prepared = prepare_samples([w])
+        assert abs(prepared.y[0, 0]) < 1e-4   # y=2 is the mean of x
 
 
 class TestOneHot:

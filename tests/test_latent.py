@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from latentcast.latent import (LatentDump, LatentRow, dump_latents, read_dump,
-                               separation_score, write_dump)
+from latentcast.latent import (LatentDump, dump_latents, read_dump, separation_score,
+                               write_dump)
 from latentcast.data import WindowSample
 
 
@@ -17,21 +17,19 @@ def _windows(n, length=6, domains=(0, 1)):
 
 
 def _dump_from(shared, specific, domains):
-    dump = LatentDump(d_z=shared.shape[1], alpha=0.5)
-    for i in range(shared.shape[0]):
-        dump.rows.append(LatentRow(domain_id=int(domains[i]), series_name="s",
-                                   origin=i, z_shared=shared[i],
-                                   z_specific=specific[i]))
-    return dump
+    n = shared.shape[0]
+    return LatentDump(d_z=shared.shape[1], alpha=0.5, domain_id=np.asarray(domains),
+                      series_name=np.full(n, "s"), origin=np.arange(n),
+                      z_shared=shared, z_specific=specific)
 
 
 class TestDump:
     def test_one_row_per_window(self, tiny_pair):
         wins = _windows(7)
         dump = dump_latents(tiny_pair, wins)
-        assert len(dump.rows) == 7
-        assert dump.rows[0].z_shared.size == 2 * tiny_pair.index
-        assert dump.rows[0].z_specific.size == 2 * (tiny_pair.d_z - tiny_pair.index)
+        assert len(dump) == 7
+        assert dump.z_shared.shape == (7, 2 * tiny_pair.index)
+        assert dump.z_specific.shape == (7, 2 * (tiny_pair.d_z - tiny_pair.index))
 
     def test_repeated_dumps_identical(self, tiny_pair, tmp_path):
         wins = _windows(5)
@@ -50,9 +48,10 @@ class TestDump:
         assert header.count("zsp_") == 2 * (tiny_pair.d_z - tiny_pair.index)
         back = read_dump(path)
         assert back.d_z == dump.d_z and back.alpha == dump.alpha
-        for a, b in zip(dump.rows, back.rows):
-            assert np.array_equal(a.z_shared, b.z_shared)
-            assert np.array_equal(a.z_specific, b.z_specific)
+        assert np.array_equal(dump.z_shared, back.z_shared)
+        assert np.array_equal(dump.z_specific, back.z_specific)
+        assert np.array_equal(dump.domain_id, back.domain_id)
+        assert list(dump.series_name) == list(back.series_name)
 
 
 class TestSeparationScore:

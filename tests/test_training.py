@@ -1,5 +1,5 @@
 """Two-stage training: bookkeeping, overfit sanity, frozen parameters,
-variant structure, determinism, selection, and multi-seed aggregation."""
+variant structure, determinism, and multi-seed aggregation."""
 
 import numpy as np
 import pytest
@@ -12,8 +12,7 @@ from latentcast.tensor import Tensor
 from latentcast.training import (RunRecord, TrainConfig, TrainingError, build_cvae,
                                  build_model, load_full, load_stage1,
                                  multi_seed_evaluate, run_pipeline, save_full,
-                                 save_stage1, select_model, stage1_pretrain,
-                                 stage2_train)
+                                 save_stage1, stage1_pretrain, stage2_train)
 
 
 def _samples(n, length, seed=0, domains=2):
@@ -234,22 +233,6 @@ class TestPipeline:
             save_checkpoint(path, "full", {"lookback": 4}, [], params, extra={"bad": object()})
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt.json"]
-
-
-class TestSelection:
-    def test_single_run(self):
-        assert select_model([{"val_loss": 0.5, "beta": 1, "hidden": 16}]) == 0
-
-    def test_lowest_val_loss_wins(self):
-        runs = [{"val_loss": 0.5, "beta": 1, "hidden": 16},
-                {"val_loss": 0.4, "beta": 15, "hidden": 64}]
-        assert select_model(runs) == 1
-
-    def test_tie_broken_by_beta_then_hidden(self):
-        runs = [{"val_loss": 0.4, "beta": 5, "hidden": 16},
-                {"val_loss": 0.4, "beta": 1, "hidden": 64},
-                {"val_loss": 0.4, "beta": 1, "hidden": 16}]
-        assert select_model(runs) == 2
 
 
 class TestMultiSeed:
