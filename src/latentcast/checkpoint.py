@@ -1,12 +1,16 @@
 """Versioned JSON checkpoints: every parameter tensor by name, the latent
 hyperparameters, and the training-domain map needed to rebuild one-hot
-encodings. float64 values round-trip exactly through JSON repr."""
+encodings. float64 values round-trip exactly through JSON repr.
+
+`atomic_write` is the file writer of every output the package produces,
+checkpoints included."""
 
 from __future__ import annotations
 
 import json
 import os
-from typing import Iterable
+from contextlib import contextmanager
+from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -17,6 +21,22 @@ FORMAT_VERSION = 1
 
 class CheckpointError(ValueError):
     pass
+
+
+@contextmanager
+def atomic_write(path, newline: str | None = None) -> Iterator[TextIO]:
+    """A UTF-8 text handle whose content replaces `path` only once the block
+    completes. It is written beside the target and renamed over it, so a
+    failure mid-write leaves any existing file intact and no temporary file
+    behind. `newline` is passed to `open` (csv writers need "")."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", newline=newline, encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def _param_payload(params: Iterable[Tensor]) -> dict:
@@ -42,16 +62,8 @@ def save_checkpoint(path, kind: str, config: dict, domain_map: list[list],
     }
     if extra:
         blob["extra"] = extra
-    # written beside the target and renamed over it, so a crash mid-write
-    # leaves any existing checkpoint intact
-    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(blob, fh, sort_keys=True)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
+    with atomic_write(path) as fh:
+        json.dump(blob, fh, sort_keys=True)
 
 
 def load_checkpoint(path) -> dict:

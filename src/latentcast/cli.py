@@ -18,7 +18,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .checkpoint import CheckpointError
+from .checkpoint import CheckpointError, atomic_write
 from .cvae import CvaePair
 from .data import DataError, SyntheticSpec, generate_synthetic, ingest_csv, write_csv
 from .decomposition import DecompositionError, decompose
@@ -137,8 +137,13 @@ def write_manifest(out: Path, command: str, config_snapshot: dict,
         "created": _dt.datetime.now().isoformat(timespec="seconds"),
         "out_dir": str(out),
     }
-    with open(out / "manifest.json", "w", encoding="utf-8") as fh:
+    with atomic_write(out / "manifest.json") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
+
+
+def _write_text(path: Path, text: str) -> None:
+    with atomic_write(path) as fh:
+        fh.write(text)
 
 
 def _load_datasets(args, config: TrainConfig):
@@ -155,9 +160,9 @@ def _write_reports(out: Path, result_reports: dict) -> dict[str, str]:
         jpath = out / f"report_{name}.json"
         tpath = out / f"report_{name}.txt"
         cpath = out / f"report_{name}.csv"
-        jpath.write_text(report.to_json() + "\n", encoding="utf-8")
-        tpath.write_text(report.to_table() + "\n", encoding="utf-8")
-        with open(cpath, "w", encoding="utf-8") as fh:
+        _write_text(jpath, report.to_json() + "\n")
+        _write_text(tpath, report.to_table() + "\n")
+        with atomic_write(cpath) as fh:
             fh.write("domain,metric,value\n")
             for dom, metric, value in report.to_csv_rows():
                 fh.write(f"{dom},{metric},{value!r}\n")
@@ -199,7 +204,7 @@ def cmd_decompose(args) -> int:
     parts = decompose(ds.values[s], kernel)
     out = resolve_out(args.out, args.overwrite)
     path = out / "decomposition.csv"
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         fh.write("value,trend,seasonal\n")
         for v, t, sv in zip(ds.values[s], parts.x_t, parts.x_s):
             fh.write(f"{float(v)!r},{float(t)!r},{float(sv)!r}\n")
@@ -224,8 +229,8 @@ def cmd_pretrain(args) -> int:
     pretrain(pair, data, config, record)
     ckpt = out / "stage1.ckpt.json"
     save_stage1(ckpt, pair, data.domain_map, config)
-    (out / "runrecord_stage1.json").write_text(
-        json.dumps(record.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    _write_text(out / "runrecord_stage1.json",
+                json.dumps(record.to_dict(), indent=2, sort_keys=True) + "\n")
     write_manifest(out, "pretrain", config.to_dict(),
                    {"checkpoint": str(ckpt), "runrecord": str(out / 'runrecord_stage1.json')})
     print(f"stage-1 loss {record.stage1_losses[0]:.6f} -> {record.stage1_losses[-1]:.6f} "
@@ -271,8 +276,8 @@ def cmd_train(args) -> int:
 
     ckpt = out / "model.ckpt.json"
     save_full(ckpt, model, data.domain_map, config, feat_dim)
-    (out / "runrecord.json").write_text(
-        json.dumps(record.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    _write_text(out / "runrecord.json",
+                json.dumps(record.to_dict(), indent=2, sort_keys=True) + "\n")
     artifacts = {"checkpoint": str(ckpt), "runrecord": str(out / 'runrecord.json')}
     artifacts.update(_write_reports(out, {"train": report_train, "test": report_test}))
     fc_path = out / "forecasts_test.csv"
@@ -324,7 +329,7 @@ def cmd_dump_latents(args) -> int:
     except ValueError as exc:
         lines.append(f"separation score unavailable: {exc}")
     score_path = out / "separation.txt"
-    score_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_text(score_path, "\n".join(lines) + "\n")
     artifacts["separation"] = str(score_path)
     write_manifest(out, "dump-latents", config.to_dict(), artifacts)
     print("\n".join(lines))
@@ -356,8 +361,7 @@ def cmd_ablate(args) -> int:
             any_failed = True
         table[variant] = row
 
-    (out / "ablation.json").write_text(
-        json.dumps(table, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    _write_text(out / "ablation.json", json.dumps(table, indent=2, sort_keys=True) + "\n")
     header = f"{'variant':>12} " + " ".join(f"{m + ' (mean±std)':>22}" for m in METRIC_NAMES)
     lines = [header]
     for variant in variants:
@@ -368,7 +372,7 @@ def cmd_ablate(args) -> int:
         cells = " ".join(
             f"{row[f'{m}_mean']:>13.6f}±{row[f'{m}_std']:.4f}" for m in METRIC_NAMES)
         lines.append(f"{variant:>12} " + cells)
-    (out / "ablation.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_text(out / "ablation.txt", "\n".join(lines) + "\n")
     write_manifest(out, "ablate", config.to_dict(),
                    {"ablation": str(out / 'ablation.json')})
     print("\n".join(lines))

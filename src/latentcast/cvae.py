@@ -10,7 +10,7 @@ is encoder-only). With decomposition off, a single VAE models the raw window.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -213,23 +213,17 @@ def kl_standard_normal(mu: Tensor, logvar: Tensor) -> Tensor:
     return T.tsum(T.square(mu) + T.exp(logvar) - logvar - 1.0, axis=-1) * 0.5
 
 
-def split_latents(z_t: Tensor, z_s: Tensor, alpha: float) -> SplitLatents:
-    """Partition both component latents at floor(alpha * d_z) and concatenate."""
-    if z_t.shape != z_s.shape:
-        raise T.ShapeError(f"latent shapes differ: {z_t.shape} vs {z_s.shape}")
-    d_z = z_t.shape[-1]
+def split_latents(parts: Sequence[Tensor], alpha: float) -> SplitLatents:
+    """Partition each component latent at floor(alpha * d_z) and concatenate
+    the shared pieces, then the specific pieces, in component order."""
+    shapes = [z.shape for z in parts]
+    if len(set(shapes)) != 1:
+        raise T.ShapeError(f"latent shapes differ: {shapes}")
+    d_z = shapes[0][-1]
     index = split_index(alpha, d_z)
-    shared = T.concat([T.slice_last(z_t, 0, index), T.slice_last(z_s, 0, index)])
-    specific = T.concat([T.slice_last(z_t, index, d_z), T.slice_last(z_s, index, d_z)])
-    return SplitLatents(z_shared=shared, z_specific=specific, index=index)
-
-
-def split_single(z: Tensor, alpha: float) -> SplitLatents:
-    """Split for the single-VAE (no decomposition) variant."""
-    d_z = z.shape[-1]
-    index = split_index(alpha, d_z)
-    return SplitLatents(z_shared=T.slice_last(z, 0, index),
-                        z_specific=T.slice_last(z, index, d_z), index=index)
+    return SplitLatents(z_shared=T.concat([T.slice_last(z, 0, index) for z in parts]),
+                        z_specific=T.concat([T.slice_last(z, index, d_z) for z in parts]),
+                        index=index)
 
 
 def domain_regularizer(z_shared: Tensor, z_specific: Tensor,
@@ -336,11 +330,9 @@ def latent_loss(pair: CvaePair, batch: Stage1Batch,
 
 
 def split_for(pair: CvaePair, latents: dict[str, LatentSample]) -> SplitLatents:
-    """Shared/specific split of the posterior means from either VAE layout.
+    """Shared/specific split of the posterior means, in component order.
 
     The means, not the sampled draws: regularizing draws has a degenerate
     optimum where specific-dim variance inflates to satisfy the cross-domain
     push without structuring the means."""
-    if pair.decomposed:
-        return split_latents(latents[TREND].mu, latents[SEASONAL].mu, pair.alpha)
-    return split_single(latents[FULL].mu, pair.alpha)
+    return split_latents([latents[which].mu for which in pair.components], pair.alpha)

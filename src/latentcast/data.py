@@ -17,6 +17,8 @@ from typing import Iterable, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .checkpoint import atomic_write
+
 REVIN_EPS = 1e-5
 MAX_SERIES_STEPS = 10_000_000    # longest timestamp span a series may fill gaps over
 PREPARE_BLOCK = 1 << 14          # rows per block of prepare_samples' temporaries
@@ -211,7 +213,7 @@ def ingest_csv(path, value_scale: float = 1.0, fill_missing: float = 0.0) -> lis
 
 
 def write_csv(datasets: Sequence[DomainDataset], path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         feat_dim = datasets[0].feat_dim if datasets else 0
         writer.writerow(["domain", "series", "timestamp", "value"]

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import WindowSample, WindowSet, as_window_set
-from .forecaster import QUANTILE_LEVELS, ForecastDistribution, Forecasts, as_forecasts
+from .data import WindowSet
+from .forecaster import QUANTILE_LEVELS, Forecasts
 
 METRIC_NAMES = ("nrmse", "smape", "q50", "qmean")
 
@@ -127,28 +127,32 @@ def domain_metrics(y: np.ndarray, point: np.ndarray, quantiles: np.ndarray) -> d
     }
 
 
-def aggregate(windows: WindowSet | list[WindowSample],
-              dists: Forecasts | list[ForecastDistribution],
-              domains: list[int], split_name: str, seed: int,
-              config_hash: str) -> MetricReport:
-    """Per-domain metrics over each domain's rows, then an equal-weight average."""
-    ws, fc = as_window_set(windows), as_forecasts(dists)
-    if len(ws) != len(fc):
+def aggregate(windows: WindowSet, dists: Forecasts, domains: list[int], split_name: str,
+              seed: int, config_hash: str) -> MetricReport:
+    """Per-domain metrics over each domain's rows, then an equal-weight average.
+
+    A metric that is undefined on a domain's rows (all-zero predictions for
+    nrmse, all-zero targets for the quantile losses) raises `MetricError`
+    naming the split and the domain."""
+    if len(windows) != len(dists):
         raise MetricError("aggregate: windows and forecasts differ in length")
     warnings: list[str] = []
     per_domain: dict[int, dict[str, float]] = {}
     counts: dict[int, int] = {}
     for dom in sorted(domains):
-        picked = ws.domain_id == dom
+        picked = windows.domain_id == dom
         counts[dom] = int(picked.sum())
         if not counts[dom]:
             warnings.append(f"domain {dom} has no evaluation windows; excluded")
             continue
-        quant = fc.quantiles[:, picked]
-        per_domain[dom] = domain_metrics(ws.y_raw[picked], quant[4], quant)
+        quant = dists.quantiles[:, picked]
+        try:
+            per_domain[dom] = domain_metrics(windows.y_raw[picked], quant[4], quant)
+        except MetricError as exc:
+            raise MetricError(f"{split_name} split, domain {dom}: {exc}") from None
     if not per_domain:
         raise MetricError(f"aggregate: no domain in {split_name!r} produced windows")
-    warnings.extend(fc.notes)
+    warnings.extend(dists.notes)
     average = {m: float(np.mean([per_domain[d][m] for d in per_domain]))
                for m in METRIC_NAMES}
     return MetricReport(split_name=split_name, per_domain=per_domain, average=average,

@@ -12,13 +12,15 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 from scipy.special import ndtri
 
 from . import tensor as T
-from .cvae import FULL, SEASONAL, TREND, CvaePair
-from .data import WindowSample, WindowSet, as_window_set, revin_denormalize
+from .checkpoint import atomic_write
+from .cvae import CvaePair
+from .data import WindowSet, revin_denormalize
 from .decomposition import trend_component
 from .nets import GRUCell, Linear, dropout
 from .tensor import Tensor, no_grad
@@ -26,13 +28,6 @@ from .tensor import Tensor, no_grad
 LOG_2PI = float(np.log(2.0 * np.pi))
 SIGMA_FLOOR = 1e-6
 QUANTILE_LEVELS = tuple(q / 10.0 for q in range(1, 10))
-
-
-def fuse_latents(z_t: Tensor, z_s: Tensor) -> Tensor:
-    """Elementwise sum of the component latents."""
-    if z_t.shape != z_s.shape:
-        raise T.ShapeError(f"fuse_latents: shapes differ, {z_t.shape} vs {z_s.shape}")
-    return z_t + z_s
 
 
 def augment_input(z: Tensor, x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -177,15 +172,6 @@ class Forecasts:
                                     notes=self.notes)
 
 
-def as_forecasts(dists: Forecasts | list[ForecastDistribution]) -> Forecasts:
-    """The set itself, or the rows of a plain sequence stacked into one."""
-    if isinstance(dists, Forecasts):
-        return dists
-    quantiles = [d.quantiles for d in dists]
-    return Forecasts(np.stack(quantiles, axis=1) if quantiles else np.zeros((9, 0, 0)),
-                     sorted({note for d in dists for note in d.notes}))
-
-
 def to_distribution(mu: np.ndarray | None = None, sigma: np.ndarray | None = None,
                     samples: np.ndarray | None = None, scale=1.0,
                     norm_stats=(0.0, 1.0)) -> ForecastDistribution:
@@ -210,16 +196,15 @@ def to_distribution(mu: np.ndarray | None = None, sigma: np.ndarray | None = Non
     return ForecastDistribution(point=grid[4], quantiles=grid, notes=notes)
 
 
-def write_forecast_csv(path, windows: WindowSet | list[WindowSample],
-                       dists: Forecasts | list[ForecastDistribution]) -> None:
+def write_forecast_csv(path, windows: WindowSet, dists: Forecasts) -> None:
     """Per-step quantile rows in original units:
     domain,series,origin_timestamp,step,q10..q90,point."""
-    ws, fc = as_window_set(windows), as_forecasts(dists)
-    h = fc.quantiles.shape[2]
-    rows = zip(np.repeat(ws.domain_id, h).tolist(), np.repeat(ws.series_name, h).tolist(),
-               np.repeat(ws.origin, h).tolist(), np.tile(np.arange(1, h + 1), len(ws)).tolist(),
-               fc.quantiles.transpose(1, 2, 0).reshape(len(ws) * h, -1).tolist())
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    h = dists.quantiles.shape[2]
+    rows = zip(np.repeat(windows.domain_id, h).tolist(),
+               np.repeat(windows.series_name, h).tolist(), np.repeat(windows.origin, h).tolist(),
+               np.tile(np.arange(1, h + 1), len(windows)).tolist(),
+               dists.quantiles.transpose(1, 2, 0).reshape(len(windows) * h, -1).tolist())
+    with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["domain", "series", "origin_timestamp", "step"]
                         + [f"q{int(q * 100)}" for q in QUANTILE_LEVELS] + ["point"])
@@ -252,14 +237,15 @@ class ForecastModel:
 
     def latent_batch(self, x: np.ndarray, rng=None, training: bool = False,
                      trace: dict | None = None) -> Tensor:
-        """Fused latent entering the augmentation, after variant handling."""
+        """The fused latent entering the augmentation: the sum of the
+        component posterior means, after variant handling."""
         n = x.shape[0]
         pair = self.pair
         if self.zero_latent:
             z = Tensor(np.zeros((n, pair.d_z)))
         else:
-            mus = pair.encode(x, rng=rng, training=training)
-            z = mus[FULL] if not pair.decomposed else fuse_latents(mus[TREND], mus[SEASONAL])
+            # reduce, not sum(): sum's `0 +` start would add a graph node
+            z = reduce(T.add, pair.encode(x, rng=rng, training=training).values())
             if self.shared_only:
                 kept = T.slice_last(z, 0, pair.index)
                 z = T.concat([kept, Tensor(np.zeros((n, pair.d_z - pair.index)))])

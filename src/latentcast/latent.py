@@ -15,8 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cvae import FULL, SEASONAL, TREND, CvaePair, split_latents, split_single
-from .data import WindowSample, WindowSet, prepare_samples
+from .checkpoint import atomic_write
+from .cvae import CvaePair, split_latents
+from .data import WindowSet, prepare_samples
 from .tensor import no_grad
 
 
@@ -36,24 +37,20 @@ class LatentDump:
         return self.domain_id.shape[0]
 
 
-def dump_latents(pair: CvaePair, windows: WindowSet | list[WindowSample]) -> LatentDump:
+def dump_latents(pair: CvaePair, windows: WindowSet) -> LatentDump:
     """Posterior-mean latents of every window, split into shared/specific."""
     prepared = prepare_samples(windows)
     shared = specific = np.zeros((0, 0))
     if len(prepared):
         with no_grad():
-            mus = pair.encode(prepared.x)
-            if pair.decomposed:
-                split = split_latents(mus[TREND], mus[SEASONAL], pair.alpha)
-            else:
-                split = split_single(mus[FULL], pair.alpha)
+            split = split_latents(list(pair.encode(prepared.x).values()), pair.alpha)
         shared, specific = split.z_shared.data, split.z_specific.data
     return LatentDump(pair.d_z, pair.alpha, prepared.domain_id, prepared.series_name,
                       prepared.origin, shared, specific)
 
 
 def write_dump(dump: LatentDump, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_write(path, newline="") as fh:
         fh.write(f"# d_z={dump.d_z} alpha={dump.alpha}\n")
         writer = csv.writer(fh)
         writer.writerow(["domain_id", "series", "origin"]

@@ -57,7 +57,3 @@ class Adam:
             p.data -= (self.lr * self.lr_scales[i]) * m_hat / (np.sqrt(v_hat) + self.eps)
         for p in self.params:
             p.zero_grad()
-
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.zero_grad()

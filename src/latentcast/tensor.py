@@ -316,14 +316,6 @@ def square(a) -> Tensor:
     return custom_op(x * x, (a,), (lambda g: g * 2.0 * x,))
 
 
-def sqrt(a) -> Tensor:
-    a = _as_tensor(a)
-    if np.any(a.data < 0.0):
-        raise MathDomainError("sqrt: negative input")
-    y = np.sqrt(a.data)
-    return custom_op(y, (a,), (lambda g: g / (2.0 * y),))
-
-
 def _unreduce(g: np.ndarray, axis, shape: tuple[int, ...]) -> np.ndarray:
     """Read-only broadcast of a reduction's grad back over its input shape."""
     return np.broadcast_to(g if axis is None else np.expand_dims(g, axis), shape)

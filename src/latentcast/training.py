@@ -18,14 +18,14 @@ import hashlib
 import json
 import time
 from dataclasses import asdict, dataclass, field, replace
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .checkpoint import CheckpointError, load_checkpoint, restore_params, save_checkpoint
 from .cvae import (CvaePair, Stage1Batch, domain_regularizer, latent_loss,
                    make_stage1_batch, split_for, split_index)
-from .data import (DomainDataset, DomainSplit, WindowSample, WindowSet, as_window_set,
+from .data import (DomainDataset, DomainSplit, WindowSample, WindowSet,
                    prepare_samples, split_domains, windows_for_role)
 from .evaluation import METRIC_NAMES, MetricReport, aggregate
 from .forecaster import (QUANTILE_LEVELS, ForecastDistribution, ForecastModel, Forecasts,
@@ -140,19 +140,52 @@ class RunRecord:
         return asdict(self)
 
 
-def _snapshot(params: Sequence[Tensor]) -> list[np.ndarray]:
-    return [p.data.copy() for p in params]
-
-
-def _restore(params: Sequence[Tensor], snap: Sequence[np.ndarray]) -> None:
-    for p, s in zip(params, snap):
-        p.data[...] = s
-
-
 def _batches(n: int, batch_size: int, rng: np.random.Generator):
     perm = rng.permutation(n)
     for start in range(0, n, batch_size):
         yield perm[start:start + batch_size]
+
+
+def _fit(stage: int, opt: Adam, n: int, epochs: int, config: TrainConfig,
+         rng: np.random.Generator,
+         batch_loss: Callable[[np.ndarray], tuple[Tensor, dict[str, float]]],
+         losses: list[float], seconds: list[float],
+         score: Callable[[int], float] | None = None, patience: int | None = None) -> int:
+    """The epoch loop of both stages: minibatch steps of `opt` over `n`
+    windows, appending each epoch's mean training loss to `losses` and its
+    wall time to `seconds`.
+
+    An epoch's score is `score(epoch)`, or its mean training loss when no
+    `score` is given. The parameters of the best-scoring epoch are restored
+    at the end, and its index is returned. With `patience`, training stops
+    after that many epochs without a better score.
+    """
+    params = opt.params
+    best, best_epoch, best_snap = np.inf, -1, [p.data.copy() for p in params]
+    for epoch in range(epochs):
+        tick = time.perf_counter()
+        values = []
+        for bi, idx in enumerate(_batches(n, config.batch_size, rng)):
+            loss, parts = batch_loss(idx)
+            value = float(loss.data)
+            if not np.isfinite(value):
+                raise TrainingError(f"stage {stage} loss non-finite "
+                                    f"(epoch {epoch}, batch {bi}, parts {parts})")
+            loss.backward()
+            if config.grad_clip:
+                clip_grad_norm(params, config.grad_clip)
+            opt.step()
+            values.append(value)
+        losses.append(float(np.mean(values)))
+        current = losses[-1] if score is None else score(epoch)
+        seconds.append(time.perf_counter() - tick)
+        if current < best:
+            best, best_epoch, best_snap = current, epoch, [p.data.copy() for p in params]
+        elif patience is not None and epoch - best_epoch >= patience:
+            break
+    for p, snap in zip(params, best_snap):
+        p.data[...] = snap
+    return best_epoch
 
 
 def build_cvae(config: TrainConfig, num_domains: int,
@@ -237,9 +270,8 @@ def _latent_objective(pair: CvaePair, batch: Stage1Batch, config: TrainConfig,
     return loss, parts
 
 
-def stage1_pretrain(pair: CvaePair, samples: WindowSet | list[WindowSample],
-                    domain_index: dict[int, int], config: TrainConfig,
-                    record: RunRecord) -> None:
+def stage1_pretrain(pair: CvaePair, samples: WindowSet, domain_index: dict[int, int],
+                    config: TrainConfig, record: RunRecord) -> None:
     """Minibatch Adam on latent loss + reg_weight * regularizer; keeps the
     best epoch-mean parameters."""
     if not len(samples):
@@ -248,32 +280,9 @@ def stage1_pretrain(pair: CvaePair, samples: WindowSet | list[WindowSample],
         raise TrainingError("stage 1: domain regularization needs at least 2 training domains")
     inputs = make_stage1_batch(pair, samples, domain_index)
     rng = np.random.default_rng([config.seed, 2])
-    params = pair.params()
-    opt = Adam(params, lr=config.learning_rate)
-    best = np.inf
-    best_snap = _snapshot(params)
-    for epoch in range(config.epochs_stage1):
-        tick = time.perf_counter()
-        losses = []
-        for bi, idx in enumerate(_batches(len(samples), config.batch_size, rng)):
-            loss, parts = _latent_objective(pair, inputs.take(idx), config, rng)
-            value = float(loss.data)
-            if not np.isfinite(value):
-                raise TrainingError(
-                    f"stage 1 loss non-finite (epoch {epoch}, batch {bi}, parts {parts})"
-                )
-            loss.backward()
-            if config.grad_clip:
-                clip_grad_norm(params, config.grad_clip)
-            opt.step()
-            losses.append(value)
-        mean_loss = float(np.mean(losses))
-        record.stage1_losses.append(mean_loss)
-        record.stage1_seconds.append(time.perf_counter() - tick)
-        if mean_loss < best:
-            best = mean_loss
-            best_snap = _snapshot(params)
-    _restore(params, best_snap)
+    _fit(1, Adam(pair.params(), lr=config.learning_rate), len(samples), config.epochs_stage1,
+         config, rng, lambda idx: _latent_objective(pair, inputs.take(idx), config, rng),
+         record.stage1_losses, record.stage1_seconds)
 
 
 def pretrain(pair: CvaePair, data: TrainingData, config: TrainConfig,
@@ -291,25 +300,24 @@ def _forecast_loss(model: ForecastModel, y, x, a, rng=None, training=False):
     return gaussian_nll(y, mu, sigma)
 
 
-def stage2_train(model: ForecastModel, train_samples: WindowSet | list[WindowSample],
-                 val_samples: WindowSet | list[WindowSample], config: TrainConfig,
-                 record: RunRecord, domain_index: dict[int, int] | None = None) -> None:
+def stage2_train(model: ForecastModel, train_samples: WindowSet, val_samples: WindowSet,
+                 config: TrainConfig, record: RunRecord,
+                 domain_index: dict[int, int] | None = None) -> None:
     """Forecast-NLL training with early stopping on validation loss.
 
     In the e2e variant (domain_index required) the latent loss and regularizer
     join the objective and the conditional decoders train too; otherwise they
     are frozen and unused.
     """
-    train_set, val = as_window_set(train_samples), as_window_set(val_samples)
-    if not len(train_set):
+    if not len(train_samples):
         raise TrainingError("stage 2: no training windows")
-    if not len(val):
+    if not len(val_samples):
         raise TrainingError("stage 2: validation set is empty")
     e2e = config.variant == "e2e"
     if e2e and domain_index is None:
         raise TrainingError("e2e training needs the domain index map")
-    features = train_set.a.shape[2] > 0
-    latent_inputs = make_stage1_batch(model.pair, train_set, domain_index) if e2e else None
+    features = train_samples.a.shape[2] > 0
+    latent_inputs = make_stage1_batch(model.pair, train_samples, domain_index) if e2e else None
 
     params = model.params()
     n_enc = 0 if model.zero_latent else len(model.pair.encoder_params())
@@ -317,47 +325,32 @@ def stage2_train(model: ForecastModel, train_samples: WindowSet | list[WindowSam
         params = params + model.pair.decoder_params()
     scales = [config.encoder_lr_scale] * n_enc + [1.0] * (len(params) - n_enc)
     opt = Adam(params, lr=config.learning_rate, lr_scales=scales)
-
     rng = np.random.default_rng([config.seed, 3])
-    best_val = np.inf
-    best_snap = _snapshot(params)
-    bad = 0
-    for epoch in range(config.epochs_stage2):
-        tick = time.perf_counter()
-        losses = []
-        for bi, idx in enumerate(_batches(len(train_set), config.batch_size, rng)):
-            ab = train_set.a[idx] if features else None
-            loss = _forecast_loss(model, train_set.y[idx], train_set.x[idx], ab, rng=rng,
-                                  training=True)
-            if e2e:
-                latent, _ = _latent_objective(model.pair, latent_inputs.take(idx), config, rng)
-                loss = loss + latent
-            value = float(loss.data)
-            if not np.isfinite(value):
-                raise TrainingError(f"stage 2 loss non-finite (epoch {epoch}, batch {bi})")
-            loss.backward()
-            if config.grad_clip:
-                clip_grad_norm(params, config.grad_clip)
-            opt.step()
-            losses.append(value)
-        record.stage2_train_losses.append(float(np.mean(losses)))
+
+    def batch_loss(idx: np.ndarray) -> tuple[Tensor, dict[str, float]]:
+        ab = train_samples.a[idx] if features else None
+        loss = _forecast_loss(model, train_samples.y[idx], train_samples.x[idx], ab, rng=rng,
+                              training=True)
+        parts = {"nll": float(loss.data)}
+        if e2e:
+            latent, latent_parts = _latent_objective(model.pair, latent_inputs.take(idx),
+                                                     config, rng)
+            loss = loss + latent
+            parts.update(latent_parts)
+        return loss, parts
+
+    def validate(epoch: int) -> float:
         with no_grad():
-            val_loss = float(_forecast_loss(model, val.y, val.x,
-                                            val.a if features else None).data)
+            val_loss = float(_forecast_loss(model, val_samples.y, val_samples.x,
+                                            val_samples.a if features else None).data)
         if not np.isfinite(val_loss):
             raise TrainingError(f"stage 2 validation loss non-finite (epoch {epoch})")
         record.stage2_val_losses.append(val_loss)
-        record.stage2_seconds.append(time.perf_counter() - tick)
-        if val_loss < best_val:
-            best_val = val_loss
-            best_snap = _snapshot(params)
-            bad = 0
-        else:
-            bad += 1
-            if bad >= config.patience:
-                break
-    record.selected_epoch = int(np.argmin(record.stage2_val_losses))
-    _restore(params, best_snap)
+        return val_loss
+
+    record.selected_epoch = _fit(2, opt, len(train_samples), config.epochs_stage2, config, rng,
+                                 batch_loss, record.stage2_train_losses, record.stage2_seconds,
+                                 score=validate, patience=config.patience)
 
 
 def train(model: ForecastModel, data: TrainingData, config: TrainConfig,
@@ -372,7 +365,7 @@ def train(model: ForecastModel, data: TrainingData, config: TrainConfig,
 # Evaluation over a fitted model
 # ---------------------------------------------------------------------------
 
-def predict_windows(model: ForecastModel, windows: WindowSet | list[WindowSample],
+def predict_windows(model: ForecastModel, windows: WindowSet,
                     config: TrainConfig, rng: np.random.Generator | None,
                     chunk: int = 64) -> Forecasts:
     """Per-window forecast distributions in original units, `chunk` windows

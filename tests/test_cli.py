@@ -6,8 +6,11 @@ import json
 import numpy as np
 import pytest
 
-from latentcast.cli import main
-from latentcast.data import ingest_csv
+from latentcast import evaluation
+from latentcast.cli import main, write_manifest
+from latentcast.data import ingest_csv, make_windows
+from latentcast.evaluation import MetricError
+from latentcast.forecaster import Forecasts, write_forecast_csv
 from latentcast.training import TrainConfig, run_pipeline
 
 TINY_CONFIG = {
@@ -204,6 +207,19 @@ class TestPipelineFlow:
         assert field in capsys.readouterr().err
         assert not (root / "bad").exists()
 
+    def test_undefined_metric_is_a_data_error(self, workdir, data_csv, capsys, monkeypatch):
+        # nrmse fails as it does on all-zero predictions; the run ends with the
+        # data exit code and a message naming the split and the domain
+        def all_zero(y, yhat):
+            raise MetricError("nrmse: all-zero predictions make the denominator undefined")
+
+        monkeypatch.setattr(evaluation, "nrmse", all_zero)
+        root, cfg = workdir
+        code = run("train", "--variant", "e2e", "--config", cfg, "--data", data_csv,
+                   "--out", root / "fit")
+        assert code == 2
+        assert "train split, domain" in capsys.readouterr().err
+
     def test_unknown_variant_lists_valid_names(self, workdir, data_csv, capsys):
         root, cfg = workdir
         code = run("ablate", "--config", cfg, "--data", data_csv,
@@ -211,6 +227,38 @@ class TestPipelineFlow:
         assert code == 1
         err = capsys.readouterr().err
         assert "bogus" in err and "no_decomp" in err
+
+
+class TestAtomicWrites:
+    """A writer that fails mid-write leaves the previous file and no
+    temporary file behind."""
+
+    def _check(self, path, write_ok, write_bad, error):
+        write_ok()
+        before = path.read_bytes()
+        with pytest.raises(error):
+            write_bad()
+        assert path.read_bytes() == before
+        assert [p.name for p in path.parent.iterdir()] == [path.name]
+
+    def test_manifest(self, tmp_path):
+        # json.dump has written the keys sorted before "config" when it fails
+        self._check(tmp_path / "manifest.json",
+                    lambda: write_manifest(tmp_path, "synth", {"ok": 1}, {}),
+                    lambda: write_manifest(tmp_path, "synth", {"bad": object()}, {}),
+                    TypeError)
+
+    def test_forecast_csv(self, tmp_path, tiny_datasets):
+        # three quantile rows instead of nine: the header and the row keys are
+        # out before the missing median row fails
+        windows, _ = make_windows(tiny_datasets[:1], 12, 4, stride=10)
+        path = tmp_path / "forecasts_test.csv"
+        self._check(path,
+                    lambda: write_forecast_csv(path, windows,
+                                               Forecasts(np.zeros((9, len(windows), 4)))),
+                    lambda: write_forecast_csv(path, windows,
+                                               Forecasts(np.zeros((3, len(windows), 4)))),
+                    IndexError)
 
 
 class TestUsage:

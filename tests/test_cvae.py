@@ -7,7 +7,7 @@ import pytest
 import latentcast.tensor as T
 from latentcast.cvae import (CvaePair, domain_regularizer, kl_standard_normal,
                              latent_loss, make_stage1_batch, reparameterize,
-                             split_for, split_index, split_latents, split_single)
+                             split_for, split_index, split_latents)
 from latentcast.data import DataError, WindowSample
 from latentcast.tensor import Tensor, grad_check
 
@@ -89,23 +89,28 @@ class TestSplit:
 
     def test_lengths_d8_alpha_quarter(self):
         z_t, z_s = Tensor(np.arange(8.0)), Tensor(np.arange(8.0, 16.0))
-        sl = split_latents(z_t, z_s, 0.25)
+        sl = split_latents([z_t, z_s], 0.25)
         assert sl.index == 2
         assert sl.z_shared.shape == (4,) and sl.z_specific.shape == (12,)
         assert sl.z_shared.size + sl.z_specific.size == 16
 
     def test_equal_halves(self):
-        sl = split_latents(Tensor(np.arange(4.0)), Tensor(np.arange(4.0, 8.0)), 0.5)
+        sl = split_latents([Tensor(np.arange(4.0)), Tensor(np.arange(4.0, 8.0))], 0.5)
         assert sl.z_shared.size == sl.z_specific.size == 4
 
     def test_degenerate_alpha_rejected(self):
-        with pytest.raises(ValueError):
-            split_latents(Tensor(np.arange(4.0)), Tensor(np.arange(4.0)), 0.1)
+        for parts in ([Tensor(np.arange(4.0))] * 2, [Tensor(np.arange(4.0))]):
+            with pytest.raises(ValueError):
+                split_latents(parts, 0.1)
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(T.ShapeError):
+            split_latents([Tensor(np.arange(4.0)), Tensor(np.arange(6.0))], 0.5)
 
     def test_reassembly_recovers_inputs(self):
         rng = np.random.default_rng(2)
         z_t, z_s = rng.normal(size=6), rng.normal(size=6)
-        sl = split_latents(Tensor(z_t), Tensor(z_s), 0.5)
+        sl = split_latents([Tensor(z_t), Tensor(z_s)], 0.5)
         k = sl.index
         rebuilt_t = np.concatenate([sl.z_shared.data[:k], sl.z_specific.data[:6 - k]])
         rebuilt_s = np.concatenate([sl.z_shared.data[k:], sl.z_specific.data[6 - k:]])
@@ -113,7 +118,7 @@ class TestSplit:
         assert np.array_equal(rebuilt_s, z_s)
 
     def test_single_split(self):
-        sl = split_single(Tensor(np.arange(6.0)), 0.5)
+        sl = split_latents([Tensor(np.arange(6.0))], 0.5)
         assert np.array_equal(sl.z_shared.data, [0, 1, 2])
         assert np.array_equal(sl.z_specific.data, [3, 4, 5])
 

@@ -4,10 +4,10 @@ the hand-derived examples."""
 import numpy as np
 import pytest
 
-from latentcast.data import WindowSample
+from latentcast.data import WindowSet
 from latentcast.evaluation import (MetricError, aggregate, nrmse, q_mean,
                                    quantile_loss, smape)
-from latentcast.forecaster import ForecastDistribution
+from latentcast.forecaster import Forecasts
 
 
 # -- brute-force oracles (naive loops, no shared code with the library) -----
@@ -125,57 +125,62 @@ class TestBruteForceOracles:
         assert abs(q_mean(y, stack) - q_mean(y[perm], stack[:, perm])) < 1e-12
 
 
-def _window(domain, y):
-    h = len(y)
-    return WindowSample(x=np.zeros(4), a=np.zeros((4, 0)), y=np.asarray(y, float),
-                        domain_id=domain, series_name="s", origin=3,
-                        y_raw=np.asarray(y, float))
+def _windows(domains, ys):
+    """A `WindowSet` of one window per entry of `domains`, with targets `ys`."""
+    y = np.asarray(ys, float)
+    n = len(domains)
+    return WindowSet(x=np.zeros((n, 4)), a=np.zeros((n, 4, 0)), y=y,
+                     domain_id=np.asarray(domains, dtype=np.int64),
+                     series_name=np.full(n, "s"), origin=np.full(n, 3, dtype=np.int64),
+                     y_raw=y, scale=np.ones(n), norm_mean=np.zeros(n), norm_std=np.ones(n))
 
 
-def _dist(point):
-    point = np.asarray(point, float)
-    return ForecastDistribution(point=point, quantiles=np.tile(point, (9, 1)))
+def _flat(points):
+    """`Forecasts` whose nine quantile rows all equal each window's point."""
+    return Forecasts(np.tile(np.asarray(points, float), (9, 1, 1)))
 
 
 class TestAggregate:
     def test_single_domain_equals_per_domain_value(self):
-        wins = [_window(0, [2.0, 2.0])]
-        dists = [_dist([1.0, 1.0])]
-        report = aggregate(wins, dists, [0], "test", seed=0, config_hash="x")
+        report = aggregate(_windows([0], [[2.0, 2.0]]), _flat([[1.0, 1.0]]), [0], "test",
+                           seed=0, config_hash="x")
         assert report.average == report.per_domain[0]
 
     def test_equal_domain_weighting(self):
-        wins = [_window(0, [3.0]), _window(1, [3.0])]
-        dists = [_dist([1.0]), _dist([2.0])]
-        report = aggregate(wins, dists, [0, 1], "test", seed=0, config_hash="x")
+        report = aggregate(_windows([0, 1], [[3.0], [3.0]]), _flat([[1.0], [2.0]]), [0, 1],
+                           "test", seed=0, config_hash="x")
         d0, d1 = report.per_domain[0]["nrmse"], report.per_domain[1]["nrmse"]
         assert abs(report.average["nrmse"] - (d0 + d1) / 2.0) < 1e-12
 
     def test_empty_domain_warned_and_excluded(self):
-        wins = [_window(0, [2.0])]
-        dists = [_dist([1.0])]
-        report = aggregate(wins, dists, [0, 7], "test", seed=0, config_hash="x")
+        report = aggregate(_windows([0], [[2.0]]), _flat([[1.0]]), [0, 7], "test",
+                           seed=0, config_hash="x")
         assert 7 not in report.per_domain
         assert any("domain 7" in w for w in report.warnings)
 
     def test_report_row_count(self):
-        wins = [_window(0, [2.0]), _window(1, [2.0])]
-        dists = [_dist([1.0]), _dist([1.0])]
-        report = aggregate(wins, dists, [0, 1], "test", seed=0, config_hash="x")
+        report = aggregate(_windows([0, 1], [[2.0], [2.0]]), _flat([[1.0], [1.0]]), [0, 1],
+                           "test", seed=0, config_hash="x")
         rows = report.to_csv_rows()
         domains = {r[0] for r in rows}
         assert domains == {"0", "1", "average"}   # |domains| + average row
 
     def test_all_metrics_nonnegative(self):
         rng = np.random.default_rng(3)
-        wins, dists = [], []
+        domains, ys, stacks = [], [], []
         for dom in range(3):
             for _ in range(4):
-                y = rng.normal(size=5) * 2 + 5
-                wins.append(_window(dom, y))
-                stack = np.sort(rng.normal(size=(9, 5)) + 5, axis=0)
-                dists.append(ForecastDistribution(point=stack[4], quantiles=stack))
-        report = aggregate(wins, dists, [0, 1, 2], "test", seed=0, config_hash="x")
+                domains.append(dom)
+                ys.append(rng.normal(size=5) * 2 + 5)
+                stacks.append(np.sort(rng.normal(size=(9, 5)) + 5, axis=0))
+        report = aggregate(_windows(domains, ys), Forecasts(np.stack(stacks, axis=1)),
+                           [0, 1, 2], "test", seed=0, config_hash="x")
         for vals in report.per_domain.values():
             assert all(v >= 0 for v in vals.values())
         assert all(v >= 0 for v in report.average.values())
+
+    def test_undefined_metric_names_split_and_domain(self):
+        # domain 1's predictions are all zero, so its nrmse has no denominator
+        with pytest.raises(MetricError, match=r"val split, domain 1: nrmse: all-zero"):
+            aggregate(_windows([0, 1], [[2.0], [2.0]]), _flat([[1.0], [0.0]]), [0, 1], "val",
+                      seed=0, config_hash="x")

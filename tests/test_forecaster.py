@@ -7,24 +7,45 @@ import pytest
 import latentcast.tensor as T
 from latentcast.cvae import CvaePair
 from latentcast.forecaster import (ForecastModel, LinearDecoder, RecurrentDecoder,
-                                   augment_input, fuse_latents, gaussian_nll,
+                                   augment_input, gaussian_nll,
                                    to_distribution)
 from latentcast.nets import glorot
 from latentcast.tensor import Tensor, grad_check
 
 
+class _FixedMeans:
+    """Stands in for a `CvaePair` whose encoders return fixed posterior
+    means, one per component, for every window."""
+
+    def __init__(self, *means):
+        self.means = [np.asarray(m, float) for m in means]
+        self.d_z = self.means[0].size
+
+    def encode(self, x, rng=None, training=False):
+        return {f"c{i}": Tensor(np.tile(m, (x.shape[0], 1))) for i, m in enumerate(self.means)}
+
+
+def _fused(*means):
+    """`ForecastModel.latent_batch` of two windows under fixed component
+    means (two, so a width-1 latent is no scalar that broadcasts), first row."""
+    z = ForecastModel(_FixedMeans(*means), None, None, None).latent_batch(np.zeros((2, 3)))
+    assert np.array_equal(z.data[0], z.data[1])
+    return z.data[0]
+
+
 class TestFuse:
     def test_zeros(self):
-        assert np.array_equal(fuse_latents(Tensor([0.0, 0]), Tensor([0.0, 0])).data, [0, 0])
+        assert np.array_equal(_fused([0.0, 0], [0.0, 0]), [0, 0])
 
     def test_values_and_commutativity(self):
-        a, b = Tensor([1.0, 2]), Tensor([3.0, 4])
-        assert np.array_equal(fuse_latents(a, b).data, [4, 6])
-        assert np.array_equal(fuse_latents(a, b).data, fuse_latents(b, a).data)
+        assert np.array_equal(_fused([1.0, 2], [3.0, 4]), [4, 6])
+        assert np.array_equal(_fused([1.0, 2], [3.0, 4]), _fused([3.0, 4], [1.0, 2]))
+        # one component (no decomposition) enters unchanged
+        assert np.array_equal(_fused([1.0, 2]), [1, 2])
 
     def test_length_mismatch(self):
         with pytest.raises(T.ShapeError):
-            fuse_latents(Tensor([1.0]), Tensor([1.0, 2.0]))
+            _fused([1.0], [1.0, 2.0])
 
 
 class TestAugment:

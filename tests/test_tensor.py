@@ -139,8 +139,6 @@ def test_domain_errors():
         T.log(Tensor([1.0, 0.0]))
     with pytest.raises(MathDomainError):
         T.div(Tensor([1.0]), Tensor([0.0]))
-    with pytest.raises(MathDomainError):
-        T.sqrt(Tensor([-1.0]))
 
 
 def test_scalar_broadcast_only():
@@ -183,7 +181,7 @@ PRIMITIVE_CASES = [
     ("sigmoid", lambda a, b: T.tsum(T.sigmoid(a) * b), (4,), (4,)),
     ("softplus", lambda a, b: T.tsum(T.softplus(a) * b), (4,), (4,)),
     ("square", lambda a, b: T.tsum(T.square(a) + b), (4,), (4,)),
-    ("sqrt", lambda a, b: T.tsum(T.sqrt(T.square(a) + 1.0) * b), (4,), (4,)),
+    ("sum_last_axis", lambda a, b: T.tsum(T.tsum(a, axis=-1) * b), (3, 4), (3,)),
     ("sum_axis", lambda a, b: T.tsum(T.tsum(a, axis=0) * T.tsum(b, axis=0)), (3, 4), (2, 4)),
     ("mean", lambda a, b: T.tmean(a) * T.tmean(b), (3, 4), (6,)),
     ("concat", lambda a, b: T.tsum(T.square(T.concat([a, b]))), (2, 3), (2, 2)),

@@ -1,18 +1,20 @@
 """Two-stage training: bookkeeping, overfit sanity, frozen parameters,
 variant structure, determinism, and multi-seed aggregation."""
 
+import inspect
+
 import numpy as np
 import pytest
 
-from latentcast.cvae import FULL
-from latentcast.data import WindowSample, prepare_samples
-from latentcast.evaluation import METRIC_NAMES
-from latentcast.forecaster import gaussian_nll
+from latentcast.cvae import FULL, make_stage1_batch
+from latentcast.data import WindowSample, WindowSet, prepare_samples
+from latentcast.evaluation import METRIC_NAMES, MetricReport
+from latentcast.forecaster import Forecasts, gaussian_nll
 from latentcast.tensor import Tensor
-from latentcast.training import (RunRecord, TrainConfig, TrainingError, build_cvae,
-                                 build_model, load_full, load_stage1,
-                                 multi_seed_evaluate, run_pipeline, save_full,
-                                 save_stage1, stage1_pretrain, stage2_train)
+from latentcast.training import (RunRecord, TrainConfig, TrainingError, build, build_cvae,
+                                 build_model, evaluate_split, load_full, load_stage1,
+                                 multi_seed_evaluate, pipeline_split, run_pipeline,
+                                 save_full, save_stage1, stage1_pretrain, stage2_train)
 
 
 def _samples(n, length, seed=0, domains=2):
@@ -73,15 +75,28 @@ class TestStage1:
         with pytest.raises(TrainingError, match="non-finite"):
             stage1_pretrain(pair, samples, {0: 0, 1: 1}, config, RunRecord(seed=0))
 
-    def test_best_epoch_parameters_returned(self):
-        # loss curve minimum, not the last epoch, is what comes back
-        config = self._config(epochs_stage1=30, learning_rate=5e-2)
+    def _fit(self, epochs):
+        # at this learning rate the epoch-mean loss rises twice in five epochs
+        config = self._config(epochs_stage1=epochs, learning_rate=0.2)
         pair = build_cvae(config, 2, np.random.default_rng(5))
         record = RunRecord(seed=0)
-        samples = _samples(12, 8, seed=6)
-        stage1_pretrain(pair, samples, {0: 0, 1: 1}, config, record)
-        assert min(record.stage1_losses) == record.stage1_losses[
-            int(np.argmin(record.stage1_losses))]
+        stage1_pretrain(pair, _samples(12, 8, seed=6), {0: 0, 1: 1}, config, record)
+        return pair, record
+
+    def test_best_epoch_parameters_returned(self):
+        # the loss curve's minimum, not the last epoch, is what comes back: the
+        # same pair as a run that ends at that epoch
+        pair, record = self._fit(5)
+        best = int(np.argmin(record.stage1_losses))
+        assert best < 4
+        prefix, _ = self._fit(best + 1)
+        for p, q in zip(pair.params(), prefix.params()):
+            assert np.array_equal(p.data, q.data)
+
+    def test_every_epoch_runs_though_the_loss_rises(self):
+        _, record = self._fit(5)
+        assert np.any(np.diff(record.stage1_losses) > 0)
+        assert len(record.stage1_losses) == len(record.stage1_seconds) == 5
 
 
 class TestStage2:
@@ -102,6 +117,34 @@ class TestStage2:
         record = RunRecord(seed=0)
         stage2_train(model, _samples(10, 8), _samples(4, 8, seed=9), config, record)
         assert record.selected_epoch == int(np.argmin(record.stage2_val_losses))
+
+    def _fit(self, epochs):
+        # at this learning rate the validation loss stops improving after epoch 3
+        config, model = self._setup(learning_rate=0.02, epochs_stage2=epochs, patience=2)
+        record = RunRecord(seed=0)
+        stage2_train(model, _samples(10, 8), _samples(4, 8, seed=9), config, record)
+        return model, record
+
+    def test_stops_after_patience_epochs_without_improvement(self):
+        _, record = self._fit(12)
+        n = len(record.stage2_val_losses)
+        assert n == len(record.stage2_train_losses) == len(record.stage2_seconds) < 12
+        assert record.selected_epoch == n - 1 - 2    # patience 2
+        assert min(record.stage2_val_losses[-2:]) >= min(record.stage2_val_losses)
+
+    def test_restored_parameters_are_the_selected_epochs(self):
+        model, record = self._fit(12)
+        prefix, _ = self._fit(record.selected_epoch + 1)
+        for p, q in zip(model.checkpoint_params(), prefix.checkpoint_params()):
+            assert np.array_equal(p.data, q.data)
+
+    def test_nonfinite_training_loss_names_stage_epoch_and_batch(self):
+        config, model = self._setup()
+        samples = _samples(10, 8)
+        samples.x[3, 0] = np.nan
+        with pytest.raises(TrainingError,
+                           match=r"stage 2 loss non-finite \(epoch 0, batch \d, parts \{'nll'"):
+            stage2_train(model, samples, _samples(4, 8, seed=9), config, RunRecord(seed=0))
 
     def test_empty_validation_rejected(self):
         config, model = self._setup()
@@ -233,6 +276,31 @@ class TestPipeline:
             save_checkpoint(path, "full", {"lookback": 4}, [], params, extra={"bad": object()})
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt.json"]
+
+
+class TestBenchmarkBindings:
+    """The benchmark harness wraps these functions and binds their arguments
+    by name; a rename fails here instead of silently breaking its timing."""
+
+    def test_stage_parameter_names(self):
+        assert {"samples", "record"} <= set(inspect.signature(stage1_pretrain).parameters)
+        assert {"train_samples", "record"} <= set(inspect.signature(stage2_train).parameters)
+        assert "which" in inspect.signature(evaluate_split).parameters
+
+    def test_evaluate_split_returns_report_windows_forecasts(self, tiny_datasets, tiny_config):
+        split, _, _ = pipeline_split(tiny_datasets, tiny_config)
+        _, model = build(tiny_config, len(split.train_domains), 0)
+        report, windows, dists = evaluate_split(model, tiny_datasets, split, tiny_config,
+                                                which="test")
+        assert isinstance(report, MetricReport)
+        assert isinstance(windows, WindowSet) and isinstance(dists, Forecasts)
+        assert len(windows) == len(dists)
+
+    def test_row_lists_accepted(self, tiny_pair):
+        rows = list(_samples(6, 6))
+        assert isinstance(rows[0], WindowSample)
+        assert len(prepare_samples(rows)) == 6
+        assert make_stage1_batch(tiny_pair, rows, {0: 0, 1: 1}).x.shape == (6, 6)
 
 
 class TestMultiSeed:
