@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import datetime as _dt
+import io
 import math
 from dataclasses import dataclass, fields, replace
 from typing import Iterable, Sequence
@@ -136,16 +137,103 @@ class SyntheticSpec:
 # CSV ingestion
 # ---------------------------------------------------------------------------
 
-def _parse_timestamp(raw: str, line_no: int) -> int:
+def _parse_timestamp(raw: str) -> int:
+    """An integer, or an ISO-8601 date as its ordinal; it must fit in int64."""
     raw = raw.strip()
     try:
-        return int(raw)
+        stamp = int(raw)
+    except ValueError:
+        stamp = _dt.date.fromisoformat(raw).toordinal()
+    if not -2**63 <= stamp < 2**63:
+        raise ValueError(f"timestamp {stamp} outside int64")
+    return stamp
+
+
+def _records(lines: list[str]):
+    """csv.reader's records with their line numbers (the header is line 1),
+    skipping blank and whitespace-only ones."""
+    for line_no, row in enumerate(csv.reader(lines), start=2):
+        if row and (len(row) > 1 or row[0].strip()):
+            yield line_no, row
+
+
+class _Shared(dict):
+    """Maps a string to the first equal one it was given, so that a column's
+    equal fields share one object: a string per row of the three text
+    columns held about 25 MB more at 96,000 rows."""
+    def __missing__(self, key: str) -> str:
+        self[key] = key
+        return key
+
+
+def _table(lines: list[str], width: int) -> np.ndarray:
+    """The records as a structured array: the domain, series and timestamp
+    fields as strings and the others through Python's `float` as `numbers`;
+    ValueError when a record has another width or a number does not parse.
+
+    numpy's C tokenizer reads the lines with visible text, quoting as
+    csv.reader does. Where that fails or gives fewer records than lines (a
+    quoted line break), it reads csv.reader's records as csv.writer writes
+    them: only csv.reader sees a whitespace line inside quotes and skips a
+    record that is one quoted blank."""
+    dtype = [("domain", object), ("series", object), ("timestamp", object),
+             ("numbers", np.float64, (width - 3,))]
+
+    def parse(source):
+        shared = [_Shared() for _ in range(3)]
+        converters = {j: shared[j].__getitem__ if j < 3 else float for j in range(width)}
+        return np.loadtxt(source, dtype=dtype, delimiter=",", quotechar='"', comments=None,
+                          ndmin=1, converters=converters)
+
+    text = list(filter(str.strip, lines))
+    try:
+        table = parse(text) if text else np.empty(0, dtype)
+        if len(table) == len(text):
+            return table
     except ValueError:
         pass
-    try:
-        return _dt.date.fromisoformat(raw).toordinal()
-    except ValueError:
-        raise DataError(f"line {line_no}: unparseable timestamp {raw!r}") from None
+    rows = io.StringIO()
+    csv.writer(rows).writerows(row for _, row in _records(lines))
+    return parse(io.StringIO(rows.getvalue())) if rows.tell() else np.empty(0, dtype)
+
+
+def _raise_first_fault(lines: list[str], width: int, value_scale: float) -> None:
+    """The checks a record at a time, for the error message: raises DataError
+    at the first record with the wrong width, an unparseable or non-finite
+    field, or the (domain, series, timestamp) of an earlier record."""
+    seen = set()
+    for line_no, row in _records(lines):
+        if len(row) != width:
+            raise DataError(f"line {line_no}: expected {width} columns, got {len(row)}")
+        try:
+            key = (row[0].strip(), row[1].strip(), _parse_timestamp(row[2]))
+        except ValueError:
+            raise DataError(f"line {line_no}: unparseable timestamp {row[2].strip()!r}") from None
+        try:
+            numbers = [float(row[3]) / value_scale, *map(float, row[4:])]
+        except ValueError:
+            raise DataError(f"line {line_no}: unparseable numeric value") from None
+        if not all(map(math.isfinite, numbers)):
+            raise DataError(f"line {line_no}: non-finite value")
+        if key in seen:
+            raise DataError("line {}: duplicate (domain={}, series={}, timestamp={})"
+                            .format(line_no, *key))
+        seen.add(key)
+
+
+def _codes(column: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """The sorted distinct stripped names of a column, and each row's index among them."""
+    names = list(map(str.strip, column))
+    distinct = sorted(set(names))
+    index = dict(zip(distinct, range(len(distinct))))
+    return distinct, np.fromiter(map(index.__getitem__, names), np.int64, len(names))
+
+
+def _stamps(column: np.ndarray) -> np.ndarray:
+    """A column of timestamp fields as int64, each distinct field parsed once."""
+    distinct = set(column)
+    stamp = dict(zip(distinct, map(_parse_timestamp, distinct)))
+    return np.fromiter(map(stamp.__getitem__, column), np.int64, len(column))
 
 
 def ingest_csv(path, value_scale: float = 1.0, fill_missing: float = 0.0) -> list[DomainDataset]:
@@ -153,62 +241,55 @@ def ingest_csv(path, value_scale: float = 1.0, fill_missing: float = 0.0) -> lis
 
     Rows are grouped by domain then series and sorted by timestamp; gaps in a
     series' timestamp range are filled with `fill_missing` (features with 0).
-    Values are divided by `value_scale`.
+    Values are divided by `value_scale`. Fields are converted a column at a
+    time; when one is at fault, a scan of the records names the first.
     """
-    rows: dict[str, dict[str, dict[int, tuple[float, tuple[float, ...]]]]] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError("empty CSV file") from None
-        header = [h.strip() for h in header]
-        if header[:4] != ["domain", "series", "timestamp", "value"]:
-            raise DataError(f"unexpected header {header!r}; need domain,series,timestamp,value[,feat_*]")
-        feat_dim = len(header) - 4
-        for line_no, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 4 + feat_dim:
-                raise DataError(f"line {line_no}: expected {4 + feat_dim} columns, got {len(row)}")
-            dom, ser = row[0].strip(), row[1].strip()
-            ts = _parse_timestamp(row[2], line_no)
-            try:
-                val = float(row[3]) / value_scale
-                feats = tuple(float(v) for v in row[4:])
-            except ValueError:
-                raise DataError(f"line {line_no}: unparseable numeric value") from None
-            if not math.isfinite(val) or (feat_dim and not all(map(math.isfinite, feats))):
-                raise DataError(f"line {line_no}: non-finite value")
-            per_series = rows.setdefault(dom, {}).setdefault(ser, {})
-            if ts in per_series:
-                raise DataError(f"line {line_no}: duplicate (domain={dom}, series={ser}, timestamp={ts})")
-            per_series[ts] = (val, feats)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"not UTF-8 text: {exc.reason}") from None
+    reader = csv.reader(lines)
+    header = next(reader, None)
+    if header is None:
+        raise DataError("empty CSV file")
+    header = [h.strip() for h in header]
+    if header[:4] != ["domain", "series", "timestamp", "value"]:
+        raise DataError(f"unexpected header {header!r}; need domain,series,timestamp,value[,feat_*]")
+    width, body = len(header), lines[reader.line_num:]
+    try:
+        table = _table(body, width)
+        (domains, dom_id), (series, ser_id) = _codes(table["domain"]), _codes(table["series"])
+        ts, numbers = _stamps(table["timestamp"]), table["numbers"]
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            numbers[:, 0] /= value_scale
+        order = np.lexsort((ts, ser_id, dom_id))
+        dom_id, ser_id, ts, numbers = dom_id[order], ser_id[order], ts[order], numbers[order]
+        same_series = (dom_id[1:] == dom_id[:-1]) & (ser_id[1:] == ser_id[:-1])
+        if not np.isfinite(numbers).all() or (same_series & (ts[1:] == ts[:-1])).any():
+            raise ValueError("a non-finite value or a duplicate key")
+    except (ValueError, OverflowError):
+        _raise_first_fault(body, width, value_scale)
+        raise                       # the scan disagrees with the columns; not reached
 
-    datasets = []
-    for dom_idx, dom in enumerate(sorted(rows)):
-        names, stamps, vals, feats = [], [], [], []
-        for ser in sorted(rows[dom]):
-            table = rows[dom][ser]
-            lo, hi = min(table), max(table)
-            if hi - lo + 1 > MAX_SERIES_STEPS:
-                raise DataError(f"domain {dom!r}, series {ser!r}: timestamps {lo}..{hi} span "
-                                f"{hi - lo + 1} steps, over the gap-fill cap of {MAX_SERIES_STEPS}")
-            full = np.arange(lo, hi + 1, dtype=np.int64)
-            v = np.full(full.size, fill_missing, dtype=np.float64)
-            f = np.zeros((full.size, feat_dim), dtype=np.float64)
-            at = np.fromiter(table, np.int64, len(table)) - lo
-            v[at] = [val for val, _ in table.values()]
-            f[at] = [fr for _, fr in table.values()]
-            names.append(ser)
-            stamps.append(full)
-            vals.append(v)
-            feats.append(f)
-        datasets.append(DomainDataset(
-            domain_id=dom_idx, domain_name=dom, series_names=names,
-            timestamps=stamps, values=vals,
-            features=feats if feat_dim else None,
-        ))
+    datasets = [DomainDataset(domain_id=i, domain_name=name, series_names=[], timestamps=[],
+                              values=[], features=[] if width > 4 else None)
+                for i, name in enumerate(domains)]
+    starts = np.flatnonzero(np.r_[True, ~same_series]).tolist() if len(ts) else []
+    for a, b in zip(starts, starts[1:] + [len(ts)]):
+        ds, ser, lo, hi = datasets[dom_id[a]], series[ser_id[a]], int(ts[a]), int(ts[b - 1])
+        if hi - lo + 1 > MAX_SERIES_STEPS:
+            raise DataError(f"domain {ds.domain_name!r}, series {ser!r}: timestamps {lo}..{hi} "
+                            f"span {hi - lo + 1} steps, over the gap-fill cap of "
+                            f"{MAX_SERIES_STEPS}")
+        filled = np.zeros((hi - lo + 1, width - 3))
+        filled[:, 0] = fill_missing
+        filled[ts[a:b] - lo] = numbers[a:b]
+        ds.series_names.append(ser)
+        ds.timestamps.append(np.arange(lo, hi + 1, dtype=np.int64))
+        ds.values.append(np.ascontiguousarray(filled[:, 0]))
+        if ds.features is not None:
+            ds.features.append(np.ascontiguousarray(filled[:, 1:]))
     return datasets
 
 

@@ -199,11 +199,12 @@ def to_distribution(mu: np.ndarray | None = None, sigma: np.ndarray | None = Non
 def write_forecast_csv(path, windows: WindowSet, dists: Forecasts) -> None:
     """Per-step quantile rows in original units:
     domain,series,origin_timestamp,step,q10..q90,point."""
-    h = dists.quantiles.shape[2]
+    levels, _, h = dists.quantiles.shape
+    # each quantile is formatted once, in row order; the point column reuses q50's text
+    text = map(repr, dists.quantiles.transpose(1, 2, 0).ravel().tolist())
     rows = zip(np.repeat(windows.domain_id, h).tolist(),
                np.repeat(windows.series_name, h).tolist(), np.repeat(windows.origin, h).tolist(),
-               np.tile(np.arange(1, h + 1), len(windows)).tolist(),
-               dists.quantiles.transpose(1, 2, 0).reshape(len(windows) * h, -1).tolist())
+               np.tile(np.arange(1, h + 1), len(windows)).tolist(), zip(*[text] * levels))
     with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["domain", "series", "origin_timestamp", "step"]

@@ -213,7 +213,7 @@ def _fit(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _check_elementwise(op: str, a: Tensor, b: Tensor) -> None:
-    if a.shape != b.shape and a.size != 1 and b.size != 1:
+    if a.shape != b.shape and a.ndim != 0 and b.ndim != 0:
         raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} differ and neither is scalar")
 
 

@@ -94,6 +94,8 @@ class TrainConfig:
             raise ValueError(f"sample_paths must be >= 1, got {self.sample_paths}")
         if not self.learning_rate > 0.0:
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not (np.isfinite(self.value_scale) and self.value_scale != 0.0):
+            raise ValueError(f"value_scale must be finite and nonzero, got {self.value_scale}")
         split_index(self.alpha, self.d_z)
 
     @property

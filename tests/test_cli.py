@@ -195,12 +195,14 @@ class TestPipelineFlow:
           "--set", "train.sample_paths=0"), "sample_paths"),
         (("pretrain", "--set", "train.d_z=1"), "d_z"),
         (("pretrain", "--set", "train.learning_rate=-1"), "learning_rate"),
+        (("pretrain", "--set", "train.value_scale=0"), "value_scale"),
     ], ids=["epochs_stage1", "epochs_stage2", "batch_size", "sample_paths", "latent_split",
-            "learning_rate"])
+            "learning_rate", "value_scale"])
     def test_empty_training_loop_is_a_usage_error(self, workdir, data_csv, capsys,
                                                   argv, field):
         # a loop that would run no epoch or no batch, and a setting that would
-        # crash after training or train uphill, are refused before any data loads
+        # crash after training, train uphill or divide every value by zero, are
+        # refused before any data loads
         root, cfg = workdir
         code = run(*argv, "--config", cfg, "--data", data_csv, "--out", root / "bad")
         assert code == 1

@@ -1,0 +1,355 @@
+"""Columnar CSV ingest against a row-at-a-time reference: equal datasets on
+well-formed files, the same error message on files with a fault, pinned
+edge cases, and CLI runs on mutated files that end with an exit code."""
+
+import csv
+import datetime as dt
+import math
+import tempfile
+import warnings
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from latentcast import data as D
+from latentcast.cli import main
+from latentcast.data import DataError, ingest_csv
+
+
+# ---------------------------------------------------------------------------
+# Slow reference: one Python float(), tuple and dict insert per row, as the
+# package read CSV files before ingest became columnar.
+# ---------------------------------------------------------------------------
+
+def _reference_timestamp(raw, line_no):
+    raw = raw.strip()
+    try:
+        return int(raw)
+    except ValueError:
+        pass
+    try:
+        return dt.date.fromisoformat(raw).toordinal()
+    except ValueError:
+        raise DataError(f"line {line_no}: unparseable timestamp {raw!r}") from None
+
+
+def reference_ingest(path, value_scale=1.0, fill_missing=0.0):
+    rows = {}
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataError("empty CSV file") from None
+        header = [h.strip() for h in header]
+        if header[:4] != ["domain", "series", "timestamp", "value"]:
+            raise DataError(f"unexpected header {header!r}; need domain,series,timestamp,value[,feat_*]")
+        feat_dim = len(header) - 4
+        for line_no, row in enumerate(reader, start=2):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) != 4 + feat_dim:
+                raise DataError(f"line {line_no}: expected {4 + feat_dim} columns, got {len(row)}")
+            dom, ser = row[0].strip(), row[1].strip()
+            ts = _reference_timestamp(row[2], line_no)
+            try:
+                val = float(row[3]) / value_scale
+                feats = tuple(float(v) for v in row[4:])
+            except ValueError:
+                raise DataError(f"line {line_no}: unparseable numeric value") from None
+            if not math.isfinite(val) or (feat_dim and not all(map(math.isfinite, feats))):
+                raise DataError(f"line {line_no}: non-finite value")
+            per_series = rows.setdefault(dom, {}).setdefault(ser, {})
+            if ts in per_series:
+                raise DataError(f"line {line_no}: duplicate (domain={dom}, series={ser}, timestamp={ts})")
+            per_series[ts] = (val, feats)
+
+    datasets = []
+    for dom_idx, dom in enumerate(sorted(rows)):
+        names, stamps, vals, feats = [], [], [], []
+        for ser in sorted(rows[dom]):
+            table = rows[dom][ser]
+            lo, hi = min(table), max(table)
+            if hi - lo + 1 > D.MAX_SERIES_STEPS:
+                raise DataError(f"domain {dom!r}, series {ser!r}: timestamps {lo}..{hi} span "
+                                f"{hi - lo + 1} steps, over the gap-fill cap of {D.MAX_SERIES_STEPS}")
+            full = np.arange(lo, hi + 1, dtype=np.int64)
+            v = np.full(full.size, fill_missing, dtype=np.float64)
+            f = np.zeros((full.size, feat_dim), dtype=np.float64)
+            at = np.fromiter(table, np.int64, len(table)) - lo
+            v[at] = [val for val, _ in table.values()]
+            f[at] = [fr for _, fr in table.values()]
+            names.append(ser)
+            stamps.append(full)
+            vals.append(v)
+            feats.append(f)
+        datasets.append(D.DomainDataset(
+            domain_id=dom_idx, domain_name=dom, series_names=names,
+            timestamps=stamps, values=vals,
+            features=feats if feat_dim else None,
+        ))
+    return datasets
+
+
+def same_bits(a, b) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_same_datasets(got, expected):
+    assert len(got) == len(expected)
+    for g, e in zip(got, expected):
+        assert (g.domain_id, g.domain_name, g.series_names) \
+            == (e.domain_id, e.domain_name, e.series_names)
+        assert (g.features is None) == (e.features is None)
+        for name in ("timestamps", "values") + (("features",) if e.features else ()):
+            pairs = list(zip(getattr(g, name), getattr(e, name)))
+            assert len(pairs) == len(e.series_names)
+            assert all(same_bits(a, b) for a, b in pairs), name
+
+
+def outcome(ingest, path, value_scale, fill_missing):
+    """The datasets, or the DataError message."""
+    try:
+        return ingest(path, value_scale=value_scale, fill_missing=fill_missing)
+    except DataError as exc:
+        return f"DataError: {exc}"
+
+
+def assert_same_outcome(path, value_scale=1.0, fill_missing=0.0):
+    got, expected = (outcome(ingest, path, value_scale, fill_missing)
+                     for ingest in (ingest_csv, reference_ingest))
+    if isinstance(expected, str) or isinstance(got, str):
+        assert got == expected
+    else:
+        assert_same_datasets(got, expected)
+    return expected
+
+
+# ---------------------------------------------------------------------------
+# Generated files
+# ---------------------------------------------------------------------------
+
+# Name characters include the delimiter and the quote, which force a quoted
+# field, and spaces, which ingest strips from the ends. One file in five
+# draws its names from BROKEN_NAMES, whose quoted line breaks send the file
+# to csv.reader; the others exercise numpy's tokenizer.
+NAMES = st.text(st.sampled_from(list("ab0_-.é#, \"")), max_size=6)
+BROKEN_NAMES = st.text(st.sampled_from(list("ab \"\n\r")), max_size=6)
+
+
+def field(text, pad):
+    """`text` as a CSV field: quoted (inner quotes doubled) when it holds a
+    delimiter, quote, line break or edge space; otherwise padded by `pad`."""
+    if any(c in text for c in ',"\r\n') or text != text.strip():
+        return '"' + text.replace('"', '""') + '"'
+    return pad + text + pad
+
+
+def number(draw, value):
+    style = draw(st.sampled_from(("repr", "exp", "pad", "underscore")))
+    if style == "exp":
+        return f"{value:.6e}"
+    if style == "pad":
+        return f" {value!r} "
+    if style == "underscore" and value == int(value) and abs(value) >= 10:
+        digits = str(int(abs(value)))
+        return "-" * (value < 0) + digits[0] + "_" + digits[1:]
+    return repr(value)
+
+
+@st.composite
+def csv_records(draw):
+    """A well-formed file's header and data records as lists of field texts,
+    in shuffled order: 1-3 domains of 1-2 series, gaps, 0 or 2 features,
+    integer, ISO-date or mixed timestamps, and padded or quoted fields."""
+    feat_dim = draw(st.sampled_from((0, 2)))
+    stamps = draw(st.sampled_from(("int", "iso", "mixed")))
+    names = BROKEN_NAMES if draw(st.integers(0, 4)) == 0 else NAMES
+    values = st.floats(-1e6, 1e6, allow_nan=False) | st.integers(-10**6, 10**6).map(float)
+    records = []
+    for dom in draw(st.lists(names, min_size=1, max_size=3, unique_by=str.strip)):
+        for ser in draw(st.lists(names, min_size=1, max_size=2, unique_by=str.strip)):
+            t0 = draw(st.integers(-3, 3))
+            for offset in draw(st.sets(st.integers(0, 9), min_size=1, max_size=6)):
+                t = t0 + offset
+                iso = stamps == "iso" or (stamps == "mixed" and draw(st.booleans()))
+                pad = draw(st.sampled_from(("", " ")))
+                records.append([field(dom, pad), field(ser, pad),
+                                pad + (dt.date.fromordinal(738000 + t).isoformat() if iso
+                                       else str(t)) + pad,
+                                *(number(draw, draw(values)) for _ in range(1 + feat_dim))])
+    order = draw(st.permutations(range(len(records))))
+    header = ["domain", " series", "timestamp ", "value"] + [f"feat_{i}" for i in range(feat_dim)]
+    return header, [records[i] for i in order]
+
+
+@st.composite
+def render(draw, header, records):
+    """The file text: records joined by LF or CRLF, with blank, whitespace-only
+    and (in some files) quoted-blank lines between them, and maybe no final
+    line end."""
+    blanks = draw(st.sampled_from((("", "  ", "\t"), ("", "  ", "\t", '""', '" "'))))
+    lines = [",".join(header)]
+    for rec in records:
+        lines += draw(st.lists(st.sampled_from(blanks), max_size=1))
+        lines.append(",".join(rec))
+    ends = [draw(st.sampled_from(("\n", "\r\n"))) for _ in lines]
+    ends[-1] = draw(st.sampled_from(("", "\n", "\r\n")))
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+def write(directory, text, name="data.csv"):
+    path = Path(directory) / name
+    path.write_bytes(text.encode("utf-8"))
+    return path
+
+
+@given(data=st.data(), value_scale=st.sampled_from((1.0, 0.5, 100.0)),
+       fill_missing=st.sampled_from((0.0, -1.5)))
+def test_ingest_equals_the_row_reference(tmp_path_factory, data, value_scale, fill_missing):
+    header, records = data.draw(csv_records())
+    path = write(tmp_path_factory.mktemp("csv"), data.draw(render(header, records)))
+    expected = assert_same_outcome(path, value_scale, fill_missing)
+    assert not isinstance(expected, str)     # the generated files are well formed
+
+
+FAULTS = ("columns", "timestamp", "number", "non_finite", "duplicate", "span")
+
+
+@given(data=st.data(), fault=st.sampled_from(FAULTS))
+def test_a_fault_gets_the_reference_message(tmp_path_factory, data, fault):
+    header, records = data.draw(csv_records())
+    i = data.draw(st.integers(0, len(records) - 1))
+    rec = list(records[i])
+    if fault == "columns":
+        rec = rec[:-1] if data.draw(st.booleans()) else rec + ["1"]
+    elif fault == "timestamp":
+        rec[2] = data.draw(st.sampled_from(("t1", "2024-13-01", "", "1.5")))
+    elif fault == "number":
+        rec[data.draw(st.integers(3, len(rec) - 1))] = data.draw(st.sampled_from(("x", "", "1,5")))
+    elif fault == "non_finite":
+        rec[data.draw(st.integers(3, len(rec) - 1))] = data.draw(
+            st.sampled_from(("nan", "inf", "-Infinity")))
+    elif fault == "duplicate":
+        rec = records[data.draw(st.integers(0, len(records) - 1))][:3] + rec[3:]
+    else:
+        rec[2] = str(2 * D.MAX_SERIES_STEPS)
+    # a duplicate or an overlong span needs a second record of its series
+    records = records[:i + (fault in ("duplicate", "span"))] + [rec] + records[i + 1:]
+    if fault == "duplicate":
+        records.append(rec)
+    path = write(tmp_path_factory.mktemp("csv"), data.draw(render(header, records)))
+    expected = assert_same_outcome(path)
+    assert isinstance(expected, str)
+
+
+# ---------------------------------------------------------------------------
+# Pinned edge cases
+# ---------------------------------------------------------------------------
+
+def test_long_names_are_kept_whole(tmp_path):
+    name = "d" * 99 + "x"
+    path = write(tmp_path, f"domain,series,timestamp,value\n{name},s,0,1.0\nb,s,0,2.0\n")
+    got = ingest_csv(path)
+    assert [ds.domain_name for ds in got] == sorted([name, "b"])
+    assert_same_outcome(path)
+
+
+def test_header_only_file_is_empty_without_warnings(tmp_path, capsys):
+    path = write(tmp_path, "domain,series,timestamp,value\n\n  \n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert ingest_csv(path) == []
+    code = main(["pretrain", "--data", str(path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "need at least 2 domains" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rows, message", [
+    ("a,s,0,1.0\na,s,1,oops\na,s,0,3.0\na,s,x,4.0", "line 3: unparseable numeric value"),
+    ("a,s,0,1.0\na,s,0,2.0\na,s,1,nan", "line 3: duplicate (domain=a, series=s, timestamp=0)"),
+    ("a,s,0,1.0\na,s,x,oops", "line 3: unparseable timestamp 'x'"),
+    ("a,s,0,1.0\na,s,0,inf", "line 3: non-finite value"),
+], ids=["earlier_line", "duplicate_first", "timestamp_before_number",
+        "non_finite_before_duplicate"])
+def test_the_first_of_two_faults_is_named(tmp_path, rows, message):
+    # across lines the earlier one; within a line, the checks in their order
+    path = write(tmp_path, "domain,series,timestamp,value\n" + rows + "\n")
+    with pytest.raises(DataError) as err:
+        ingest_csv(path)
+    assert str(err.value) == message
+    assert_same_outcome(path)
+
+
+@pytest.mark.parametrize("blank", ["", '""\r\n'], ids=["whitespace_line_in_quotes",
+                                                       "quoted_blank_record"])
+def test_quoted_line_breaks_and_blanks_are_read_as_csv_does(tmp_path, blank):
+    # numpy's tokenizer reads only lines with visible text: it would drop the
+    # whitespace line inside the quoted name and fail on the quoted blank
+    # record, which csv.reader skips; csv.reader reads such files
+    text = ('domain,series,timestamp,value\r\n"a\r\n  \r\nb",s,0,1.0\r\n' + blank
+            + '"c,d",s,1,2.0\n"a\r\n  \r\nb",s,2,3.0\n')
+    path = write(tmp_path, text)
+    got = ingest_csv(path)
+    assert [ds.domain_name for ds in got] == ["a\r\n  \r\nb", "c,d"]
+    assert got[0].values[0].tolist() == [1.0, 0.0, 3.0]
+    assert_same_outcome(path)
+
+
+def test_timestamp_outside_int64_is_a_data_error(tmp_path):
+    # int64 cannot hold it, so it is refused like any unparseable timestamp
+    path = write(tmp_path, "domain,series,timestamp,value\n"
+                           "a,s,0,1.0\na,s,9223372036854775808,2.0\n")
+    with pytest.raises(DataError, match=r"^line 3: unparseable timestamp '9223372036854775808'$"):
+        ingest_csv(path)
+
+
+def test_bytes_that_are_not_utf8_are_a_data_error(tmp_path, capsys):
+    # a data error (exit code 2), not a decoding traceback
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"domain,series,timestamp,value\ncaf\xe9,s,0,1.0\n")
+    with pytest.raises(DataError, match=r"^not UTF-8 text: invalid continuation byte$"):
+        ingest_csv(path)
+    assert main(["pretrain", "--data", str(path), "--out", str(tmp_path / "out")]) == 2
+
+
+# ---------------------------------------------------------------------------
+# CLI on mutated files
+# ---------------------------------------------------------------------------
+
+FUZZ_CONFIG = ('{"train": {"lookback": 6, "horizon": 2, "d_z": 2, "hidden": 4, "kernel": 3, '
+               '"batch_size": 8, "epochs_stage1": 1, "epochs_stage2": 1, "encoder": "mlp", '
+               '"test_fraction": 0.34, "val_fraction": 0.3}}')
+FUZZ_SEED = "".join(f"d{d},s,{t},{10 + d + math.sin(t):.3f}\n"
+                    for d in range(3) for t in range(16))
+
+
+@settings(max_examples=100)
+@given(edits=st.lists(st.tuples(st.sampled_from(("insert", "delete", "drop_line",
+                                                 "copy_line")),
+                                st.integers(0, 10**6),
+                                st.sampled_from(list(',"\n\r 0-.e9xn_#') + ["nan", "1e999",
+                                                                          "9" * 20])),
+                      min_size=1, max_size=4))
+def test_cli_ends_with_an_exit_code_on_mutated_files(edits):
+    text = "domain,series,timestamp,value\n" + FUZZ_SEED
+    for op, at, chunk in edits:
+        at %= len(text) + 1
+        start, end = text.rfind("\n", 0, at) + 1, text.find("\n", at) + 1 or len(text)
+        if op == "insert":
+            text = text[:at] + chunk + text[at:]
+        elif op == "delete":
+            text = text[:at] + text[at + len(chunk):]
+        elif op == "drop_line":
+            text = text[:start] + text[end:]
+        else:
+            text = text[:end] + text[start:end] + text[end:]
+    with tempfile.TemporaryDirectory() as tmp:
+        config = write(tmp, FUZZ_CONFIG, "config.json")
+        path = write(tmp, text)
+        code = main(["pretrain", "--config", str(config), "--data", str(path),
+                     "--out", str(Path(tmp) / "out")])
+    assert code in (0, 1, 2)

@@ -149,6 +149,17 @@ def test_scalar_broadcast_only():
         T.mul(x, Tensor(np.ones(3)))
 
 
+@pytest.mark.parametrize("op", [T.add, T.sub, T.mul, T.div], ids=["add", "sub", "mul", "div"])
+def test_one_element_operand_is_not_a_scalar(op):
+    # only a 0-d operand broadcasts; a (1, 1) block against a (1, 2) one is a
+    # width mismatch, whichever side it is on
+    one, two = Tensor(np.ones((1, 1))), Tensor(np.ones((1, 2)))
+    for a, b in ((one, two), (two, one)):
+        with pytest.raises(ShapeError, match=r"\(1, 1\) and \(1, 2\)|\(1, 2\) and \(1, 1\)"):
+            op(a, b)
+    assert op(two, Tensor(2.0)).shape == (1, 2)
+
+
 def test_add_bias_grads():
     m = Tensor(np.ones((4, 3)), requires_grad=True)
     b = Tensor(np.zeros(3), requires_grad=True)
