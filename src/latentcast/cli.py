@@ -64,6 +64,9 @@ def load_config_file(path: str | None) -> dict:
         raise DataError(f"config file {p} is not valid JSON: {exc}") from None
     if not isinstance(cfg, dict):
         raise DataError(f"config file {p} must hold a JSON object")
+    for name, section in cfg.items():
+        if not isinstance(section, dict):
+            raise DataError(f"config file {p}: section {name!r} must be a JSON object")
     return cfg
 
 

@@ -7,8 +7,10 @@ domain regularizer.
 The moving average is a fixed linear map, so it is kept as one sparse (T, T)
 matrix `A` per (length, kernel): the trend of rows `x` is `x @ A.T`, and the
 backward pass of anything built on it is `g @ A`. The pairwise kernel returns
-the sum and its gradient from one difference tensor. tests/test_kernels.py
-checks both against brute-force loops or finite differences.
+the sum and its gradient in O(N^2) memory: it adds up the squared distances
+one latent column at a time, and its gradient is one (N, N) @ (N, d) product.
+It needs a symmetric mask. tests/test_kernels.py checks both kernels against
+brute-force loops, finite differences or the difference-tensor reference.
 """
 
 from __future__ import annotations
@@ -61,17 +63,28 @@ def pair_dist_sum(z: np.ndarray, mask: np.ndarray | None = None
                   ) -> tuple[float, np.ndarray]:
     """Sum of ||z_i - z_j|| over ordered pairs (i, j), and its gradient in z.
 
-    With an (N, N) boolean `mask`, only the pairs it marks count. Coincident
-    rows (distance 0) add nothing to the sum or the gradient. The gradient is
-    written into the difference buffer in place, so one (N, N, d) tensor
-    serves the sum and the gradient.
+    With an (N, N) boolean `mask`, only the pairs it marks count. The mask
+    must be symmetric (pair (i, j) counts iff (j, i) does), because the
+    gradient adds both orders of a pair as one weight `W = mask / ||z_i - z_j||`:
+    row k of the gradient is `2 * sum_j W_kj (z_k - z_j)`, taken as
+    `2 * (z * rowsum(W) - W @ z)`. Coincident rows (distance 0) add nothing
+    to the sum or the gradient.
+
+    Squared distances are summed from per-column differences, so coincident
+    rows get distance exactly 0; the Gram identity ||a||^2 + ||b||^2 - 2 a.b
+    would leave them a small nonzero distance through cancellation. Memory
+    is a few (N, N) arrays, never an (N, N, d) tensor.
     """
     z = np.asarray(z, dtype=np.float64)
-    diff = z[:, None, :] - z[None, :, :]
-    d = np.sqrt((diff ** 2).sum(axis=-1))
+    n = z.shape[0]
+    d = np.zeros((n, n))
+    step = np.empty((n, n))
+    for col in z.T:
+        np.subtract.outer(col, col, out=step)
+        np.multiply(step, step, out=step)
+        d += step
+    np.sqrt(d, out=d)
     total = float(d.sum() if mask is None else d[mask].sum())
-    w = np.where(d > 0.0, 1.0 / np.where(d > 0.0, d, 1.0), 0.0)
-    if mask is not None:
-        w *= mask
-    diff *= w[:, :, None]
-    return total, 2.0 * diff.sum(axis=1)
+    counted = d > 0.0 if mask is None else np.logical_and(d > 0.0, mask)
+    w = np.divide(1.0, d, out=np.zeros((n, n)), where=counted)
+    return total, 2.0 * (z * w.sum(axis=1)[:, None] - w @ z)

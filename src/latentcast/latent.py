@@ -76,20 +76,28 @@ def read_dump(path) -> LatentDump:
 def _pair_means(vectors: np.ndarray, domains: np.ndarray) -> tuple[float, float, list[str]]:
     """(intra_mean, inter_mean) over unordered pairs; singleton domains are
     excluded from the intra mean."""
-    notes = []
-    for dom in np.unique(domains):
-        if int((domains == dom).sum()) < 2:
-            notes.append(f"domain {int(dom)} has a single row; excluded from intra-domain mean")
-    # gram-based squared distances: O(n^2) memory regardless of latent width
-    sq = (vectors ** 2).sum(axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (vectors @ vectors.T)
-    dist = np.sqrt(np.maximum(d2, 0.0))
-    upper = np.triu(np.ones(dist.shape, dtype=bool), k=1)
-    same = domains[:, None] == domains[None, :]
-    intra = dist[upper & same]
-    inter = dist[upper & ~same]
-    intra_mean = float(intra.mean()) if intra.size else 0.0
-    inter_mean = float(inter.mean()) if inter.size else 0.0
+    labels, index, counts = np.unique(domains, return_inverse=True, return_counts=True)
+    notes = [f"domain {int(dom)} has a single row; excluded from intra-domain mean"
+             for dom in labels[counts < 2]]
+    # Gram-based squared distances: O(n^2) memory regardless of latent width.
+    # Centering first keeps the form from cancelling when the latents sit far
+    # from the origin.
+    v = vectors - vectors.mean(axis=0)
+    sq = (v ** 2).sum(axis=1)
+    dist = v @ v.T
+    dist *= -2.0
+    dist += sq[:, None]
+    dist += sq[None, :]
+    np.sqrt(np.maximum(dist, 0.0, out=dist), out=dist)
+    np.fill_diagonal(dist, 0.0)
+    # (domain, domain) sums over ordered pairs; each unordered pair counts twice
+    onehot = (index[:, None] == np.arange(labels.size)).astype(np.float64)
+    blocks = onehot.T @ dist @ onehot
+    same = np.eye(labels.size, dtype=bool)
+    n_intra = int((counts * (counts - 1)).sum())
+    n_inter = int(counts.sum() ** 2 - (counts ** 2).sum())
+    intra_mean = float(blocks[same].sum() / n_intra) if n_intra else 0.0
+    inter_mean = float(blocks[~same].sum() / n_inter) if n_inter else 0.0
     return intra_mean, inter_mean, notes
 
 

@@ -18,7 +18,8 @@ import hashlib
 import json
 import time
 from dataclasses import asdict, dataclass, field, replace
-from typing import Callable, Sequence
+from functools import cache
+from typing import Callable, Sequence, get_args, get_type_hints
 
 import numpy as np
 
@@ -35,6 +36,20 @@ from .optim import Adam
 from .tensor import Tensor, clip_grad_norm, no_grad
 
 VARIANTS = ("full", "e2e", "no_reg", "no_decomp", "shared_only", "no_cond", "no_latent")
+
+# the value types a config field of each annotated type accepts; bool, an int
+# subclass, is rejected on its own
+_ACCEPTED_TYPES = {int: (int,), float: (int, float), str: (str,), type(None): (type(None),)}
+
+
+@cache
+def _field_types() -> dict[str, tuple[str, tuple[type, ...]]]:
+    """Per TrainConfig field, its annotation's name and the value types it
+    accepts. Resolving the annotations takes longer than the rest of
+    `validate`, so it is done once."""
+    return {name: (getattr(hint, "__name__", str(hint)),
+                   tuple(t for kind in get_args(hint) or (hint,) for t in _ACCEPTED_TYPES[kind]))
+            for name, hint in get_type_hints(TrainConfig).items()}
 
 
 class TrainingError(RuntimeError):
@@ -72,6 +87,12 @@ class TrainConfig:
     fill_missing: float = 0.0
 
     def validate(self) -> None:
+        for name, (kind, accepted) in _field_types().items():
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, accepted):
+                raise ValueError(f"{name} must be {kind}, got {value!r}")
+            if isinstance(value, float) and not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}; valid: {', '.join(VARIANTS)}")
         if self.decoder not in ("recurrent", "linear"):
@@ -84,8 +105,10 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 2 while the domain regularizer is active")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
-        if self.lookback < 1 or self.horizon < 1:
-            raise ValueError("lookback and horizon must be >= 1")
+        if min(self.lookback, self.horizon, self.d_z, self.hidden) < 1:
+            raise ValueError("lookback, horizon, d_z and hidden must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.two_stage and self.epochs_stage1 < 1:
             raise ValueError(f"epochs_stage1 must be >= 1, got {self.epochs_stage1}")
         if self.epochs_stage2 < 1:
@@ -94,8 +117,8 @@ class TrainConfig:
             raise ValueError(f"sample_paths must be >= 1, got {self.sample_paths}")
         if not self.learning_rate > 0.0:
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if not (np.isfinite(self.value_scale) and self.value_scale != 0.0):
-            raise ValueError(f"value_scale must be finite and nonzero, got {self.value_scale}")
+        if self.value_scale == 0.0:
+            raise ValueError(f"value_scale must be nonzero, got {self.value_scale}")
         split_index(self.alpha, self.d_z)
 
     @property

@@ -2,9 +2,15 @@
 -> dump-latents flow on a tiny config, plus exit codes and manifests."""
 
 import json
+import math
+import tempfile
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latentcast import evaluation
 from latentcast.cli import main, write_manifest
@@ -196,13 +202,18 @@ class TestPipelineFlow:
         (("pretrain", "--set", "train.d_z=1"), "d_z"),
         (("pretrain", "--set", "train.learning_rate=-1"), "learning_rate"),
         (("pretrain", "--set", "train.value_scale=0"), "value_scale"),
+        (("pretrain", "--set", "train.learning_rate=abc"), "learning_rate"),
+        (("pretrain", "--set", 'train.batch_size="x"'), "batch_size"),
+        (("pretrain", "--set", "train.epochs_stage1=1.5"), "epochs_stage1"),
+        (("pretrain", "--set", "train.seed=-1"), "seed"),
     ], ids=["epochs_stage1", "epochs_stage2", "batch_size", "sample_paths", "latent_split",
-            "learning_rate", "value_scale"])
+            "learning_rate", "value_scale", "text_for_float", "text_for_int",
+            "fraction_for_int", "negative_seed"])
     def test_empty_training_loop_is_a_usage_error(self, workdir, data_csv, capsys,
                                                   argv, field):
-        # a loop that would run no epoch or no batch, and a setting that would
-        # crash after training, train uphill or divide every value by zero, are
-        # refused before any data loads
+        # a loop that would run no epoch or no batch, a setting that would
+        # crash after training, train uphill or divide every value by zero,
+        # and a value of the wrong type, are refused before any data loads
         root, cfg = workdir
         code = run(*argv, "--config", cfg, "--data", data_csv, "--out", root / "bad")
         assert code == 1
@@ -297,3 +308,43 @@ class TestUsage:
                    "--out", root / "x")
         assert code == 1
         assert "missing.csv" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# CLI on mutated settings
+# ---------------------------------------------------------------------------
+
+FUZZ_TRAIN = {"lookback": 6, "horizon": 2, "d_z": 2, "hidden": 4, "kernel": 3,
+              "batch_size": 8, "epochs_stage1": 1, "epochs_stage2": 1, "encoder": "mlp",
+              "test_fraction": 0.34, "val_fraction": 0.3, "sample_paths": 5}
+FUZZ_DATA = "domain,series,timestamp,value\n" + "".join(
+    f"d{d},s,{t},{10 + d + math.sin(t):.3f}\n" for d in range(3) for t in range(16))
+FUZZ_VALUES = (st.integers(-3, 40) | st.booleans() | st.none() | st.text("ab1.e", max_size=3)
+               | st.sampled_from((-1.0, 0.0, 0.25, 1.5, math.nan, math.inf, [1], {"a": 1},
+                                  "mlp", "bigru", "recurrent", "e2e")))
+
+
+@settings(max_examples=100)
+@given(where=st.sampled_from(("set", "file", "section")),
+       field=st.sampled_from([f.name for f in fields(TrainConfig)] + ["nope"]),
+       value=FUZZ_VALUES, as_json=st.booleans(),
+       command=st.sampled_from((("pretrain",), ("train", "--variant", "e2e"))))
+def test_cli_ends_with_an_exit_code_on_mutated_settings(where, field, value, as_json, command):
+    # one setting of a valid config gets a drawn value, through --set or the
+    # config file, or the whole "train" section is replaced; a setting that
+    # leaves no window to train on is a training failure (exit code 3)
+    train = dict(FUZZ_TRAIN)
+    sets = []
+    if where == "set":
+        sets = ["--set", f"train.{field}={json.dumps(value) if as_json else value}"]
+    elif where == "file":
+        train[field] = value
+    else:
+        train = value
+    with tempfile.TemporaryDirectory() as tmp:
+        config, data = Path(tmp) / "config.json", Path(tmp) / "data.csv"
+        config.write_text(json.dumps({"train": train}), encoding="utf-8")
+        data.write_text(FUZZ_DATA, encoding="utf-8")
+        code = run(*command, "--config", config, "--data", data, *sets,
+                   "--out", Path(tmp) / "out")
+    assert code in (0, 1, 2, 3)

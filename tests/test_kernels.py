@@ -1,8 +1,12 @@
-"""Kernel correctness: the numpy kernels against brute-force loops and
-finite differences."""
+"""Kernel correctness: the numpy kernels against brute-force loops, finite
+differences and the difference-tensor reference."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import latentcast.tensor as T
 from latentcast import kernels
@@ -149,3 +153,57 @@ def test_coincident_rows_contribute_nothing():
     total, grad = kernels.pair_dist_sum(z[[0, 3, 4]])
     assert total == 0.0
     assert np.array_equal(grad, np.zeros((3, 3)))
+
+
+def reference_pair_dist_sum(z, mask=None):
+    # the slow reference: one (N, N, d) difference tensor serves the sum and
+    # the gradient, so it needs no symmetric mask and no matrix product
+    z = np.asarray(z, dtype=np.float64)
+    diff = z[:, None, :] - z[None, :, :]
+    d = np.sqrt((diff ** 2).sum(axis=-1))
+    total = float(d.sum() if mask is None else d[mask].sum())
+    w = np.where(d > 0.0, 1.0 / np.where(d > 0.0, d, 1.0), 0.0)
+    if mask is not None:
+        w *= mask
+    diff *= w[:, :, None]
+    return total, 2.0 * diff.sum(axis=1)
+
+
+@given(n=st.integers(2, 300), width=st.integers(1, 16), seed=st.integers(0, 2**32 - 1),
+       domains=st.none() | st.integers(1, 6), coincident=st.integers(0, 5),
+       scale=st.sampled_from((1e-3, 1.0, 1e3)), shift=st.sampled_from((0.0, 10.0)))
+# the wide-cli batch: 256 windows, d_z = 8, 12 training domains
+@example(n=256, width=8, seed=0, domains=None, coincident=0, scale=1.0, shift=0.0)
+@example(n=256, width=8, seed=1, domains=12, coincident=2, scale=1.0, shift=0.0)
+def test_pair_kernel_matches_reference(n, width, seed, domains, coincident, scale, shift):
+    rng = np.random.default_rng(seed)
+    z = scale * (rng.normal(size=(n, width)) + shift)
+    copies = rng.choice(np.arange(1, n), size=min(coincident, n - 1), replace=False)
+    z[copies] = z[0]
+    mask = None
+    if domains is not None:
+        dom = rng.integers(0, domains, size=n)
+        mask = dom[:, None] != dom[None, :]
+
+    total, grad = kernels.pair_dist_sum(z, mask)
+    exp_total, exp_grad = reference_pair_dist_sum(z, mask)
+    assert abs(total - exp_total) <= 1e-12 * exp_total
+    assert np.max(np.abs(grad - exp_grad)) <= 1e-12 * np.max(np.abs(exp_grad))
+    # the coincident rows stay at distance exactly 0 inside the full batch
+    group = np.isin(np.arange(n), np.append(copies, 0))
+    assert kernels.pair_dist_sum(z, group[:, None] & group[None, :])[0] == 0.0
+
+
+def test_pair_kernel_memory_is_quadratic_in_the_batch():
+    # a few (N, N) buffers, never the (N, N, d) difference tensor
+    n, width = 256, 64
+    rng = np.random.default_rng(6)
+    z = rng.normal(size=(n, width))
+    dom = rng.integers(0, 4, size=n)
+    tracemalloc.start()
+    try:
+        kernels.pair_dist_sum(z, dom[:, None] != dom[None, :])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n * n * 8 < n * n * width * 8

@@ -96,3 +96,19 @@ class TestSeparationScore:
         dump = _dump_from(rng.normal(size=(4, 2)), rng.normal(size=(4, 2)), [0] * 4)
         with pytest.raises(ValueError):
             separation_score(dump)
+
+    def test_far_from_origin_matches_double_loop(self):
+        # two tight clusters at offset 100: squared norms of 3e4 against
+        # squared distances of 1e-4, where an uncentered Gram form cancels
+        rng = np.random.default_rng(5)
+        n = 40
+        domains = np.repeat([0, 1], n // 2)
+        z = 100.0 + np.where(domains[:, None] == 0, 0.0, 1.0) + 0.01 * rng.normal(size=(n, 3))
+        intra, inter = [], []
+        for i in range(n):
+            for j in range(i + 1, n):
+                (intra if domains[i] == domains[j] else inter).append(
+                    np.linalg.norm(z[i] - z[j]))
+        shared_ratio, _, _ = separation_score(_dump_from(z, z, domains))
+        expected = np.mean(inter) / np.mean(intra)
+        assert abs(shared_ratio - expected) <= 1e-10 * expected

@@ -206,6 +206,16 @@ class TestStage2:
         assert float(np.linalg.norm(bias.data - target)) < 0.01 * start_dist
 
 
+def test_validate_checks_each_field_against_its_annotation():
+    # an int where a float goes, and None where the annotation allows it, pass
+    TrainConfig(learning_rate=1, grad_clip=None, encoder=None).validate()
+    for name, value in (("epochs_stage1", True), ("dropout", False), ("grad_clip", "1"),
+                        ("beta", float("nan")), ("alpha", float("-inf")), ("encoder", 1),
+                        ("seed", np.int64(0))):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            TrainConfig(**{name: value}).validate()
+
+
 class TestPipeline:
     def test_full_pipeline_emits_finite_reports(self, tiny_datasets, tiny_config):
         result = run_pipeline(tiny_datasets, tiny_config)
