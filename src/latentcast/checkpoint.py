@@ -16,7 +16,7 @@ import numpy as np
 
 from .tensor import Tensor
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class CheckpointError(ValueError):
@@ -66,30 +66,59 @@ def save_checkpoint(path, kind: str, config: dict, domain_map: list[list],
         json.dump(blob, fh, sort_keys=True)
 
 
-def load_checkpoint(path) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        blob = json.load(fh)
-    version = blob.get("format_version")
+# the JSON type of each top-level value; every key but "extra" is required
+_BLOB_TYPES = {"format_version": int, "kind": str, "config": dict, "domain_map": list,
+               "params": dict, "extra": dict}
+
+
+def _check_blob(blob) -> None:
+    """The blob's keys and types. Each parameter's data becomes an array, whose
+    length `restore_params` checks against the model."""
+    version = blob.get("format_version") if isinstance(blob, dict) else None
     if version != FORMAT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version!r}")
+    if not _BLOB_TYPES.keys() - {"extra"} <= blob.keys() <= _BLOB_TYPES.keys():
+        raise CheckpointError(f"keys {sorted(blob)} are not {sorted(_BLOB_TYPES)}")
+    for key, value in blob.items():
+        if not isinstance(value, _BLOB_TYPES[key]):
+            raise CheckpointError(f"{key} must be a JSON {_BLOB_TYPES[key].__name__}")
+    for row in blob["domain_map"]:
+        if not (isinstance(row, list) and [type(v) for v in row] == [int, str, int]):
+            raise CheckpointError(f"domain_map row {row!r} is not [domain_id, name, index]")
+    for name, entry in blob["params"].items():
+        if not (isinstance(entry, dict) and entry.keys() == {"shape", "data"}
+                and isinstance(entry["shape"], list)):
+            raise CheckpointError(f"parameter {name!r} is not {{shape: [int], data: [number]}}")
+        # a text or nested item raises here; None becomes NaN
+        entry["data"] = np.array(entry["data"], dtype=np.float64)
+        if not np.isfinite(entry["data"]).all():
+            raise CheckpointError(f"parameter {name!r} holds a non-finite value")
+
+
+def load_checkpoint(path) -> dict:
+    """The checkpoint at `path`, its keys and types checked; any fault is a
+    CheckpointError that names the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            blob = json.load(fh)
+        _check_blob(blob)
+    except (OSError, TypeError, ValueError, RecursionError) as exc:
+        # JSONDecodeError and UnicodeDecodeError are ValueErrors, as is CheckpointError
+        raise CheckpointError(f"checkpoint {path}: {exc}") from None
     return blob
 
 
-def restore_params(blob: dict, params: Iterable[Tensor]) -> None:
-    """Copy checkpointed values into freshly built parameters, by name."""
-    stored = blob["params"]
-    seen = set()
+def restore_params(blob: dict, params: Iterable[Tensor], path) -> None:
+    """Copy checkpointed values into freshly built parameters, by name. The
+    checkpoint must hold exactly these parameters, each with the model's
+    shape and as many values as fill it."""
+    params, stored = list(params), blob["params"]
+    if stored.keys() != {p.name for p in params}:
+        raise CheckpointError(f"checkpoint {path}: parameters differ from the model's in "
+                              f"{sorted(stored.keys() ^ {p.name for p in params})}")
     for p in params:
-        if p.name not in stored:
-            raise CheckpointError(f"checkpoint is missing parameter {p.name!r}")
-        entry = stored[p.name]
-        shape = tuple(entry["shape"])
-        if shape != p.shape:
-            raise CheckpointError(
-                f"parameter {p.name!r} shape mismatch: checkpoint {shape}, model {p.shape}"
-            )
-        p.data[...] = np.array(entry["data"], dtype=np.float64).reshape(shape)
-        seen.add(p.name)
-    missing = set(stored) - seen
-    if missing:
-        raise CheckpointError(f"checkpoint has unexpected parameters: {sorted(missing)}")
+        shape, data = tuple(stored[p.name]["shape"]), stored[p.name]["data"]
+        if shape != p.shape or data.shape != (p.size,):
+            raise CheckpointError(f"checkpoint {path}: parameter {p.name!r} has shape {shape} "
+                                  f"and {data.size} values; the model's has shape {p.shape}")
+        p.data[...] = data.reshape(shape)

@@ -19,16 +19,15 @@ from pathlib import Path
 
 from . import __version__
 from .checkpoint import CheckpointError, atomic_write
-from .cvae import CvaePair
 from .data import DataError, SyntheticSpec, generate_synthetic, ingest_csv, write_csv
 from .decomposition import DecompositionError, decompose
 from .evaluation import METRIC_NAMES, MetricError
 from .forecaster import write_forecast_csv
 from .latent import dump_latents, separation_score, write_dump
 from .training import (TrainConfig, TrainingError, VARIANTS, RunRecord, build,
-                       eval_windows, evaluate_model, evaluate_split, load_full,
-                       load_stage1, multi_seed_evaluate, pipeline_split, pretrain,
-                       save_full, save_stage1, train, training_data)
+                       check_split, eval_windows, evaluate_model, evaluate_split, load_full,
+                       load_stage1, multi_seed_evaluate, pipeline_split, save_full,
+                       save_stage1, stage1_pretrain, stage2_train, training_data)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -92,12 +91,9 @@ def train_config_from(cfg: dict, args) -> TrainConfig:
         section["variant"] = args.variant
     try:
         config = TrainConfig(**section)
-    except TypeError as exc:
-        raise UsageError(f"bad train config: {exc}") from None
-    try:
         config.validate()
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"bad train config: {exc}") from None
     return config
 
 
@@ -229,7 +225,7 @@ def cmd_pretrain(args) -> int:
     data = training_data(datasets, config, ("train",))
     pair, _ = build(config, len(data.split.train_domains))
     record = RunRecord(seed=config.seed)
-    pretrain(pair, data, config, record)
+    stage1_pretrain(pair, data.samples["train"], data.domain_index, config, record)
     ckpt = out / "stage1.ckpt.json"
     save_stage1(ckpt, pair, data.domain_map, config)
     _write_text(out / "runrecord_stage1.json",
@@ -239,22 +235,6 @@ def cmd_pretrain(args) -> int:
     print(f"stage-1 loss {record.stage1_losses[0]:.6f} -> {record.stage1_losses[-1]:.6f} "
           f"over {len(record.stage1_losses)} epochs; wrote {ckpt}")
     return EXIT_OK
-
-
-def _load_pretrained(path: str, pair: CvaePair, config: TrainConfig,
-                     domain_map: list[list]) -> None:
-    """Restore a stage-1 checkpoint into `pair` after checking that it was
-    pretrained for this config and domain split."""
-    ckpt_config, ckpt_map = load_stage1(path, pair)
-    for key in ("lookback", "d_z", "hidden", "alpha", "kernel", "seed", "dropout"):
-        if getattr(ckpt_config, key) != getattr(config, key):
-            raise CheckpointError(
-                f"pretrain checkpoint {key}={getattr(ckpt_config, key)} does not match "
-                f"config {key}={getattr(config, key)}")
-    if [list(row) for row in ckpt_map] != [list(row) for row in domain_map]:
-        raise CheckpointError(
-            "pretrain checkpoint was built on a different domain split; "
-            "check data, seed, and split fractions")
 
 
 def cmd_train(args) -> int:
@@ -271,9 +251,10 @@ def cmd_train(args) -> int:
     data = training_data(datasets, config, ("train", "val"))
     pair, model = build(config, len(data.split.train_domains), feat_dim)
     if config.two_stage:
-        _load_pretrained(args.pretrained, pair, config, data.domain_map)
+        load_stage1(args.pretrained, pair, config, data.domain_map)
     record = RunRecord(seed=config.seed)
-    train(model, data, config, record)
+    stage2_train(model, data.samples["train"], data.samples["val"], config, record,
+                 domain_index=data.domain_index)
     report_train, report_test, wins, dists = evaluate_model(model, datasets, data.split,
                                                             config)
 
@@ -384,14 +365,16 @@ def cmd_ablate(args) -> int:
 
 def _fitted(args):
     """A trained model's config and model, the data, the output directory and
-    the domain split, for the commands that read a full checkpoint."""
+    the domain split, for the commands that read a full checkpoint. The data
+    must split into the checkpoint's training domains."""
     path = Path(args.checkpoint)
     if not path.exists():
         raise UsageError(f"checkpoint not found: {path}")
-    config, model, _, _ = load_full(path)
+    config, model, ckpt_map, _ = load_full(path)
     datasets = _load_datasets(args, config)
-    out = resolve_out(args.out, args.overwrite)
-    return config, model, datasets, out, pipeline_split(datasets, config)[0]
+    split, _, domain_map = pipeline_split(datasets, config)
+    check_split(path, ckpt_map, domain_map)
+    return config, model, datasets, resolve_out(args.out, args.overwrite), split
 
 
 # ---------------------------------------------------------------------------

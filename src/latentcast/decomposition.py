@@ -36,14 +36,11 @@ class DecomposedWindow:
 
 
 def decompose(x: np.ndarray, kernel: int) -> DecomposedWindow:
-    x = np.asarray(x, dtype=np.float64)
-    _check_kernel(kernel, x.shape[-1])
-    x_t = kernels.moving_average(x, kernel)
-    return DecomposedWindow(x_t=x_t, x_s=x - x_t, kernel=kernel)
+    return DecomposedWindow(*decompose_batch(x, kernel), kernel)
 
 
 def decompose_batch(x: np.ndarray, kernel: int) -> tuple[np.ndarray, np.ndarray]:
-    """(N, T) rows decomposed at once; returns (trend, seasonal)."""
+    """A (T,) window or (N, T) rows decomposed at once; returns (trend, seasonal)."""
     x = np.asarray(x, dtype=np.float64)
     _check_kernel(kernel, x.shape[-1])
     x_t = kernels.moving_average(x, kernel)

@@ -14,16 +14,11 @@ class MissingGradError(ValueError):
 
 
 class Adam:
-    """Standard Adam update (bias-corrected first/second moments).
-
-    `lr_scales` optionally rescales the learning rate per parameter
-    (used for encoder fine-tuning). step() updates in place and zeroes
-    the gradients afterwards.
-    """
+    """Standard Adam update (bias-corrected first/second moments). step()
+    updates in place and zeroes the gradients afterwards."""
 
     def __init__(self, params: Sequence[Tensor], lr: float = 1e-3,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
-                 lr_scales: Sequence[float] | None = None):
+                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.params = list(params)
         for p in self.params:
             if p.grad is None:
@@ -35,25 +30,16 @@ class Adam:
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
         self.t = 0
-        if lr_scales is None:
-            self.lr_scales = [1.0] * len(self.params)
-        else:
-            if len(lr_scales) != len(self.params):
-                raise ValueError("lr_scales length must match params")
-            self.lr_scales = list(lr_scales)
 
     def step(self) -> None:
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
         for i, p in enumerate(self.params):
-            if p.grad is None:
-                raise MissingGradError(f"parameter {p.name or '<unnamed>'} has no grad buffer")
             g = p.grad
             self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
             self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * (g * g)
             m_hat = self.m[i] / bc1
             v_hat = self.v[i] / bc2
-            p.data -= (self.lr * self.lr_scales[i]) * m_hat / (np.sqrt(v_hat) + self.eps)
-        for p in self.params:
+            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
             p.zero_grad()

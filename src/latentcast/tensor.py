@@ -392,17 +392,6 @@ def zero_grads(params: Iterable[Tensor]) -> None:
         p.zero_grad()
 
 
-def clip_grad_norm(params: Iterable[Tensor], max_norm: float) -> float:
-    """Scale grads in place so their global L2 norm is at most max_norm."""
-    params = [p for p in params if p.grad is not None]
-    total = float(np.sqrt(sum(float((p.grad ** 2).sum()) for p in params)))
-    if total > max_norm > 0.0:
-        scale = max_norm / total
-        for p in params:
-            p.grad *= scale
-    return total
-
-
 def grad_check(f: Callable[[], Tensor], params: Sequence[Tensor], step: float = 1e-5) -> float:
     """Max relative error between backward grads and central differences.
 

@@ -7,9 +7,9 @@ unused. Every Table-4-style variant is a single `variant` string. All
 randomness is derived from the config seed, so a (config, data) pair fully
 determines the run.
 
-`run_pipeline` composes the steps (`training_data`, `build`, `pretrain`,
-`train`, `evaluate_model`); the CLI runs the same steps one command at a time,
-with checkpoints in between.
+`run_pipeline` composes the steps (`training_data`, `build`, `stage1_pretrain`,
+`stage2_train`, `evaluate_model`); the CLI runs the same steps one command at a
+time, with checkpoints in between.
 """
 
 from __future__ import annotations
@@ -26,14 +26,14 @@ import numpy as np
 from .checkpoint import CheckpointError, load_checkpoint, restore_params, save_checkpoint
 from .cvae import (CvaePair, Stage1Batch, domain_regularizer, latent_loss,
                    make_stage1_batch, split_for, split_index)
-from .data import (DomainDataset, DomainSplit, WindowSample, WindowSet,
+from .data import (DataError, DomainDataset, DomainSplit, WindowSample, WindowSet,
                    prepare_samples, split_domains, windows_for_role)
 from .evaluation import METRIC_NAMES, MetricReport, aggregate
 from .forecaster import (QUANTILE_LEVELS, ForecastDistribution, ForecastModel, Forecasts,
                          LinearDecoder, RecurrentDecoder, gaussian_nll, to_distribution)
 from .nets import glorot
 from .optim import Adam
-from .tensor import Tensor, clip_grad_norm, no_grad
+from .tensor import Tensor, no_grad
 
 VARIANTS = ("full", "e2e", "no_reg", "no_decomp", "shared_only", "no_cond", "no_latent")
 
@@ -81,8 +81,6 @@ class TrainConfig:
     val_fraction: float = 0.2
     stride: int = 1
     eval_stride: int = 1
-    grad_clip: float | None = None
-    encoder_lr_scale: float = 1.0
     value_scale: float = 1.0
     fill_missing: float = 0.0
 
@@ -117,6 +115,9 @@ class TrainConfig:
             raise ValueError(f"sample_paths must be >= 1, got {self.sample_paths}")
         if not self.learning_rate > 0.0:
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+        for name in ("test_fraction", "val_fraction"):
+            if not 0.0 < getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must be in (0, 1), got {getattr(self, name)}")
         if self.value_scale == 0.0:
             raise ValueError(f"value_scale must be nonzero, got {self.value_scale}")
         split_index(self.alpha, self.d_z)
@@ -197,8 +198,6 @@ def _fit(stage: int, opt: Adam, n: int, epochs: int, config: TrainConfig,
                 raise TrainingError(f"stage {stage} loss non-finite "
                                     f"(epoch {epoch}, batch {bi}, parts {parts})")
             loss.backward()
-            if config.grad_clip:
-                clip_grad_norm(params, config.grad_clip)
             opt.step()
             values.append(value)
         losses.append(float(np.mean(values)))
@@ -270,12 +269,17 @@ class TrainingData:
 
 def training_data(datasets: Sequence[DomainDataset], config: TrainConfig,
                   roles: Sequence[str]) -> TrainingData:
-    """Split the domains, then window and prepare only the given roles."""
+    """Split the domains, then window and prepare only the given roles. A
+    role left without a window is a data error."""
     split, domain_index, domain_map = pipeline_split(datasets, config)
     samples = {role: prepare_samples(windows_for_role(datasets, split, role, config.lookback,
                                                       config.horizon, config.stride),
                                      in_place=True)
                for role in roles}
+    for role, windows in samples.items():
+        if not len(windows):
+            raise DataError(f"no {role} window: no {role} period holds lookback + horizon = "
+                            f"{config.lookback + config.horizon} steps at stride {config.stride}")
     return TrainingData(split, domain_index, domain_map, samples)
 
 
@@ -310,12 +314,6 @@ def stage1_pretrain(pair: CvaePair, samples: WindowSet, domain_index: dict[int, 
          record.stage1_losses, record.stage1_seconds)
 
 
-def pretrain(pair: CvaePair, data: TrainingData, config: TrainConfig,
-             record: RunRecord) -> None:
-    """Stage 1 on the training-role samples (`data` needs the train role)."""
-    stage1_pretrain(pair, data.samples["train"], data.domain_index, config, record)
-
-
 # ---------------------------------------------------------------------------
 # Stage 2 (and the end-to-end variant)
 # ---------------------------------------------------------------------------
@@ -341,21 +339,15 @@ def stage2_train(model: ForecastModel, train_samples: WindowSet, val_samples: Wi
     e2e = config.variant == "e2e"
     if e2e and domain_index is None:
         raise TrainingError("e2e training needs the domain index map")
-    features = train_samples.a.shape[2] > 0
     latent_inputs = make_stage1_batch(model.pair, train_samples, domain_index) if e2e else None
 
-    params = model.params()
-    n_enc = 0 if model.zero_latent else len(model.pair.encoder_params())
-    if e2e:
-        params = params + model.pair.decoder_params()
-    scales = [config.encoder_lr_scale] * n_enc + [1.0] * (len(params) - n_enc)
-    opt = Adam(params, lr=config.learning_rate, lr_scales=scales)
+    params = model.params() + (model.pair.decoder_params() if e2e else [])
+    opt = Adam(params, lr=config.learning_rate)
     rng = np.random.default_rng([config.seed, 3])
 
     def batch_loss(idx: np.ndarray) -> tuple[Tensor, dict[str, float]]:
-        ab = train_samples.a[idx] if features else None
-        loss = _forecast_loss(model, train_samples.y[idx], train_samples.x[idx], ab, rng=rng,
-                              training=True)
+        loss = _forecast_loss(model, train_samples.y[idx], train_samples.x[idx],
+                              train_samples.a[idx], rng=rng, training=True)
         parts = {"nll": float(loss.data)}
         if e2e:
             latent, latent_parts = _latent_objective(model.pair, latent_inputs.take(idx),
@@ -367,7 +359,7 @@ def stage2_train(model: ForecastModel, train_samples: WindowSet, val_samples: Wi
     def validate(epoch: int) -> float:
         with no_grad():
             val_loss = float(_forecast_loss(model, val_samples.y, val_samples.x,
-                                            val_samples.a if features else None).data)
+                                            val_samples.a).data)
         if not np.isfinite(val_loss):
             raise TrainingError(f"stage 2 validation loss non-finite (epoch {epoch})")
         record.stage2_val_losses.append(val_loss)
@@ -376,14 +368,6 @@ def stage2_train(model: ForecastModel, train_samples: WindowSet, val_samples: Wi
     record.selected_epoch = _fit(2, opt, len(train_samples), config.epochs_stage2, config, rng,
                                  batch_loss, record.stage2_train_losses, record.stage2_seconds,
                                  score=validate, patience=config.patience)
-
-
-def train(model: ForecastModel, data: TrainingData, config: TrainConfig,
-          record: RunRecord) -> None:
-    """Stage 2 on the training-role samples, validated and early-stopped on
-    the val role (`data` needs both)."""
-    stage2_train(model, data.samples["train"], data.samples["val"], config, record,
-                 domain_index=data.domain_index)
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +391,7 @@ def predict_windows(model: ForecastModel, windows: WindowSet,
     notes: list[str] = []
     for lo, hi in zip(starts, starts[1:] + [n]):
         part = prepared[lo:hi]
-        out = model.predict(part.x, part.a if part.a.shape[2] else None, config.sample_paths, rng)
+        out = model.predict(part.x, part.a, config.sample_paths, rng)
         dist = to_distribution(**out, scale=part.scale[:, None],
                                norm_stats=(part.norm_mean[:, None], part.norm_std[:, None]))
         quantiles[:, lo:hi] = dist.quantiles
@@ -477,8 +461,9 @@ def run_pipeline(datasets: Sequence[DomainDataset], config: TrainConfig) -> Pipe
     pair, model = build(config, len(data.split.train_domains), datasets[0].feat_dim)
     record = RunRecord(seed=config.seed)
     if config.two_stage:
-        pretrain(pair, data, config, record)
-    train(model, data, config, record)
+        stage1_pretrain(pair, data.samples["train"], data.domain_index, config, record)
+    stage2_train(model, data.samples["train"], data.samples["val"], config, record,
+                 domain_index=data.domain_index)
     report_train, report_test, windows, dists = evaluate_model(model, datasets, data.split,
                                                                config)
     return PipelineResult(config=config, split=data.split, domain_map=data.domain_map,
@@ -495,13 +480,42 @@ def save_stage1(path, pair: CvaePair, domain_map: list[list], config: TrainConfi
     save_checkpoint(path, "stage1", config.to_dict(), domain_map, pair.params())
 
 
-def load_stage1(path, pair: CvaePair) -> tuple[TrainConfig, list[list]]:
-    """Restore pretrained VAE parameters into a freshly built pair."""
+def _load(path, kind: str) -> tuple[dict, TrainConfig]:
+    """A checkpoint of `kind` and its run config, which must hold every
+    TrainConfig field and pass `validate`."""
     blob = load_checkpoint(path)
-    if blob["kind"] != "stage1":
-        raise CheckpointError(f"expected a stage1 checkpoint, got {blob['kind']!r}")
-    restore_params(blob, pair.params())
-    return TrainConfig(**blob["config"]), blob["domain_map"]
+    if blob["kind"] != kind:
+        raise CheckpointError(f"checkpoint {path}: expected a {kind} checkpoint, "
+                              f"got {blob['kind']!r}")
+    if blob["config"].keys() != _field_types().keys():
+        raise CheckpointError(f"checkpoint {path}: config keys differ from TrainConfig's in "
+                              f"{sorted(blob['config'].keys() ^ _field_types().keys())}")
+    config = TrainConfig(**blob["config"])
+    try:
+        config.validate()
+    except ValueError as exc:
+        raise CheckpointError(f"checkpoint {path}: {exc}") from None
+    return blob, config
+
+
+def check_split(path, ckpt_map: list[list], domain_map: list[list]) -> None:
+    """Refuse a checkpoint whose domain map differs from the data's."""
+    if ckpt_map != domain_map:
+        raise CheckpointError(f"checkpoint {path} was built on a different domain split; "
+                              "check data, seed, and split fractions")
+
+
+def load_stage1(path, pair: CvaePair, config: TrainConfig, domain_map: list[list]) -> None:
+    """Restore pretrained VAE parameters into a freshly built pair, after
+    checking that they were pretrained for this config and domain split."""
+    blob, ckpt_config = _load(path, "stage1")
+    # the settings that shape the pair or its pretraining split
+    for key in ("lookback", "d_z", "hidden", "alpha", "kernel", "seed", "dropout", "encoder"):
+        if getattr(ckpt_config, key) != getattr(config, key):
+            raise CheckpointError(f"checkpoint {path}: {key}={getattr(ckpt_config, key)!r} "
+                                  f"does not match config {key}={getattr(config, key)!r}")
+    check_split(path, blob["domain_map"], domain_map)
+    restore_params(blob, pair.params(), path)
 
 
 def save_full(path, model: ForecastModel, domain_map: list[list],
@@ -512,13 +526,13 @@ def save_full(path, model: ForecastModel, domain_map: list[list],
 
 def load_full(path) -> tuple[TrainConfig, ForecastModel, list[list], dict[int, int]]:
     """Rebuild the trained model (config echo + parameters) from disk."""
-    blob = load_checkpoint(path)
-    if blob["kind"] != "full":
-        raise CheckpointError(f"expected a full checkpoint, got {blob['kind']!r}")
-    config = TrainConfig(**blob["config"])
-    _, model = build(config, len(blob["domain_map"]), blob["extra"]["feat_dim"])
-    restore_params(blob, model.checkpoint_params())
-    domain_index = {int(dom): int(i) for dom, _, i in blob["domain_map"]}
+    blob, config = _load(path, "full")
+    extra = blob.get("extra", {})
+    if extra.keys() != {"feat_dim"} or type(extra["feat_dim"]) is not int or extra["feat_dim"] < 0:
+        raise CheckpointError(f"checkpoint {path}: extra {extra!r} is not {{'feat_dim': n >= 0}}")
+    _, model = build(config, len(blob["domain_map"]), extra["feat_dim"])
+    restore_params(blob, model.checkpoint_params(), path)
+    domain_index = {dom: i for dom, _, i in blob["domain_map"]}
     return config, model, blob["domain_map"], domain_index
 
 

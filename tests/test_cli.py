@@ -206,19 +206,35 @@ class TestPipelineFlow:
         (("pretrain", "--set", 'train.batch_size="x"'), "batch_size"),
         (("pretrain", "--set", "train.epochs_stage1=1.5"), "epochs_stage1"),
         (("pretrain", "--set", "train.seed=-1"), "seed"),
+        (("pretrain", "--set", "train.test_fraction=-3"), "test_fraction"),
+        (("pretrain", "--set", "train.val_fraction=1"), "val_fraction"),
     ], ids=["epochs_stage1", "epochs_stage2", "batch_size", "sample_paths", "latent_split",
             "learning_rate", "value_scale", "text_for_float", "text_for_int",
-            "fraction_for_int", "negative_seed"])
+            "fraction_for_int", "negative_seed", "test_fraction_range", "val_fraction_range"])
     def test_empty_training_loop_is_a_usage_error(self, workdir, data_csv, capsys,
                                                   argv, field):
         # a loop that would run no epoch or no batch, a setting that would
-        # crash after training, train uphill or divide every value by zero,
-        # and a value of the wrong type, are refused before any data loads
+        # crash after training, train uphill, divide every value by zero or
+        # hold out no domain, and a value of the wrong type, are refused
+        # before any data loads
         root, cfg = workdir
         code = run(*argv, "--config", cfg, "--data", data_csv, "--out", root / "bad")
         assert code == 1
         assert field in capsys.readouterr().err
         assert not (root / "bad").exists()
+
+    @pytest.mark.parametrize("argv, role", [
+        (("pretrain", "--set", "train.lookback=60"), "train"),
+        (("train", "--variant", "e2e", "--set", "train.stride=60"), "val"),
+    ], ids=["lookback", "stride"])
+    def test_setting_that_leaves_no_window_is_a_data_error(self, workdir, data_csv, capsys,
+                                                          argv, role):
+        # 60-step series: no window fits a 64-step span, and with stride 60
+        # each series has one window, which ends inside the training period
+        root, cfg = workdir
+        code = run(*argv, "--config", cfg, "--data", data_csv, "--out", root / "bad")
+        assert code == 2
+        assert f"no {role} window" in capsys.readouterr().err
 
     def test_undefined_metric_is_a_data_error(self, workdir, data_csv, capsys, monkeypatch):
         # nrmse fails as it does on all-zero predictions; the run ends with the
@@ -332,7 +348,8 @@ FUZZ_VALUES = (st.integers(-3, 40) | st.booleans() | st.none() | st.text("ab1.e"
 def test_cli_ends_with_an_exit_code_on_mutated_settings(where, field, value, as_json, command):
     # one setting of a valid config gets a drawn value, through --set or the
     # config file, or the whole "train" section is replaced; a setting that
-    # leaves no window to train on is a training failure (exit code 3)
+    # leaves no window to train on is a data error (exit code 2), and one that
+    # leaves no evaluation window is found after training (exit code 3)
     train = dict(FUZZ_TRAIN)
     sets = []
     if where == "set":
@@ -348,3 +365,122 @@ def test_cli_ends_with_an_exit_code_on_mutated_settings(where, field, value, as_
         code = run(*command, "--config", config, "--data", data, *sets,
                    "--out", Path(tmp) / "out")
     assert code in (0, 1, 2, 3)
+
+
+# ---------------------------------------------------------------------------
+# CLI on mutated checkpoints and on another domain split
+# ---------------------------------------------------------------------------
+
+def fuzz_csv(domains: int) -> str:
+    return "domain,series,timestamp,value\n" + "".join(
+        f"d{d},s,{t},{10 + d + math.sin(t):.3f}\n" for d in range(domains) for t in range(16))
+
+
+@pytest.fixture(scope="module")
+def fuzz_run(tmp_path_factory):
+    """Config, data and the stage-1 and full checkpoints of a valid run on
+    FUZZ_DATA; the full checkpoint evaluates cleanly."""
+    root = tmp_path_factory.mktemp("fuzz_run")
+    config, data = root / "config.json", root / "data.csv"
+    config.write_text(json.dumps({"train": FUZZ_TRAIN}), encoding="utf-8")
+    data.write_text(FUZZ_DATA, encoding="utf-8")
+    common = ("--config", config, "--data", data)
+    assert run("pretrain", *common, "--out", root / "pre") == 0
+    stage1 = root / "pre" / "stage1.ckpt.json"
+    assert run("train", *common, "--pretrained", stage1, "--out", root / "fit") == 0
+    full = root / "fit" / "model.ckpt.json"
+    assert run("evaluate", *common, "--checkpoint", full, "--out", root / "eval") == 0
+    return {"common": common, "stage1": stage1, "full": full}
+
+
+@pytest.mark.parametrize("command", ["evaluate", "forecast", "dump-latents"])
+def test_post_training_commands_refuse_another_domain_split(fuzz_run, tmp_path, capsys,
+                                                            command):
+    # the model was trained on 3 domains; these data have 5
+    data = tmp_path / "five.csv"
+    data.write_text(fuzz_csv(5), encoding="utf-8")
+    code = run(command, "--data", data, "--checkpoint", fuzz_run["full"],
+               "--out", tmp_path / "out")
+    assert code == 2
+    assert "different domain split" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("which, edit", [
+    ("full", None),
+    ("full", lambda blob: blob["config"].update(zz=1)),
+    ("full", lambda blob: blob["config"].update(hidden="4")),
+    ("full", lambda blob: blob.pop("domain_map")),
+    ("full", lambda blob: blob["domain_map"][0].pop()),
+    ("full", lambda blob: blob["params"]["aug.b"]["data"].pop()),
+    ("full", lambda blob: blob["params"]["aug.b"]["data"].__setitem__(0, None)),
+    ("full", lambda blob: blob.update(format_version=1)),
+    ("stage1", None),
+    ("stage1", lambda blob: blob["config"].update(encoder=None)),
+], ids=["not_json", "unknown_config_key", "config_type", "no_domain_map", "short_domain_row",
+        "short_data", "non_finite_data", "version_1", "stage1_not_json",
+        "stage1_other_encoder"])
+def test_malformed_checkpoint_is_a_data_error(fuzz_run, tmp_path, capsys, which, edit):
+    # each case ended in a traceback, or trained on, before checkpoints were checked
+    text = fuzz_run[which].read_text(encoding="utf-8")
+    if edit is None:
+        text = text[:len(text) // 2]
+    else:
+        blob = json.loads(text)
+        edit(blob)
+        text = json.dumps(blob)
+    path = tmp_path / "bad.ckpt.json"
+    path.write_text(text, encoding="utf-8")
+    if which == "full":
+        argv = ("evaluate", *fuzz_run["common"], "--checkpoint", path)
+    else:
+        argv = ("train", *fuzz_run["common"], "--pretrained", path)
+    assert run(*argv, "--out", tmp_path / "out") == 2
+    assert str(path) in capsys.readouterr().err
+
+
+def _kind(value) -> str:
+    """A JSON value's kind; numpy reads a bool as a number, so it counts as one."""
+    return "number" if isinstance(value, (bool, int, float)) else type(value).__name__
+
+
+CKPT_VALUES = ("x", [1], {"a": 1}, None, 7)
+
+
+@settings(max_examples=100)
+@given(which=st.sampled_from(("full", "stage1")),
+       mutation=st.sampled_from(("truncate", "delete", "retype", "add")), data=st.data())
+def test_cli_ends_with_an_exit_code_on_mutated_checkpoints(fuzz_run, which, mutation, data):
+    # the text is cut short, or, at a drawn place in the blob, a key or list
+    # item is deleted, a value is replaced by one of another JSON kind, or a
+    # key or item is added; each leaves a faulty checkpoint
+    text = fuzz_run[which].read_text(encoding="utf-8")
+    if mutation == "truncate":
+        text = text[:data.draw(st.integers(0, len(text) - 1))]
+    else:
+        blob = node = json.loads(text)
+        while True:
+            key = data.draw(st.sampled_from(sorted(node) if isinstance(node, dict)
+                                            else range(len(node))))
+            parent, node = node, node[key]
+            if not (isinstance(node, (dict, list)) and node and data.draw(st.integers(0, 3))):
+                break
+        if mutation == "delete":
+            del parent[key]
+        elif mutation == "retype":
+            parent[key] = data.draw(st.sampled_from(
+                [v for v in CKPT_VALUES if _kind(v) != _kind(node)]))
+        else:
+            target = node if isinstance(node, (dict, list)) else parent
+            if isinstance(target, dict):
+                target["zz"] = 1
+            else:
+                target.append(target[0] if target else 1)
+        text = json.dumps(blob)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "mutated.ckpt.json"
+        path.write_text(text, encoding="utf-8")
+        flag = "--checkpoint" if which == "full" else "--pretrained"
+        command = "evaluate" if which == "full" else "train"
+        code = run(command, *fuzz_run["common"], flag, path, "--out", Path(tmp) / "out")
+    assert code in (1, 2)

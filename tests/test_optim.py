@@ -51,15 +51,6 @@ def test_missing_grad_names_parameter():
     assert "frozen_weight" in str(err.value)
 
 
-def test_lr_scales_apply_per_parameter():
-    a, b = make_param(0.0), make_param(0.0)
-    opt = Adam([a, b], lr=0.1, lr_scales=[1.0, 0.5])
-    a.grad[...] = 1.0
-    b.grad[...] = 1.0
-    opt.step()
-    assert abs(a.data[0] / b.data[0] - 2.0) < 1e-9
-
-
 def test_moment_buffers_match_shapes():
     p = Tensor(np.zeros((3, 2)), requires_grad=True, name="w")
     opt = Adam([p], lr=0.01)

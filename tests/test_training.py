@@ -208,8 +208,8 @@ class TestStage2:
 
 def test_validate_checks_each_field_against_its_annotation():
     # an int where a float goes, and None where the annotation allows it, pass
-    TrainConfig(learning_rate=1, grad_clip=None, encoder=None).validate()
-    for name, value in (("epochs_stage1", True), ("dropout", False), ("grad_clip", "1"),
+    TrainConfig(learning_rate=1, encoder=None).validate()
+    for name, value in (("epochs_stage1", True), ("dropout", False), ("reg_weight", "1"),
                         ("beta", float("nan")), ("alpha", float("-inf")), ("encoder", 1),
                         ("seed", np.int64(0))):
         with pytest.raises(ValueError, match=f"^{name} must be"):
@@ -271,7 +271,7 @@ class TestPipeline:
         path = tmp_path / "stage1.ckpt.json"
         save_stage1(path, pair, domain_map, tiny_config)
         pair2 = build_cvae(tiny_config, len(split.train_domains), np.random.default_rng(99))
-        load_stage1(path, pair2)
+        load_stage1(path, pair2, tiny_config, domain_map)
         for p, q in zip(pair.params(), pair2.params()):
             assert np.array_equal(p.data, q.data)
 
