@@ -108,10 +108,12 @@ def load_checkpoint(path) -> dict:
     return blob
 
 
-def restore_params(blob: dict, params: Iterable[Tensor], path) -> None:
-    """Copy checkpointed values into freshly built parameters, by name. The
-    checkpoint must hold exactly these parameters, each with the model's
-    shape and as many values as fill it."""
+def restore_params(blob: dict, params: Iterable[Tensor], path, domain_map: list[list]) -> None:
+    """Copy checkpointed values into freshly built parameters, by name: the
+    checkpoint must hold exactly these, in their shapes, built on `domain_map`."""
+    if blob["domain_map"] != domain_map:
+        raise CheckpointError(f"checkpoint {path} was built on a different domain split; "
+                              "check data, seed, and split fractions")
     params, stored = list(params), blob["params"]
     if stored.keys() != {p.name for p in params}:
         raise CheckpointError(f"checkpoint {path}: parameters differ from the model's in "

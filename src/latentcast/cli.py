@@ -25,9 +25,9 @@ from .evaluation import METRIC_NAMES, MetricError
 from .forecaster import write_forecast_csv
 from .latent import dump_latents, separation_score, write_dump
 from .training import (TrainConfig, TrainingError, VARIANTS, RunRecord, build,
-                       check_split, eval_windows, evaluate_model, evaluate_split, load_full,
-                       load_stage1, multi_seed_evaluate, pipeline_split, save_full,
-                       save_stage1, stage1_pretrain, stage2_train, training_data)
+                       eval_windows, evaluate_model, evaluate_split, load_stage1,
+                       multi_seed_evaluate, pipeline_split, read_checkpoint, restore_full,
+                       save_full, save_stage1, stage1_pretrain, stage2_train, training_data)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -365,15 +365,15 @@ def cmd_ablate(args) -> int:
 
 def _fitted(args):
     """A trained model's config and model, the data, the output directory and
-    the domain split, for the commands that read a full checkpoint. The data
-    must split into the checkpoint's training domains."""
+    the domain split, for the commands that read a full checkpoint, whose
+    domain split and feature width the data must have."""
     path = Path(args.checkpoint)
     if not path.exists():
         raise UsageError(f"checkpoint not found: {path}")
-    config, model, ckpt_map, _ = load_full(path)
+    blob, config = read_checkpoint(path, "full")
     datasets = _load_datasets(args, config)
     split, _, domain_map = pipeline_split(datasets, config)
-    check_split(path, ckpt_map, domain_map)
+    model = restore_full(path, blob, config, domain_map, datasets[0].feat_dim)
     return config, model, datasets, resolve_out(args.out, args.overwrite), split
 
 

@@ -480,7 +480,7 @@ def save_stage1(path, pair: CvaePair, domain_map: list[list], config: TrainConfi
     save_checkpoint(path, "stage1", config.to_dict(), domain_map, pair.params())
 
 
-def _load(path, kind: str) -> tuple[dict, TrainConfig]:
+def read_checkpoint(path, kind: str) -> tuple[dict, TrainConfig]:
     """A checkpoint of `kind` and its run config, which must hold every
     TrainConfig field and pass `validate`."""
     blob = load_checkpoint(path)
@@ -498,24 +498,16 @@ def _load(path, kind: str) -> tuple[dict, TrainConfig]:
     return blob, config
 
 
-def check_split(path, ckpt_map: list[list], domain_map: list[list]) -> None:
-    """Refuse a checkpoint whose domain map differs from the data's."""
-    if ckpt_map != domain_map:
-        raise CheckpointError(f"checkpoint {path} was built on a different domain split; "
-                              "check data, seed, and split fractions")
-
-
 def load_stage1(path, pair: CvaePair, config: TrainConfig, domain_map: list[list]) -> None:
     """Restore pretrained VAE parameters into a freshly built pair, after
     checking that they were pretrained for this config and domain split."""
-    blob, ckpt_config = _load(path, "stage1")
+    blob, ckpt_config = read_checkpoint(path, "stage1")
     # the settings that shape the pair or its pretraining split
     for key in ("lookback", "d_z", "hidden", "alpha", "kernel", "seed", "dropout", "encoder"):
         if getattr(ckpt_config, key) != getattr(config, key):
             raise CheckpointError(f"checkpoint {path}: {key}={getattr(ckpt_config, key)!r} "
                                   f"does not match config {key}={getattr(config, key)!r}")
-    check_split(path, blob["domain_map"], domain_map)
-    restore_params(blob, pair.params(), path)
+    restore_params(blob, pair.params(), path, domain_map)
 
 
 def save_full(path, model: ForecastModel, domain_map: list[list],
@@ -524,16 +516,23 @@ def save_full(path, model: ForecastModel, domain_map: list[list],
                     extra={"feat_dim": feat_dim})
 
 
+def restore_full(path, blob: dict, config: TrainConfig, domain_map: list[list],
+                 feat_dim: int) -> ForecastModel:
+    """A full checkpoint's trained model, for data of its domain split and feature width."""
+    if type(feat_dim) is not int or feat_dim < 0 or blob.get("extra") != {"feat_dim": feat_dim}:
+        raise CheckpointError(f"checkpoint {path}: extra {blob.get('extra')!r} does not hold "
+                              f"the data's feature width {feat_dim!r}")
+    _, model = build(config, len(domain_map), feat_dim)
+    restore_params(blob, model.checkpoint_params(), path, domain_map)
+    return model
+
+
 def load_full(path) -> tuple[TrainConfig, ForecastModel, list[list], dict[int, int]]:
     """Rebuild the trained model (config echo + parameters) from disk."""
-    blob, config = _load(path, "full")
-    extra = blob.get("extra", {})
-    if extra.keys() != {"feat_dim"} or type(extra["feat_dim"]) is not int or extra["feat_dim"] < 0:
-        raise CheckpointError(f"checkpoint {path}: extra {extra!r} is not {{'feat_dim': n >= 0}}")
-    _, model = build(config, len(blob["domain_map"]), extra["feat_dim"])
-    restore_params(blob, model.checkpoint_params(), path)
-    domain_index = {dom: i for dom, _, i in blob["domain_map"]}
-    return config, model, blob["domain_map"], domain_index
+    blob, config = read_checkpoint(path, "full")
+    feat_dim = blob.get("extra", {}).get("feat_dim")
+    model = restore_full(path, blob, config, blob["domain_map"], feat_dim)
+    return config, model, blob["domain_map"], {dom: i for dom, _, i in blob["domain_map"]}
 
 
 # ---------------------------------------------------------------------------

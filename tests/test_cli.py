@@ -406,6 +406,29 @@ def test_post_training_commands_refuse_another_domain_split(fuzz_run, tmp_path, 
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["evaluate", "forecast", "dump-latents"])
+def test_post_training_commands_refuse_other_feature_columns(tmp_path, capsys, command):
+    # a recurrent decoder reads the feature columns; run on data without
+    # them, its prediction ended in a broadcast traceback
+    with_feat = tmp_path / "feat.csv"
+    with_feat.write_text("domain,series,timestamp,value,feat_a\n" + "".join(
+        f"d{d},s,{t},{10 + d + math.sin(t):.3f},{t % 3}\n" for d in range(3)
+        for t in range(16)), encoding="utf-8")
+    without = tmp_path / "plain.csv"
+    without.write_text(FUZZ_DATA, encoding="utf-8")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"train": dict(FUZZ_TRAIN, decoder="recurrent")}),
+                      encoding="utf-8")
+    assert run("train", "--variant", "e2e", "--config", config, "--data", with_feat,
+               "--out", tmp_path / "fit") == 0
+    checkpoint = tmp_path / "fit" / "model.ckpt.json"
+    code = run(command, "--data", without, "--checkpoint", checkpoint,
+               "--out", tmp_path / "out")
+    assert code == 2
+    assert "does not hold the data's feature width 0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("which, edit", [
     ("full", None),
     ("full", lambda blob: blob["config"].update(zz=1)),
@@ -415,10 +438,11 @@ def test_post_training_commands_refuse_another_domain_split(fuzz_run, tmp_path, 
     ("full", lambda blob: blob["params"]["aug.b"]["data"].pop()),
     ("full", lambda blob: blob["params"]["aug.b"]["data"].__setitem__(0, None)),
     ("full", lambda blob: blob.update(format_version=1)),
+    ("full", lambda blob: blob["extra"].update(feat_dim=10**9)),
     ("stage1", None),
     ("stage1", lambda blob: blob["config"].update(encoder=None)),
 ], ids=["not_json", "unknown_config_key", "config_type", "no_domain_map", "short_domain_row",
-        "short_data", "non_finite_data", "version_1", "stage1_not_json",
+        "short_data", "non_finite_data", "version_1", "huge_feat_dim", "stage1_not_json",
         "stage1_other_encoder"])
 def test_malformed_checkpoint_is_a_data_error(fuzz_run, tmp_path, capsys, which, edit):
     # each case ended in a traceback, or trained on, before checkpoints were checked
