@@ -99,20 +99,27 @@ class RecurrentDecoder:
         """Ancestral sampling: (N, n_paths, horizon) drawn paths. Each window
         is conditioned once, through the first horizon step (whose input,
         the window's last value, every path shares), and its state shared by
-        its paths (as in DeepAR, Salinas et al. 2020, arXiv:1704.04110)."""
+        its paths (as in DeepAR, Salinas et al. 2020, arXiv:1704.04110).
+
+        Steps 2..horizon run `GRUCell.step` on plain arrays: each previous
+        draw is written into one reused input array whose feature columns
+        stay zero. The states, and so the draws, are bit-equal to running
+        the cell as a graph op on each step's inputs."""
         n, length = x_prime.shape
+        rows = n * n_paths
         with no_grad():
             first = T.concat([x_prime, T.slice_last(x_prime, length - 1, length)])
             h = np.repeat(self.cell(self._sequence(first, a)).data[0], n_paths, axis=0)
-            draws = np.empty((n * n_paths, self.horizon))
+            inputs = np.zeros((rows, 1 + self.feat_dim))
+            draws = np.empty((rows, self.horizon))
             for s in range(self.horizon):
                 if s:
-                    prev = Tensor(draws[:, s - 1:s])
-                    h = self.cell(self._sequence(prev, None), h0=Tensor(h)).data[0]
+                    inputs[:, 0] = draws[:, s - 1]
+                    h = self.cell.step(inputs, h)
                 state = Tensor(h)
                 mu = self.mu_head(state).data[:, 0]
                 sigma = T.softplus(self.sigma_head(state)).data[:, 0] + SIGMA_FLOOR
-                draws[:, s] = mu + sigma * rng.standard_normal(n * n_paths)
+                draws[:, s] = mu + sigma * rng.standard_normal(rows)
         return draws.reshape(n, n_paths, self.horizon)
 
     def params(self) -> list[Tensor]:

@@ -4,7 +4,6 @@ recurrent cell run over whole sequences, and inverted dropout."""
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import expit
 
 from . import tensor as T
 from .tensor import Tensor
@@ -35,12 +34,19 @@ class GRUCell:
     """Gated recurrent unit; gate layout [reset | update | candidate].
 
     One call runs the cell over a whole sequence as one graph node: the input
-    projection of every step is a single GEMM, the recurrence runs in numpy,
-    and backward is hand-written backpropagation through time (Appleyard et
-    al. 2016, arXiv:1604.01946). The forward uses the same float operations
-    in the same order as a per-step graph of engine primitives, so its values
-    are bit-equal to it wherever numpy sends both to the same BLAS routine
-    (a one-row step product goes to a matrix-vector routine instead).
+    projection of every step is a single product, the recurrence runs in
+    numpy, and backward is hand-written backpropagation through time
+    (Appleyard et al. 2016, arXiv:1604.01946). `step` runs one step on plain
+    arrays, with no graph, through the same step code.
+
+    The reset and update gates are the logistic function computed as
+    0.5 + 0.5*tanh(x/2), within 2.2e-16 of `expit` and cheaper. The forward
+    uses the same float operations in the same order as a per-step graph of
+    engine primitives (`tensor.sigmoid` uses the same formula), so its values
+    are bit-equal to that graph wherever numpy sends both to the same BLAS
+    routine (a one-row step product goes to a matrix-vector routine
+    instead). With a one-wide input the projection is `x * wx[0]`, which
+    equals the K = 1 matrix product bit for bit.
     """
 
     def __init__(self, rng: np.random.Generator, in_dim: int, hidden: int, name: str):
@@ -50,6 +56,40 @@ class GRUCell:
         self.wh = Tensor(glorot(rng, (hidden, 3 * hidden), hidden, hidden),
                          requires_grad=True, name=f"{name}.wh")
         self.b = Tensor(np.zeros(3 * hidden), requires_grad=True, name=f"{name}.b")
+
+    def _project(self, x: np.ndarray) -> np.ndarray:
+        """(M, D) inputs -> (M, 3H) input projections, bias included."""
+        wx = self.wx.data
+        px = x * wx[0] if wx.shape[0] == 1 else x @ wx
+        px += self.b.data
+        return px
+
+    def _step(self, px: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, ...]:
+        """One step from the input projection px (N, 3H) and the state h
+        (N, H): the next state, the [reset | update] gates, the candidate
+        and h @ wh. Every buffer is fresh, so the arithmetic runs in place."""
+        hid = self.hidden
+        ph = h @ self.wh.data
+        ru = px[:, :2 * hid] + ph[:, :2 * hid]
+        ru *= 0.5                          # ru = 0.5 + 0.5 * tanh(0.5 * ru)
+        np.tanh(ru, out=ru)
+        ru *= 0.5
+        ru += 0.5
+        u = ru[:, hid:]
+        c = ru[:, :hid] * ph[:, 2 * hid:]  # c = tanh(px_c + r * ph_c)
+        c += px[:, 2 * hid:]
+        np.tanh(c, out=c)
+        h_next = u * h                     # h_next = u * h + (1 - u) * c
+        keep_c = 1.0 - u
+        keep_c *= c
+        h_next += keep_c
+        return h_next, ru, c, ph
+
+    def step(self, x: np.ndarray, h: np.ndarray) -> np.ndarray:
+        """One step on plain arrays, without a graph: (N, D) inputs and the
+        (N, H) state -> the next (N, H) state. Bit-equal to
+        `self(Tensor(x[:, None, :]), h0=Tensor(h)).data[0]`."""
+        return self._step(self._project(x), h)[0]
 
     def __call__(self, xs: Tensor, h0: Tensor | None = None, keep: int = 1) -> Tensor:
         """The last `keep` states of the cell run over (N, T, D) inputs from
@@ -66,15 +106,12 @@ class GRUCell:
 
         # step-major throughout, so every per-step slice is contiguous
         x_flat = xs.data.transpose(1, 0, 2).reshape(length * n, in_dim)
-        px = (x_flat @ wx).reshape(length, n, 3 * hid) + self.b.data
+        px = self._project(x_flat).reshape(length, n, 3 * hid)
         hs = [np.zeros((n, hid)) if h0 is None else h0.data]   # hs[t] enters step t
         gates, cands, phcs = [], [], []   # reset | update, candidate, candidate slice of h @ wh
         for t in range(length):
-            ph = hs[t] @ wh
-            ru = expit(px[t, :, :2 * hid] + ph[:, :2 * hid])
-            u = ru[:, hid:]
-            c = np.tanh(px[t, :, 2 * hid:] + ru[:, :hid] * ph[:, 2 * hid:])
-            hs.append(u * hs[t] + (1.0 - u) * c)
+            h, ru, c, ph = self._step(px[t], hs[t])
+            hs.append(h)
             gates.append(ru)
             cands.append(c)
             phcs.append(ph[:, 2 * hid:])

@@ -3,6 +3,8 @@ behavior, and the differentiable path."""
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import latentcast.tensor as T
 from latentcast.decomposition import (DecompositionError, decompose, decompose_batch,
@@ -32,12 +34,15 @@ def test_constant_input_all_trend():
 
 
 @pytest.mark.parametrize("kernel", [1, 5, 9, 13])
-def test_exact_reconstruction(kernel):
-    rng = np.random.default_rng(kernel)
-    for _ in range(250):
-        x = rng.normal(size=30) * rng.uniform(0.1, 100)
-        parts = decompose(x, kernel)
-        assert np.max(np.abs(parts.x_t + parts.x_s - x)) <= 1e-12
+@given(n=st.integers(1, 4), extra=st.integers(0, 40), log_scale=st.floats(-3.0, 3.0),
+       seed=st.integers(0, 2 ** 16))
+def test_exact_reconstruction(kernel, n, extra, log_scale, seed):
+    x = np.random.default_rng(seed).normal(size=(n, kernel + extra)) * 10.0 ** log_scale
+    x_t, x_s = decompose_batch(x, kernel)
+    # x_s is x - x_t rounded once, so x_t + x_s can miss x only by the two
+    # roundings, each at most half an ulp of the row's largest magnitude
+    bound = 2.0 * np.finfo(np.float64).eps * np.max(np.abs(x), axis=1, keepdims=True)
+    assert np.all(np.abs(x_t + x_s - x) <= bound)
 
 
 def test_linear_ramp_interior_trend_equals_ramp():

@@ -3,6 +3,8 @@ construction, inversion, and end-to-end differentiability."""
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import latentcast.tensor as T
 from latentcast.cvae import CvaePair
@@ -207,11 +209,23 @@ class TestToDistribution:
         d = to_distribution(mu=mu, sigma=np.full(2, 1e-300))
         assert np.allclose(d.quantiles, np.tile(mu, (9, 1)), atol=1e-12)
 
-    def test_monotone_quantiles_both_modes(self):
-        rng = np.random.default_rng(0)
-        closed = to_distribution(mu=rng.normal(size=4), sigma=rng.uniform(0.1, 2, 4))
-        sampled = to_distribution(samples=rng.normal(size=(40, 4)))
+    @given(m=st.integers(1, 3), horizon=st.integers(1, 4), paths=st.integers(1, 30),
+           feat_dim=st.integers(0, 2), seed=st.integers(0, 2 ** 16))
+    def test_monotone_quantiles_both_modes(self, m, horizon, paths, feat_dim, seed):
+        # the Gaussian head, and the paths the recurrent decoder samples, in
+        # original units, as `predict_windows` builds them
+        rng = np.random.default_rng(seed)
+        scale = rng.uniform(0.1, 10.0, (m, 1))
+        stats = (rng.normal(size=(m, 1)), rng.uniform(0.0, 3.0, (m, 1)))
+        closed = to_distribution(mu=rng.normal(size=(m, horizon)),
+                                 sigma=rng.uniform(1e-6, 2.0, (m, horizon)),
+                                 scale=scale, norm_stats=stats)
+        dec = RecurrentDecoder(rng, feat_dim, 4, horizon, drop=0.0)
+        a = rng.normal(size=(m, 5, feat_dim)) if feat_dim else None
+        samples = dec.sample_paths(Tensor(rng.normal(size=(m, 5))), a, paths, rng)
+        sampled = to_distribution(samples=samples, scale=scale, norm_stats=stats)
         for d in (closed, sampled):
+            assert d.quantiles.shape == (9, m, horizon)
             assert np.all(np.diff(d.quantiles, axis=0) >= 0)
 
     def test_few_samples_notes_warning(self):

@@ -1,11 +1,14 @@
 """The fused recurrent op against slow references: finite differences, the
 composed per-step graph of engine primitives, and per-step copies of the
-encoder, teacher-forcing and sampling loops built on it."""
+encoder, teacher-forcing and sampling loops built on it; the gate formula
+against `expit`."""
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.special import expit
 
 import latentcast.tensor as T
 from latentcast.cvae import BiGruEncoder
@@ -144,6 +147,28 @@ def test_fused_gru_equals_composed_graph(n, length, in_dim, hidden, keep_frac, w
         ref.append(h0_ref.grad)
     for got, want in zip(fused, ref):
         assert _rel_err(got, want) <= 1e-10
+
+
+@given(x=arrays(np.float64, st.integers(1, 64), elements=st.floats(-800.0, 800.0)))
+@example(x=np.array([0.0, -0.0, 1e-300, -1e-300, 36.0, -36.0, 710.0, -745.0, 800.0, -800.0]))
+def test_gate_formula_is_within_two_ulps_of_expit(x):
+    # the fused op's gates and tensor.sigmoid compute 0.5 + 0.5*tanh(x/2);
+    # its error against expit is absolute, not relative, in the far negative
+    # tail, which is enough for gates that multiply O(1) values
+    y = T.sigmoid(Tensor(x)).data
+    assert np.max(np.abs(y - expit(x))) <= 4.5e-16
+    assert np.all((y >= 0.0) & (y <= 1.0))
+
+
+@pytest.mark.parametrize("in_dim", [1, 3], ids=["value_only", "with_features"])
+@given(n=st.integers(2, 6), hidden=st.integers(1, 5), seed=st.integers(0, 2 ** 16))
+def test_step_equals_one_step_sequence(in_dim, n, hidden, seed):
+    cell, rng = _cell(seed, in_dim, hidden)
+    x = rng.normal(size=(n, in_dim))
+    h = rng.normal(size=(n, hidden))
+    got = cell.step(x, h)
+    assert isinstance(got, np.ndarray)
+    assert np.array_equal(got, cell(Tensor(x[:, None, :]), h0=Tensor(h)).data[0])
 
 
 def test_fused_gru_rejects_bad_shapes():

@@ -70,16 +70,19 @@ def test_operator_columns_are_bruteforce_impulse_responses(kernel, length):
 
 
 @pytest.mark.parametrize("kernel", [1, 3, 5, 7])
-def test_adjoint_is_transpose(kernel):
-    # <A x, g> == <x, A^T g>, with A^T g taken from the graph's backward pass
-    rng = np.random.default_rng(1)
-    for _ in range(20):
-        x = Tensor(rng.normal(size=11), requires_grad=True)
-        g = rng.normal(size=11)
-        lhs = np.dot(kernels.moving_average(x.data, kernel), g)
-        T.tsum(trend_component(x, kernel) * Tensor(g)).backward()
-        rhs = np.dot(x.data, x.grad)
-        assert abs(lhs - rhs) < 1e-12
+@given(n=st.integers(1, 3), extra=st.integers(0, 30), seed=st.integers(0, 2 ** 16))
+def test_adjoint_is_transpose(kernel, n, extra, seed):
+    # <A x, g> == <x, A^T g>, with A^T g taken from the graph's backward pass;
+    # relative to the sums of absolute products, which bound each side's
+    # rounding error
+    rng = np.random.default_rng(seed)
+    x = Tensor(rng.normal(size=(n, kernel + extra)), requires_grad=True)
+    g = rng.normal(size=x.shape)
+    ax = kernels.moving_average(x.data, kernel)
+    T.tsum(trend_component(x, kernel) * Tensor(g)).backward()
+    lhs, rhs = np.sum(ax * g), np.sum(x.data * x.grad)
+    scale = max(np.sum(np.abs(ax * g)), np.sum(np.abs(x.data * x.grad)))
+    assert abs(lhs - rhs) <= 1e-12 * scale
 
 
 def test_long_series_decomposes_with_a_sparse_operator():
