@@ -39,8 +39,8 @@ def test_constant_input_all_trend():
 def test_exact_reconstruction(kernel, n, extra, log_scale, seed):
     x = np.random.default_rng(seed).normal(size=(n, kernel + extra)) * 10.0 ** log_scale
     x_t, x_s = decompose_batch(x, kernel)
-    # x_s is x - x_t rounded once, so x_t + x_s can miss x only by the two
-    # roundings, each at most half an ulp of the row's largest magnitude
+    # x_s is x - x_t rounded once, so x_t + x_s can miss x only by two
+    # roundings of values at most twice the row's largest magnitude
     bound = 2.0 * np.finfo(np.float64).eps * np.max(np.abs(x), axis=1, keepdims=True)
     assert np.all(np.abs(x_t + x_s - x) <= bound)
 
