@@ -40,13 +40,12 @@ class GRUCell:
     arrays, with no graph, through the same step code.
 
     The reset and update gates are the logistic function computed as
-    0.5 + 0.5*tanh(x/2), within 2.2e-16 of `expit` and cheaper. The forward
-    uses the same float operations in the same order as a per-step graph of
-    engine primitives (`tensor.sigmoid` uses the same formula), so its values
-    are bit-equal to that graph wherever numpy sends both to the same BLAS
-    routine (a one-row step product goes to a matrix-vector routine
-    instead). With a one-wide input the projection is `x * wx[0]`, which
-    equals the K = 1 matrix product bit for bit.
+    0.5 + 0.5*tanh(x/2), within machine epsilon (2**-52) of `expit` and
+    cheaper. The forward uses the same float operations in the same order as
+    a per-step graph of engine primitives (`tensor.sigmoid` uses the same
+    formula), so its values are bit-equal to that graph wherever numpy sends
+    both to the same BLAS routine (a one-row step product goes to a
+    matrix-vector routine instead).
     """
 
     def __init__(self, rng: np.random.Generator, in_dim: int, hidden: int, name: str):
@@ -59,30 +58,20 @@ class GRUCell:
 
     def _project(self, x: np.ndarray) -> np.ndarray:
         """(M, D) inputs -> (M, 3H) input projections, bias included."""
-        wx = self.wx.data
-        px = x * wx[0] if wx.shape[0] == 1 else x @ wx
+        px = x @ self.wx.data
         px += self.b.data
         return px
 
     def _step(self, px: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, ...]:
         """One step from the input projection px (N, 3H) and the state h
         (N, H): the next state, the [reset | update] gates, the candidate
-        and h @ wh. Every buffer is fresh, so the arithmetic runs in place."""
+        and h @ wh."""
         hid = self.hidden
         ph = h @ self.wh.data
-        ru = px[:, :2 * hid] + ph[:, :2 * hid]
-        ru *= 0.5                          # ru = 0.5 + 0.5 * tanh(0.5 * ru)
-        np.tanh(ru, out=ru)
-        ru *= 0.5
-        ru += 0.5
-        u = ru[:, hid:]
-        c = ru[:, :hid] * ph[:, 2 * hid:]  # c = tanh(px_c + r * ph_c)
-        c += px[:, 2 * hid:]
-        np.tanh(c, out=c)
-        h_next = u * h                     # h_next = u * h + (1 - u) * c
-        keep_c = 1.0 - u
-        keep_c *= c
-        h_next += keep_c
+        ru = 0.5 + 0.5 * np.tanh(0.5 * (px[:, :2 * hid] + ph[:, :2 * hid]))
+        r, u = ru[:, :hid], ru[:, hid:]
+        c = np.tanh(px[:, 2 * hid:] + r * ph[:, 2 * hid:])
+        h_next = u * h + (1.0 - u) * c
         return h_next, ru, c, ph
 
     def step(self, x: np.ndarray, h: np.ndarray) -> np.ndarray:

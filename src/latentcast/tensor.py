@@ -298,8 +298,9 @@ def tanh(a) -> Tensor:
 
 
 def sigmoid(a) -> Tensor:
-    """The logistic function as 0.5 + 0.5*tanh(x/2): within 2.2e-16 of
-    `expit` over [-800, 800], and the formula of `nets.GRUCell`'s gates."""
+    """The logistic function as 0.5 + 0.5*tanh(x/2): within machine epsilon
+    (2**-52) of `expit` over [-800, 800], and the formula of
+    `nets.GRUCell`'s gates."""
     a = _as_tensor(a)
     y = 0.5 + 0.5 * np.tanh(0.5 * a.data)
     return custom_op(y, (a,), (lambda g: g * y * (1.0 - y),))

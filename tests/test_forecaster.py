@@ -227,6 +227,13 @@ class TestToDistribution:
         for d in (closed, sampled):
             assert d.quantiles.shape == (9, m, horizon)
             assert np.all(np.diff(d.quantiles, axis=0) >= 0)
+        # the one-window forms: (h,) mu and sigma, (paths, h) samples
+        one_closed = to_distribution(mu=rng.normal(size=horizon),
+                                     sigma=rng.uniform(1e-6, 2.0, horizon))
+        one_sampled = to_distribution(samples=samples[0])
+        for d in (one_closed, one_sampled):
+            assert d.quantiles.shape == (9, horizon)
+            assert np.all(np.diff(d.quantiles, axis=0) >= 0)
 
     def test_few_samples_notes_warning(self):
         d = to_distribution(samples=np.random.default_rng(1).normal(size=(5, 3)))
