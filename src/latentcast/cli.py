@@ -24,10 +24,10 @@ from .decomposition import DecompositionError, decompose
 from .evaluation import METRIC_NAMES, MetricError
 from .forecaster import write_forecast_csv
 from .latent import dump_latents, separation_score, write_dump
-from .training import (TrainConfig, TrainingError, VARIANTS, RunRecord, build,
-                       eval_windows, evaluate_model, evaluate_split, load_stage1,
-                       multi_seed_evaluate, pipeline_split, read_checkpoint, restore_full,
-                       save_full, save_stage1, stage1_pretrain, stage2_train, training_data)
+from .training import (EVAL_SPLITS, TrainConfig, TrainingError, VARIANTS, RunRecord, build,
+                       eval_windows, evaluate_split, multi_seed_evaluate, pipeline_split,
+                       read_checkpoint, restore_full, run_pipeline, save_full, save_stage1,
+                       stage1_pretrain, training_data)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -223,7 +223,7 @@ def cmd_pretrain(args) -> int:
     datasets = _load_datasets(args, config)
     out = resolve_out(args.out, args.overwrite)
     data = training_data(datasets, config, ("train",))
-    pair, _ = build(config, len(data.split.train_domains))
+    pair = build(config, len(data.split.train_domains), datasets[0].feat_dim).pair
     record = RunRecord(seed=config.seed)
     stage1_pretrain(pair, data.samples["train"], data.domain_index, config, record)
     ckpt = out / "stage1.ckpt.json"
@@ -245,27 +245,21 @@ def cmd_train(args) -> int:
             raise UsageError("train requires --pretrained CHECKPOINT unless --variant e2e/no_latent")
         if not Path(args.pretrained).exists():
             raise UsageError(f"pretrain checkpoint not found: {args.pretrained}")
+    elif args.pretrained:
+        raise UsageError(f"variant {config.variant!r} has no separate pretraining stage")
     datasets = _load_datasets(args, config)
     out = resolve_out(args.out, args.overwrite)
-    feat_dim = datasets[0].feat_dim
-    data = training_data(datasets, config, ("train", "val"))
-    pair, model = build(config, len(data.split.train_domains), feat_dim)
-    if config.two_stage:
-        load_stage1(args.pretrained, pair, config, data.domain_map)
-    record = RunRecord(seed=config.seed)
-    stage2_train(model, data.samples["train"], data.samples["val"], config, record,
-                 domain_index=data.domain_index)
-    report_train, report_test, wins, dists = evaluate_model(model, datasets, data.split,
-                                                            config)
+    result = run_pipeline(datasets, config, pretrained=args.pretrained)
+    record, report_test = result.record, result.report_test
 
     ckpt = out / "model.ckpt.json"
-    save_full(ckpt, model, data.domain_map, config, feat_dim)
+    save_full(ckpt, result.model, result.domain_map, config, datasets[0].feat_dim)
     _write_text(out / "runrecord.json",
                 json.dumps(record.to_dict(), indent=2, sort_keys=True) + "\n")
     artifacts = {"checkpoint": str(ckpt), "runrecord": str(out / 'runrecord.json')}
-    artifacts.update(_write_reports(out, {"train": report_train, "test": report_test}))
+    artifacts.update(_write_reports(out, {"train": result.report_train, "test": report_test}))
     fc_path = out / "forecasts_test.csv"
-    write_forecast_csv(fc_path, wins, dists)
+    write_forecast_csv(fc_path, result.test_windows, result.test_forecasts)
     artifacts["forecasts_test"] = str(fc_path)
     write_manifest(out, "train", config.to_dict(), artifacts)
     print(f"selected epoch {record.selected_epoch} "
@@ -277,10 +271,10 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     config, model, datasets, out, split = _fitted(args)
-    report_train, report_test, _, _ = evaluate_model(model, datasets, split, config)
-    artifacts = _write_reports(out, {"train": report_train, "test": report_test})
+    reports = {w: evaluate_split(model, datasets, split, config, w)[0] for w in EVAL_SPLITS}
+    artifacts = _write_reports(out, reports)
     write_manifest(out, "evaluate", config.to_dict(), artifacts)
-    for name, report in (("train", report_train), ("test", report_test)):
+    for name, report in reports.items():
         print(f"[{name}] " + "  ".join(
             f"{m}={report.average[m]:.6f}" for m in METRIC_NAMES))
     return EXIT_OK
@@ -387,17 +381,18 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, data=True, config=True):
-        if config:
-            p.add_argument("--config", help="JSON config file")
-            p.add_argument("--set", action="append", default=[],
-                           metavar="SECTION.KEY=VALUE", help="override a config value")
+    def common(p, data=True, run=False):
+        # only the commands that train read --seed and --variant
+        p.add_argument("--config", help="JSON config file")
+        p.add_argument("--set", action="append", default=[],
+                       metavar="SECTION.KEY=VALUE", help="override a config value")
         if data:
             p.add_argument("--data", required=True, help="input CSV")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--overwrite", action="store_true")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--variant", default=None, choices=VARIANTS)
+        if run:
+            p.add_argument("--seed", type=int, default=None)
+            p.add_argument("--variant", default=None, choices=VARIANTS)
 
     p = sub.add_parser("synth", help="generate a synthetic multi-domain CSV")
     common(p, data=False)
@@ -411,11 +406,11 @@ def build_parser() -> _Parser:
     p.set_defaults(fn=cmd_decompose)
 
     p = sub.add_parser("pretrain", help="stage 1: pretrain the conditional VAE pair")
-    common(p)
+    common(p, run=True)
     p.set_defaults(fn=cmd_pretrain)
 
     p = sub.add_parser("train", help="stage 2: train the forecasting decoder")
-    common(p)
+    common(p, run=True)
     p.add_argument("--pretrained", default=None, help="stage-1 checkpoint")
     p.set_defaults(fn=cmd_train)
 
@@ -437,7 +432,9 @@ def build_parser() -> _Parser:
     p.set_defaults(fn=cmd_dump_latents)
 
     p = sub.add_parser("ablate", help="run variant ablations over multiple seeds")
-    common(p)
+    # --seeds and --variants override --seed and --variant, which stay so that
+    # argparse does not read them as abbreviations of the two
+    common(p, run=True)
     p.add_argument("--variants", default="full,e2e,no_reg,no_decomp,shared_only,no_cond")
     p.add_argument("--seeds", default="0")
     p.set_defaults(fn=cmd_ablate)

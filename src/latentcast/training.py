@@ -7,9 +7,9 @@ unused. Every Table-4-style variant is a single `variant` string. All
 randomness is derived from the config seed, so a (config, data) pair fully
 determines the run.
 
-`run_pipeline` composes the steps (`training_data`, `build`, `stage1_pretrain`,
-`stage2_train`, `evaluate_model`); the CLI runs the same steps one command at a
-time, with checkpoints in between.
+`run_pipeline` is the one place that writes the stage sequence (`training_data`,
+`build`, stage 1 or its checkpoint, `stage2_train`, `evaluate_split` per split);
+the CLI's `train` and `ablate` run it, and `pretrain` runs stage 1 alone.
 """
 
 from __future__ import annotations
@@ -237,16 +237,11 @@ def build_model(config: TrainConfig, pair: CvaePair, feat_dim: int,
                          zero_latent=(config.variant == "no_latent"))
 
 
-def build(config: TrainConfig, num_domains: int, feat_dim: int | None = None
-          ) -> tuple[CvaePair, ForecastModel | None]:
-    """The VAE pair and, given the feature width, the forecasting model
-    around it. Both draw from the seed's initialization stream, pair first, so
-    a pair built alone equals the pair of a full build."""
+def build(config: TrainConfig, num_domains: int, feat_dim: int) -> ForecastModel:
+    """The forecasting model around a fresh VAE pair (`.pair`). Both draw from
+    the seed's initialization stream, pair first."""
     rng = np.random.default_rng([config.seed, 1])
-    pair = build_cvae(config, num_domains, rng)
-    if feat_dim is None:
-        return pair, None
-    return pair, build_model(config, pair, feat_dim, rng)
+    return build_model(config, build_cvae(config, num_domains, rng), feat_dim, rng)
 
 
 def pipeline_split(datasets: Sequence[DomainDataset], config: TrainConfig):
@@ -428,15 +423,6 @@ def evaluate_split(model: ForecastModel, datasets: Sequence[DomainDataset],
     return report, windows, dists
 
 
-def evaluate_model(model: ForecastModel, datasets: Sequence[DomainDataset],
-                   split: DomainSplit, config: TrainConfig
-                   ) -> tuple[MetricReport, MetricReport, WindowSet, Forecasts]:
-    """Both splits' reports, then the test split's windows and forecasts."""
-    report_train, _, _ = evaluate_split(model, datasets, split, config, "train")
-    report_test, windows, dists = evaluate_split(model, datasets, split, config, "test")
-    return report_train, report_test, windows, dists
-
-
 # ---------------------------------------------------------------------------
 # Full pipeline
 # ---------------------------------------------------------------------------
@@ -452,24 +438,36 @@ class PipelineResult:
     record: RunRecord
     report_train: MetricReport
     report_test: MetricReport
-    forecasts_test: list[tuple[WindowSample, ForecastDistribution]]
+    test_windows: WindowSet
+    test_forecasts: Forecasts
+
+    @property
+    def forecasts_test(self) -> list[tuple[WindowSample, ForecastDistribution]]:
+        """The test split as (window, distribution) rows, in window order."""
+        return list(zip(self.test_windows, self.test_forecasts))
 
 
-def run_pipeline(datasets: Sequence[DomainDataset], config: TrainConfig) -> PipelineResult:
+def run_pipeline(datasets: Sequence[DomainDataset], config: TrainConfig,
+                 pretrained=None) -> PipelineResult:
+    """Both stages, then both splits' reports. A two-stage variant given a
+    `pretrained` stage-1 checkpoint restores the pair from it instead of
+    running stage 1."""
     config.validate()
     data = training_data(datasets, config, ("train", "val"))
-    pair, model = build(config, len(data.split.train_domains), datasets[0].feat_dim)
+    model = build(config, len(data.split.train_domains), datasets[0].feat_dim)
     record = RunRecord(seed=config.seed)
-    if config.two_stage:
-        stage1_pretrain(pair, data.samples["train"], data.domain_index, config, record)
+    if config.two_stage and pretrained is not None:
+        load_stage1(pretrained, model.pair, config, data.domain_map)
+    elif config.two_stage:
+        stage1_pretrain(model.pair, data.samples["train"], data.domain_index, config, record)
     stage2_train(model, data.samples["train"], data.samples["val"], config, record,
                  domain_index=data.domain_index)
-    report_train, report_test, windows, dists = evaluate_model(model, datasets, data.split,
-                                                               config)
+    report_train, _, _ = evaluate_split(model, datasets, data.split, config, "train")
+    report_test, windows, dists = evaluate_split(model, datasets, data.split, config, "test")
     return PipelineResult(config=config, split=data.split, domain_map=data.domain_map,
-                          domain_index=data.domain_index, pair=pair, model=model,
-                          record=record, report_train=report_train,
-                          report_test=report_test, forecasts_test=list(zip(windows, dists)))
+                          domain_index=data.domain_index, pair=model.pair, model=model,
+                          record=record, report_train=report_train, report_test=report_test,
+                          test_windows=windows, test_forecasts=dists)
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +520,7 @@ def restore_full(path, blob: dict, config: TrainConfig, domain_map: list[list],
     if type(feat_dim) is not int or feat_dim < 0 or blob.get("extra") != {"feat_dim": feat_dim}:
         raise CheckpointError(f"checkpoint {path}: extra {blob.get('extra')!r} does not hold "
                               f"the data's feature width {feat_dim!r}")
-    _, model = build(config, len(domain_map), feat_dim)
+    model = build(config, len(domain_map), feat_dim)
     restore_params(blob, model.checkpoint_params(), path, domain_map)
     return model
 

@@ -17,7 +17,7 @@ from latentcast.cli import main, write_manifest
 from latentcast.data import ingest_csv, make_windows
 from latentcast.evaluation import MetricError
 from latentcast.forecaster import Forecasts, write_forecast_csv
-from latentcast.training import TrainConfig, run_pipeline
+from latentcast.training import TrainConfig, load_full, run_pipeline
 
 TINY_CONFIG = {
     "synthetic": {
@@ -177,12 +177,23 @@ class TestPipelineFlow:
 
     @pytest.mark.parametrize("decoder", ["linear", "recurrent"])
     def test_cli_report_equals_run_pipeline(self, workdir, data_csv, decoder):
+        # pretrain + train --pretrained, through a stage-1 checkpoint, writes
+        # what one in-memory run_pipeline holds: reports, forecasts, parameters
         root, cfg = workdir
         self._pretrain_and_train(root, cfg, data_csv, decoder)
         config = TrainConfig(**{**TINY_CONFIG["train"], "decoder": decoder})
         result = run_pipeline(ingest_csv(data_csv), config)
-        assert ((root / "fit" / "report_test.json").read_text(encoding="utf-8")
-                == result.report_test.to_json() + "\n")
+        for name, report in (("train", result.report_train), ("test", result.report_test)):
+            assert ((root / "fit" / f"report_{name}.json").read_text(encoding="utf-8")
+                    == report.to_json() + "\n")
+        expected = root / "expected.csv"
+        write_forecast_csv(expected, result.test_windows, result.test_forecasts)
+        assert (root / "fit" / "forecasts_test.csv").read_bytes() == expected.read_bytes()
+        _, model, _, _ = load_full(root / "fit" / "model.ckpt.json")
+        saved, held = model.checkpoint_params(), result.model.checkpoint_params()
+        assert [p.name for p in saved] == [p.name for p in held]
+        for p, q in zip(saved, held):
+            assert np.array_equal(p.data, q.data), p.name
 
     def test_forecast_matches_train_for_recurrent_decoder(self, workdir, data_csv):
         root, cfg = workdir
@@ -293,6 +304,28 @@ class TestAtomicWrites:
 class TestUsage:
     def test_unknown_command(self, capsys):
         assert run("frobnicate") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ("synth", "--seed", "7"),
+        ("synth", "--variant", "no_reg"),
+        ("decompose", "--data", "d.csv", "--seed", "7"),
+        ("decompose", "--data", "d.csv", "--variant", "no_reg"),
+        ("evaluate", "--data", "d.csv", "--checkpoint", "m.json", "--seed", "7"),
+        ("forecast", "--data", "d.csv", "--checkpoint", "m.json", "--variant", "no_reg"),
+        ("dump-latents", "--data", "d.csv", "--checkpoint", "m.json", "--seed", "7"),
+        ("train", "--data", "d.csv", "--variant", "e2e", "--pretrained", "s.json"),
+        ("train", "--data", "d.csv", "--variant", "no_latent", "--pretrained", "s.json"),
+    ], ids=["synth_seed", "synth_variant", "decompose_seed", "decompose_variant",
+            "evaluate_seed", "forecast_variant", "dump_latents_seed", "e2e_pretrained",
+            "no_latent_pretrained"])
+    def test_flag_the_command_would_ignore_is_a_usage_error(self, workdir, capsys, argv):
+        # these commands never read the flag: the checkpoint commands take
+        # their seed and variant from the checkpoint, and a one-stage variant
+        # has no stage-1 checkpoint to load
+        root, cfg = workdir
+        assert run(*argv, "--config", cfg, "--out", root / "x") == 1
+        assert "usage error" in capsys.readouterr().err
+        assert not (root / "x").exists()
 
     def test_out_root_env_var(self, workdir, monkeypatch):
         root, cfg = workdir

@@ -2,19 +2,22 @@
 variant structure, determinism, and multi-seed aggregation."""
 
 import inspect
+import json
 
 import numpy as np
 import pytest
 
+from latentcast import cli, training
 from latentcast.cvae import FULL, make_stage1_batch
-from latentcast.data import WindowSample, WindowSet, prepare_samples
+from latentcast.data import WindowSample, WindowSet, prepare_samples, write_csv
 from latentcast.evaluation import METRIC_NAMES, MetricReport
-from latentcast.forecaster import Forecasts, gaussian_nll
+from latentcast.forecaster import ForecastDistribution, Forecasts, gaussian_nll
 from latentcast.tensor import Tensor
-from latentcast.training import (RunRecord, TrainConfig, TrainingError, build, build_cvae,
-                                 build_model, evaluate_split, load_full, load_stage1,
-                                 multi_seed_evaluate, pipeline_split, run_pipeline,
-                                 save_full, save_stage1, stage1_pretrain, stage2_train)
+from latentcast.training import (VARIANTS, RunRecord, TrainConfig, TrainingError, build,
+                                 build_cvae, build_model, evaluate_split, load_full,
+                                 load_stage1, multi_seed_evaluate, pipeline_split,
+                                 run_pipeline, save_full, save_stage1, stage1_pretrain,
+                                 stage2_train)
 
 
 def _samples(n, length, seed=0, domains=2):
@@ -179,6 +182,40 @@ class TestStage2:
         model.latent_batch(np.random.default_rng(0).normal(size=(3, 8)), trace=trace)
         assert np.allclose(trace["z"][:, model.pair.index:], 0.0)
 
+    @pytest.mark.parametrize("decoder", ["linear", "recurrent"])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_optimizer_holds_the_parameters_the_loss_reaches(self, monkeypatch, variant,
+                                                              decoder):
+        # the variant contract: stage 2 trains a parameter if and only if one
+        # batch of its objective sends it a gradient; the linear decoder runs
+        # with a BiGRU encoder, the recurrent one with an MLP encoder. One gap
+        # is known: outside e2e the optimizer also holds the encoders'
+        # log-variance heads, which posterior means never reach, so Adam
+        # steps them by exactly zero
+        config, model = self._setup(variant=variant, decoder=decoder, encoder=None)
+        seen = {}
+
+        def first_batch(stage, opt, n, epochs, config, rng, batch_loss, *args, **kwargs):
+            seen["held"] = opt.params
+            loss, _ = batch_loss(np.arange(config.batch_size))
+            loss.backward()
+            return 0
+
+        monkeypatch.setattr(training, "_fit", first_batch)
+        stage2_train(model, _samples(10, 8), _samples(4, 8, seed=9), config,
+                     RunRecord(seed=0), domain_index={0: 0, 1: 1})
+        reached = {id(p) for p in model.checkpoint_params() if np.any(p.grad != 0.0)}
+        held = {id(p) for p in seen["held"]}
+        names = {id(p): p.name for p in model.checkpoint_params()}
+        assert reached <= held, [names[i] for i in reached - held]
+        unreached = sorted(names[i] for i in held - reached)
+        heads = sorted(p.name for p in model.pair.encoder_params() if ".logvar." in p.name)
+        assert unreached == ([] if variant in ("e2e", "no_latent") else heads)
+        decoders = {id(p) for p in model.pair.decoder_params()}
+        encoders = {id(p) for p in model.pair.encoder_params()}
+        assert (decoders <= held) if variant == "e2e" else not decoders & held
+        assert (not encoders & held) if variant == "no_latent" else encoders <= held
+
     def test_bias_only_training_converges_to_batch_mean(self):
         # all weights zero, only the trend bias trains: mu is a constant per
         # step, the NLL is convex in it, so plain descent with a small step
@@ -299,12 +336,63 @@ class TestBenchmarkBindings:
 
     def test_evaluate_split_returns_report_windows_forecasts(self, tiny_datasets, tiny_config):
         split, _, _ = pipeline_split(tiny_datasets, tiny_config)
-        _, model = build(tiny_config, len(split.train_domains), 0)
+        model = build(tiny_config, len(split.train_domains), 0)
         report, windows, dists = evaluate_split(model, tiny_datasets, split, tiny_config,
                                                 which="test")
         assert isinstance(report, MetricReport)
         assert isinstance(windows, WindowSet) and isinstance(dists, Forecasts)
         assert len(windows) == len(dists)
+
+    @staticmethod
+    def _count_phases(monkeypatch):
+        """Counting wrappers around the three timed phases, installed on the
+        `training` module attribute only, as the harness reaches them."""
+        calls = {"stage1_pretrain": 0, "stage2_train": 0, "evaluate_split": []}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                if name == "evaluate_split":
+                    calls[name].append(inspect.signature(fn).bind(*args, **kwargs)
+                                       .arguments["which"])
+                else:
+                    calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(training, name, counted(name, getattr(training, name)))
+        return calls
+
+    def test_run_pipeline_reaches_each_phase_through_the_module(self, monkeypatch,
+                                                               tiny_datasets, tiny_config):
+        calls = self._count_phases(monkeypatch)
+        run_pipeline(tiny_datasets, tiny_config)
+        assert calls == {"stage1_pretrain": 1, "stage2_train": 1,
+                         "evaluate_split": ["train", "test"]}
+
+    def test_cli_train_reaches_each_phase_through_the_module(self, monkeypatch, tmp_path,
+                                                            tiny_datasets, tiny_config):
+        config, data = tmp_path / "config.json", tmp_path / "data.csv"
+        config.write_text(json.dumps({"train": tiny_config.to_dict()}), encoding="utf-8")
+        write_csv(tiny_datasets, data)
+        common = ["--config", str(config), "--data", str(data)]
+        assert cli.main(["pretrain", *common, "--out", str(tmp_path / "pre")]) == 0
+        calls = self._count_phases(monkeypatch)
+        assert cli.main(["train", *common, "--out", str(tmp_path / "fit"), "--pretrained",
+                         str(tmp_path / "pre" / "stage1.ckpt.json")]) == 0
+        assert calls == {"stage1_pretrain": 0, "stage2_train": 1,
+                         "evaluate_split": ["train", "test"]}
+
+    def test_forecasts_test_pairs_rows_in_window_order(self, tiny_datasets, tiny_config):
+        result = run_pipeline(tiny_datasets, tiny_config)
+        rows = result.forecasts_test
+        assert len(rows) == len(result.test_windows) == len(result.test_forecasts) > 0
+        for i, (w, d) in enumerate(rows):
+            assert isinstance(w, WindowSample) and isinstance(d, ForecastDistribution)
+            assert (w.domain_id, w.series_name, w.origin) == (
+                result.test_windows.domain_id[i], result.test_windows.series_name[i],
+                result.test_windows.origin[i])
+            assert np.array_equal(d.quantiles, result.test_forecasts.quantiles[:, i])
 
     def test_row_lists_accepted(self, tiny_pair):
         rows = list(_samples(6, 6))

@@ -165,7 +165,7 @@ def test_rows_are_views_into_the_set():
 def test_evaluation_windows_and_forecasts_keep_the_row_interface(tiny_datasets, tiny_config):
     config = replace(tiny_config, epochs_stage1=1, epochs_stage2=1)
     split, _, _ = pipeline_split(tiny_datasets, config)
-    _, model = build(config, len(split.train_domains), 0)
+    model = build(config, len(split.train_domains), 0)
     _, windows, dists = evaluate_split(model, tiny_datasets, split, config, "test")
     by_id = {ds.domain_id: ds for ds in tiny_datasets}
     rows = list(windows)
@@ -204,7 +204,7 @@ def test_forecasts_do_not_depend_on_the_chunking(n):
                                                 length=120, seed=3))
     config = TrainConfig(lookback=12, horizon=4, d_z=4, hidden=8, kernel=5,
                          decoder="linear", encoder="mlp")
-    _, model = build(config, 2, 0)
+    model = build(config, 2, 0)
     windows, _ = make_windows(datasets, config.lookback, config.horizon)
     assert len(windows) >= 256
     alone = predict_windows(model, windows[:n], config, None)
