@@ -98,11 +98,9 @@ def train_config_from(cfg: dict, args) -> TrainConfig:
 
 
 def synthetic_spec_from(cfg: dict) -> SyntheticSpec:
-    section = dict(cfg.get("synthetic", {}))
-    for key in ("trend_slope_range", "domain_period_range",
-                "domain_amplitude_range", "phase_range"):
-        if key in section:
-            section[key] = tuple(section[key])
+    # JSON has no tuples: a list is read as one, and the spec checks its type
+    section = {key: tuple(value) if isinstance(value, list) else value
+               for key, value in cfg.get("synthetic", {}).items()}
     try:
         spec = SyntheticSpec(**section)
     except TypeError as exc:
@@ -176,8 +174,8 @@ def _write_reports(out: Path, result_reports: dict) -> dict[str, str]:
 def cmd_synth(args) -> int:
     cfg = apply_overrides(load_config_file(args.config), args.set)
     spec = synthetic_spec_from(cfg)
-    out = resolve_out(args.out, args.overwrite)
     datasets = generate_synthetic(spec)
+    out = resolve_out(args.out, args.overwrite)
     csv_path = out / "data.csv"
     write_csv(datasets, csv_path)
     write_manifest(out, "synth", {"synthetic": spec.__dict__}, {"data": str(csv_path)})
@@ -315,13 +313,20 @@ def cmd_dump_latents(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    cfg = apply_overrides(load_config_file(args.config), args.set)
-    config = train_config_from(cfg, args)
     variants = [v.strip() for v in args.variants.split(",") if v.strip()]
+    seeds = [s.strip() for s in args.seeds.split(",") if s.strip()]
+    if not variants or not seeds:
+        raise UsageError("--variants and --seeds each need at least one item")
     unknown = [v for v in variants if v not in VARIANTS]
     if unknown:
         raise UsageError(f"unknown variants {unknown}; valid: {', '.join(VARIANTS)}")
-    seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
+    if not all(s.isdecimal() for s in seeds):
+        raise UsageError(f"--seeds must be non-negative integers, got {args.seeds!r}")
+    seeds = [int(s) for s in seeds]
+    if len(set(variants)) < len(variants) or len(set(seeds)) < len(seeds):
+        raise UsageError("--variants and --seeds must not repeat an item")
+    cfg = apply_overrides(load_config_file(args.config), args.set)
+    config = train_config_from(cfg, args)
     datasets = _load_datasets(args, config)
     out = resolve_out(args.out, args.overwrite)
 
@@ -381,11 +386,16 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, data=True, run=False):
-        # only the commands that train read --seed and --variant
+    def common(p, data=True, run=False, checkpoint=False):
+        # only the commands that train read --seed and --variant; the commands
+        # that read a full checkpoint take every setting from it, and accept
+        # but do not read --config
         p.add_argument("--config", help="JSON config file")
-        p.add_argument("--set", action="append", default=[],
-                       metavar="SECTION.KEY=VALUE", help="override a config value")
+        if checkpoint:
+            p.add_argument("--checkpoint", required=True)
+        else:
+            p.add_argument("--set", action="append", default=[],
+                           metavar="SECTION.KEY=VALUE", help="override a config value")
         if data:
             p.add_argument("--data", required=True, help="input CSV")
         p.add_argument("--out", required=True, help="output directory")
@@ -415,19 +425,16 @@ def build_parser() -> _Parser:
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("evaluate", help="metric reports for train and test domain sets")
-    common(p)
-    p.add_argument("--checkpoint", required=True)
+    common(p, checkpoint=True)
     p.set_defaults(fn=cmd_evaluate)
 
     p = sub.add_parser("forecast", help="write per-window quantile forecasts")
-    common(p)
-    p.add_argument("--checkpoint", required=True)
+    common(p, checkpoint=True)
     p.add_argument("--split", choices=("train", "test"), default="test")
     p.set_defaults(fn=cmd_forecast)
 
     p = sub.add_parser("dump-latents", help="export shared/specific latents plus separation score")
-    common(p)
-    p.add_argument("--checkpoint", required=True)
+    common(p, checkpoint=True)
     p.add_argument("--split", choices=("train", "test"), default="test")
     p.set_defaults(fn=cmd_dump_latents)
 

@@ -50,40 +50,36 @@ def split_index(alpha: float, d_z: int) -> int:
 
 
 class MlpEncoder:
-    """One nonlinear hidden layer, two linear readouts for mean and log-variance."""
+    """One nonlinear hidden layer: (N, T) windows -> (N, width) features."""
 
-    def __init__(self, rng: np.random.Generator, in_dim: int, hidden: int, d_z: int,
-                 drop: float, name: str):
+    def __init__(self, rng: np.random.Generator, in_dim: int, hidden: int, drop: float,
+                 name: str):
         self.in_dim = in_dim
         self.drop = drop
+        self.width = hidden
         self.hidden = Linear(rng, in_dim, hidden, f"{name}.hidden")
-        self.mu_head = Linear(rng, hidden, d_z, f"{name}.mu")
-        self.logvar_head = Linear(rng, hidden, d_z, f"{name}.logvar")
 
-    def __call__(self, x: Tensor, rng=None, training: bool = False) -> tuple[Tensor, Tensor]:
+    def __call__(self, x: Tensor, rng=None, training: bool = False) -> Tensor:
         if x.shape[-1] != self.in_dim:
             raise T.ShapeError(f"encoder expects window length {self.in_dim}, got {x.shape[-1]}")
-        h = T.tanh(self.hidden(x))
-        h = dropout(h, self.drop, rng, training)
-        return self.mu_head(h), self.logvar_head(h)
+        return dropout(T.tanh(self.hidden(x)), self.drop, rng, training)
 
     def params(self) -> list[Tensor]:
-        return self.hidden.params() + self.mu_head.params() + self.logvar_head.params()
+        return self.hidden.params()
 
 
 class BiGruEncoder:
-    """Bidirectional recurrent layer over the window, then two linear readouts."""
+    """Bidirectional recurrent layer: (N, T) windows -> (N, width) last states."""
 
-    def __init__(self, rng: np.random.Generator, in_dim: int, hidden: int, d_z: int,
-                 drop: float, name: str):
+    def __init__(self, rng: np.random.Generator, in_dim: int, hidden: int, drop: float,
+                 name: str):
         self.in_dim = in_dim
         self.drop = drop
+        self.width = 2 * hidden
         self.fwd = GRUCell(rng, 1, hidden, f"{name}.fwd")
         self.bwd = GRUCell(rng, 1, hidden, f"{name}.bwd")
-        self.mu_head = Linear(rng, 2 * hidden, d_z, f"{name}.mu")
-        self.logvar_head = Linear(rng, 2 * hidden, d_z, f"{name}.logvar")
 
-    def __call__(self, x: Tensor, rng=None, training: bool = False) -> tuple[Tensor, Tensor]:
+    def __call__(self, x: Tensor, rng=None, training: bool = False) -> Tensor:
         if x.ndim != 2 or x.shape[-1] != self.in_dim:
             raise T.ShapeError(f"encoder expects (N, {self.in_dim}), got {x.shape}")
         if x.requires_grad:
@@ -91,12 +87,10 @@ class BiGruEncoder:
             raise T.GraphError("BiGruEncoder inputs must not require grad")
         seq = x.data[:, :, None]
         both = T.concat([self.fwd(Tensor(seq)), self.bwd(Tensor(seq[:, ::-1]))])
-        h = dropout(T.reshape(both, (x.shape[0], -1)), self.drop, rng, training)
-        return self.mu_head(h), self.logvar_head(h)
+        return dropout(T.reshape(both, (x.shape[0], -1)), self.drop, rng, training)
 
     def params(self) -> list[Tensor]:
-        return (self.fwd.params() + self.bwd.params()
-                + self.mu_head.params() + self.logvar_head.params())
+        return self.fwd.params() + self.bwd.params()
 
 
 ENCODER_KINDS: dict[str, Callable] = {"mlp": MlpEncoder, "bigru": BiGruEncoder}
@@ -126,7 +120,11 @@ class CondDecoder:
 
 @dataclass
 class ComponentVae:
+    """One component's beta-VAE. Its posterior mean and log-variance are linear
+    readouts of the encoder features; only the latent loss's KL reads `logvar`."""
     encoder: MlpEncoder | BiGruEncoder
+    mu: Linear
+    logvar: Linear
     decoder: CondDecoder
 
 
@@ -159,11 +157,12 @@ class CvaePair:
         names = (TREND, SEASONAL) if decomposed else (FULL,)
         comps = {}
         for which in names:
-            comps[which] = ComponentVae(
-                encoder=enc_cls(rng, lookback, hidden, d_z, drop, f"{which}.enc"),
-                decoder=CondDecoder(rng, d_z, num_domains, lookback, conditional,
-                                    f"{which}.dec"),
-            )
+            # this draw order fixes a seed's initial values
+            encoder = enc_cls(rng, lookback, hidden, drop, f"{which}.enc")
+            mu = Linear(rng, encoder.width, d_z, f"{which}.enc.mu")
+            logvar = Linear(rng, encoder.width, d_z, f"{which}.enc.logvar")
+            comps[which] = ComponentVae(encoder, mu, logvar, CondDecoder(
+                rng, d_z, num_domains, lookback, conditional, f"{which}.dec"))
         return cls(comps, beta, alpha, d_z, kernel, num_domains, conditional)
 
     @property
@@ -180,20 +179,20 @@ class CvaePair:
         """Each component's posterior mean for (N, T) windows, in component
         order (so dropout draws come trend first, then seasonal)."""
         comps = self.component_inputs(x)
-        return {which: comp.encoder(Tensor(comps[which]), rng=rng, training=training)[0]
+        return {which: comp.mu(comp.encoder(Tensor(comps[which]), rng=rng, training=training))
                 for which, comp in self.components.items()}
 
+    def mean_params(self) -> list[Tensor]:
+        """What posterior means depend on: each encoder and its mean readout."""
+        return [p for c in self.components.values() for p in c.encoder.params() + c.mu.params()]
+
     def encoder_params(self) -> list[Tensor]:
-        out = []
-        for comp in self.components.values():
-            out.extend(comp.encoder.params())
-        return out
+        """The encoders with both readouts, in component order."""
+        return [p for c in self.components.values()
+                for p in c.encoder.params() + c.mu.params() + c.logvar.params()]
 
     def decoder_params(self) -> list[Tensor]:
-        out = []
-        for comp in self.components.values():
-            out.extend(comp.decoder.params())
-        return out
+        return [p for c in self.components.values() for p in c.decoder.params()]
 
     def params(self) -> list[Tensor]:
         return self.encoder_params() + self.decoder_params()
@@ -260,30 +259,24 @@ def domain_regularizer(z_shared: Tensor, z_specific: Tensor,
 
 @dataclass
 class Stage1Batch:
-    x: np.ndarray                      # (N, T) normalized windows
-    components: dict[str, np.ndarray]  # per-component (N, T) inputs
-    onehot: np.ndarray | None          # (N, M) when decoders are conditional
-    domain_ids: np.ndarray             # (N,) training-domain indexes
+    x: np.ndarray           # (N, T) normalized windows
+    domain_ids: np.ndarray  # (N,) training-domain indexes
 
     def take(self, index: np.ndarray) -> "Stage1Batch":
         """The minibatch of the given rows."""
-        return Stage1Batch(self.x[index], {k: v[index] for k, v in self.components.items()},
-                           None if self.onehot is None else self.onehot[index],
-                           self.domain_ids[index])
+        return Stage1Batch(self.x[index], self.domain_ids[index])
 
 
 def make_stage1_batch(pair: CvaePair, samples: WindowSet | list[WindowSample],
                       domain_index: dict[int, int]) -> Stage1Batch:
-    """Stage-1 inputs of every window: built once per set, decomposition
-    included, then gathered per minibatch with `Stage1Batch.take`."""
+    """Stage-1 inputs of every window: the windows and their training-domain
+    indexes, gathered per minibatch with `Stage1Batch.take`."""
     ws = as_window_set(samples)
     idx = np.array([domain_index.get(d, -1) for d in ws.domain_id.tolist()], dtype=np.int64)
     if np.any(idx < 0):
         raise DataError(f"window from domain {ws.domain_id[idx < 0][0]} "
                         "is not in the training domains")
-    onehot = one_hot_domain(idx, pair.num_domains) if pair.conditional else None
-    return Stage1Batch(x=ws.x, components=pair.component_inputs(ws.x), onehot=onehot,
-                       domain_ids=idx)
+    return Stage1Batch(x=ws.x, domain_ids=idx)
 
 
 def latent_loss(pair: CvaePair, batch: Stage1Batch,
@@ -294,18 +287,22 @@ def latent_loss(pair: CvaePair, batch: Stage1Batch,
     """Combined-reconstruction MSE plus beta * (component NLL + KL) terms.
 
     Per sample: sum_T((sum_c xhat_c - x)^2) + beta * sum_c [0.5 * sum_T((xhat_c
-    - x_c)^2) + KL_c], averaged over the batch. Latent draws use the supplied
-    noise when given (frozen-noise checks), else `rng`.
+    - x_c)^2) + KL_c], averaged over the batch. The component inputs x_c and
+    the one-hot come from the minibatch, as in `CvaePair.encode`. Latent draws
+    use the supplied noise when given (frozen-noise checks), else `rng`.
     """
     n = batch.x.shape[0]
     x = Tensor(batch.x)
-    onehot = Tensor(batch.onehot) if batch.onehot is not None else None
+    comps = pair.component_inputs(batch.x)
+    onehot = (Tensor(one_hot_domain(batch.domain_ids, pair.num_domains))
+              if pair.conditional else None)
     combined = None
     bracket = None
     latents: dict[str, LatentSample] = {}
     for which, comp in pair.components.items():
-        xc = Tensor(batch.components[which])
-        mu, logvar = comp.encoder(xc, rng=rng, training=training)
+        xc = Tensor(comps[which])
+        h = comp.encoder(xc, rng=rng, training=training)
+        mu, logvar = comp.mu(h), comp.logvar(h)
         if noise is not None:
             eps = noise[which]
         elif rng is not None:

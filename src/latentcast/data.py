@@ -13,7 +13,8 @@ import datetime as _dt
 import io
 import math
 from dataclasses import dataclass, fields, replace
-from typing import Iterable, Sequence
+from functools import cache
+from typing import Iterable, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -106,6 +107,41 @@ class DomainSplit:
     seed: int
 
 
+# the value types a config field of each annotated type accepts; bool, an int
+# subclass, is rejected on its own
+_ACCEPTED_TYPES = {int: (int,), float: (int, float), str: (str,), type(None): (type(None),)}
+
+
+@cache
+def field_types(cls) -> dict[str, tuple[str, tuple[type, ...], int | None]]:
+    """Per field of the config dataclass `cls`: its annotation's name, the
+    value types it accepts, and the item count of a `tuple[X, ...]` field
+    (None for any other). Resolving the annotations takes longer than
+    checking the values, so it is done once per class."""
+    out = {}
+    for name, hint in get_type_hints(cls).items():
+        size = len(get_args(hint)) if get_origin(hint) is tuple else None
+        kinds = get_args(hint)[:1] if size else get_args(hint) or (hint,)
+        out[name] = (str(hint) if size else getattr(hint, "__name__", str(hint)),
+                     tuple(t for kind in kinds for t in _ACCEPTED_TYPES[kind]), size)
+    return out
+
+
+def check_field_types(config) -> None:
+    """ValueError naming the first field of the config dataclass whose value
+    does not have its annotated type: a bool is no number, a float must be
+    finite, and a tuple field holds exactly its annotated count of items."""
+    for name, (kind, accepted, size) in field_types(type(config)).items():
+        value = getattr(config, name)
+        if size is not None and not (isinstance(value, tuple) and len(value) == size):
+            raise ValueError(f"{name} must be {kind}, got {value!r}")
+        for item in (value,) if size is None else value:
+            if isinstance(item, bool) or not isinstance(item, accepted):
+                raise ValueError(f"{name} must be {kind}, got {value!r}")
+            if isinstance(item, float) and not np.isfinite(item):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 @dataclass
 class SyntheticSpec:
     num_domains: int = 6
@@ -122,6 +158,10 @@ class SyntheticSpec:
     base_level: float = 10.0
 
     def validate(self) -> None:
+        try:
+            check_field_types(self)
+        except ValueError as exc:
+            raise DataError(f"synthetic spec: {exc}") from None
         if self.num_domains < 1 or self.series_per_domain < 1 or self.length < 2:
             raise DataError("synthetic spec: num_domains, series_per_domain, length must be positive")
         for name in ("trend_slope_range", "domain_period_range",
@@ -129,8 +169,14 @@ class SyntheticSpec:
             lo, hi = getattr(self, name)
             if not lo <= hi:
                 raise DataError(f"synthetic spec: empty range {name}=({lo}, {hi})")
+        lo, hi = self.domain_period_range
+        if self.shared_period == 0 or lo <= 0 <= hi:
+            raise DataError(f"synthetic spec: periods must be nonzero, got shared_period="
+                            f"{self.shared_period!r}, domain_period_range=({lo}, {hi})")
         if self.noise_std < 0:
             raise DataError("synthetic spec: noise_std must be >= 0")
+        if self.seed < 0:
+            raise DataError(f"synthetic spec: seed must be >= 0, got {self.seed}")
 
 
 # ---------------------------------------------------------------------------
@@ -455,6 +501,8 @@ def generate_synthetic(spec: SyntheticSpec) -> list[DomainDataset]:
             names.append(f"s{s}")
             stamps.append(np.arange(spec.length, dtype=np.int64))
             vals.append(clean + noise)
+        if not np.isfinite(vals).all():
+            raise DataError(f"synthetic spec: domain {j}'s values overflow float64")
         datasets.append(DomainDataset(domain_id=j, domain_name=f"dom{j}",
                                       series_names=names, timestamps=stamps, values=vals))
     return datasets

@@ -288,10 +288,11 @@ class ForecastModel:
             return {"mu": mu.data.copy(), "sigma": sigma.data.copy()}
 
     def params(self) -> list[Tensor]:
-        """Stage-2 trainables: encoders (unless the latent pathway is off),
-        augmentation, decoder. The conditional VAE decoders stay out (frozen
-        and unused)."""
-        encoders = [] if self.zero_latent else self.pair.encoder_params()
+        """Stage-2 trainables, exactly what the forecast loss reaches: the
+        encoders' mean paths (unless the latent pathway is off), augmentation,
+        decoder. The log-variance readouts and the conditional VAE decoders
+        stay out (frozen and unused)."""
+        encoders = [] if self.zero_latent else self.pair.mean_params()
         return encoders + [self.w, self.b] + self.decoder.params()
 
     def checkpoint_params(self) -> list[Tensor]:

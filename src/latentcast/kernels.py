@@ -50,9 +50,10 @@ def moving_average(x: np.ndarray, kernel: int) -> np.ndarray:
     array, edges replicated."""
     x = np.asarray(x, dtype=np.float64)
     a = moving_average_operator(x.shape[-1], kernel)
-    # dense @ sparse comes back in Fortran order; the trend feeds row-major
+    # a @ x.T, not x @ a.T, which builds a transposed operator on every call;
+    # the product comes back in Fortran order, and the trend feeds row-major
     # matmuls, so it is returned in C order like every other window array
-    return np.ascontiguousarray(x @ a.T)
+    return np.ascontiguousarray((a @ x.T).T)
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,7 @@ import hashlib
 import json
 import time
 from dataclasses import asdict, dataclass, field, replace
-from functools import cache
-from typing import Callable, Sequence, get_args, get_type_hints
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -27,7 +26,8 @@ from .checkpoint import CheckpointError, load_checkpoint, restore_params, save_c
 from .cvae import (CvaePair, Stage1Batch, domain_regularizer, latent_loss,
                    make_stage1_batch, split_for, split_index)
 from .data import (DataError, DomainDataset, DomainSplit, WindowSample, WindowSet,
-                   prepare_samples, split_domains, windows_for_role)
+                   check_field_types, field_types, prepare_samples, split_domains,
+                   windows_for_role)
 from .evaluation import METRIC_NAMES, MetricReport, aggregate
 from .forecaster import (QUANTILE_LEVELS, ForecastDistribution, ForecastModel, Forecasts,
                          LinearDecoder, RecurrentDecoder, gaussian_nll, to_distribution)
@@ -36,21 +36,6 @@ from .optim import Adam
 from .tensor import Tensor, no_grad
 
 VARIANTS = ("full", "e2e", "no_reg", "no_decomp", "shared_only", "no_cond", "no_latent")
-
-# the value types a config field of each annotated type accepts; bool, an int
-# subclass, is rejected on its own
-_ACCEPTED_TYPES = {int: (int,), float: (int, float), str: (str,), type(None): (type(None),)}
-
-
-@cache
-def _field_types() -> dict[str, tuple[str, tuple[type, ...]]]:
-    """Per TrainConfig field, its annotation's name and the value types it
-    accepts. Resolving the annotations takes longer than the rest of
-    `validate`, so it is done once."""
-    return {name: (getattr(hint, "__name__", str(hint)),
-                   tuple(t for kind in get_args(hint) or (hint,) for t in _ACCEPTED_TYPES[kind]))
-            for name, hint in get_type_hints(TrainConfig).items()}
-
 
 class TrainingError(RuntimeError):
     pass
@@ -85,12 +70,7 @@ class TrainConfig:
     fill_missing: float = 0.0
 
     def validate(self) -> None:
-        for name, (kind, accepted) in _field_types().items():
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, accepted):
-                raise ValueError(f"{name} must be {kind}, got {value!r}")
-            if isinstance(value, float) and not np.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
+        check_field_types(self)
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}; valid: {', '.join(VARIANTS)}")
         if self.decoder not in ("recurrent", "linear"):
@@ -324,8 +304,8 @@ def stage2_train(model: ForecastModel, train_samples: WindowSet, val_samples: Wi
     """Forecast-NLL training with early stopping on validation loss.
 
     In the e2e variant (domain_index required) the latent loss and regularizer
-    join the objective and the conditional decoders train too; otherwise they
-    are frozen and unused.
+    join the objective and every parameter of the model trains; otherwise the
+    log-variance readouts and the conditional decoders are frozen and unused.
     """
     if not len(train_samples):
         raise TrainingError("stage 2: no training windows")
@@ -336,8 +316,7 @@ def stage2_train(model: ForecastModel, train_samples: WindowSet, val_samples: Wi
         raise TrainingError("e2e training needs the domain index map")
     latent_inputs = make_stage1_batch(model.pair, train_samples, domain_index) if e2e else None
 
-    params = model.params() + (model.pair.decoder_params() if e2e else [])
-    opt = Adam(params, lr=config.learning_rate)
+    opt = Adam(model.checkpoint_params() if e2e else model.params(), lr=config.learning_rate)
     rng = np.random.default_rng([config.seed, 3])
 
     def batch_loss(idx: np.ndarray) -> tuple[Tensor, dict[str, float]]:
@@ -485,9 +464,9 @@ def read_checkpoint(path, kind: str) -> tuple[dict, TrainConfig]:
     if blob["kind"] != kind:
         raise CheckpointError(f"checkpoint {path}: expected a {kind} checkpoint, "
                               f"got {blob['kind']!r}")
-    if blob["config"].keys() != _field_types().keys():
+    if blob["config"].keys() != field_types(TrainConfig).keys():
         raise CheckpointError(f"checkpoint {path}: config keys differ from TrainConfig's in "
-                              f"{sorted(blob['config'].keys() ^ _field_types().keys())}")
+                              f"{sorted(blob['config'].keys() ^ field_types(TrainConfig).keys())}")
     config = TrainConfig(**blob["config"])
     try:
         config.validate()

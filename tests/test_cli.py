@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from latentcast import evaluation
 from latentcast.cli import main, write_manifest
-from latentcast.data import ingest_csv, make_windows
+from latentcast.data import SyntheticSpec, ingest_csv, make_windows
 from latentcast.evaluation import MetricError
 from latentcast.forecaster import Forecasts, write_forecast_csv
 from latentcast.training import TrainConfig, load_full, run_pipeline
@@ -67,6 +67,22 @@ class TestSynth:
                    "--set", "synthetic.noise_std=-1")
         assert code == 2
         assert "noise_std" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("setting,named", [
+        ("noise_std=Infinity", "noise_std"),
+        ("length=2.5", "length"), ('num_domains="a"', "num_domains"),
+        ("num_domains=true", "num_domains"), ("phase_range=3", "phase_range"),
+        ("phase_range=[1,2,3]", "phase_range"), ("phase_range=[0,NaN]", "phase_range"),
+        ("seed=-1", "seed"), ("shared_period=0", "shared_period"),
+        ("domain_period_range=[-1,1]", "domain_period_range"), ("noise_std=1e308", "overflow")])
+    def test_bad_setting_is_a_data_error_before_any_write(self, workdir, capsys, setting,
+                                                          named):
+        root, cfg = workdir
+        code = run("synth", "--config", cfg, "--out", root / "bad",
+                   "--set", f"synthetic.{setting}")
+        assert code == 2
+        assert named in capsys.readouterr().err
+        assert not (root / "bad").exists()
 
     def test_overwrite_required(self, workdir):
         root, cfg = workdir
@@ -313,18 +329,37 @@ class TestUsage:
         ("evaluate", "--data", "d.csv", "--checkpoint", "m.json", "--seed", "7"),
         ("forecast", "--data", "d.csv", "--checkpoint", "m.json", "--variant", "no_reg"),
         ("dump-latents", "--data", "d.csv", "--checkpoint", "m.json", "--seed", "7"),
+        ("evaluate", "--data", "d.csv", "--checkpoint", "m.json", "--set", "train.seed=7"),
+        ("forecast", "--data", "d.csv", "--checkpoint", "m.json", "--set", "train.horizon=99"),
+        ("dump-latents", "--data", "d.csv", "--checkpoint", "m.json", "--set", "train.d_z=2"),
         ("train", "--data", "d.csv", "--variant", "e2e", "--pretrained", "s.json"),
         ("train", "--data", "d.csv", "--variant", "no_latent", "--pretrained", "s.json"),
     ], ids=["synth_seed", "synth_variant", "decompose_seed", "decompose_variant",
-            "evaluate_seed", "forecast_variant", "dump_latents_seed", "e2e_pretrained",
-            "no_latent_pretrained"])
+            "evaluate_seed", "forecast_variant", "dump_latents_seed", "evaluate_set",
+            "forecast_set", "dump_latents_set", "e2e_pretrained", "no_latent_pretrained"])
     def test_flag_the_command_would_ignore_is_a_usage_error(self, workdir, capsys, argv):
         # these commands never read the flag: the checkpoint commands take
-        # their seed and variant from the checkpoint, and a one-stage variant
-        # has no stage-1 checkpoint to load
+        # every setting from the checkpoint, and a one-stage variant has no
+        # stage-1 checkpoint to load. The files named do not exist, so the
+        # refusal must come before they are looked for
         root, cfg = workdir
         assert run(*argv, "--config", cfg, "--out", root / "x") == 1
-        assert "usage error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "usage error" in err and "not found" not in err
+        assert not (root / "x").exists()
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--seeds", "x"), ("--seeds", ""), ("--seeds", "-1"), ("--seeds", "0,1.5"),
+        ("--seeds", "1,01"), ("--variants", ""), ("--variants", " , "),
+        ("--variants", "full,nope"), ("--variants", "full,e2e,full")])
+    def test_bad_ablate_list_is_a_usage_error(self, workdir, capsys, flag, value):
+        # found before the data is read: the data file does not exist
+        root, cfg = workdir
+        code = run("ablate", "--config", cfg, "--data", root / "missing.csv", flag, value,
+                   "--out", root / "x")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert flag in err or "unknown variants" in err
         assert not (root / "x").exists()
 
     def test_out_root_env_var(self, workdir, monkeypatch):
@@ -398,6 +433,36 @@ def test_cli_ends_with_an_exit_code_on_mutated_settings(where, field, value, as_
         code = run(*command, "--config", config, "--data", data, *sets,
                    "--out", Path(tmp) / "out")
     assert code in (0, 1, 2, 3)
+
+
+FUZZ_SYNTH = {"num_domains": 3, "series_per_domain": 2, "length": 20}
+FUZZ_RANGES = st.sampled_from(([1, 2], [2, 1], [0, 0], [-3, -1], [1.5, math.inf], [1, 2, 3]))
+
+
+@settings(max_examples=100)
+@given(where=st.sampled_from(("set", "file", "section")),
+       field=st.sampled_from([f.name for f in fields(SyntheticSpec)] + ["nope"]),
+       value=FUZZ_VALUES | FUZZ_RANGES, as_json=st.booleans())
+def test_synth_ends_with_an_exit_code_on_mutated_settings(where, field, value, as_json):
+    # as above, for the "synthetic" section: a refused spec writes nothing,
+    # and an accepted one writes a CSV that ingest accepts
+    synthetic = dict(FUZZ_SYNTH)
+    sets = []
+    if where == "set":
+        sets = ["--set", f"synthetic.{field}={json.dumps(value) if as_json else value}"]
+    elif where == "file":
+        synthetic[field] = value
+    else:
+        synthetic = value
+    with tempfile.TemporaryDirectory() as tmp:
+        config, out = Path(tmp) / "config.json", Path(tmp) / "out"
+        config.write_text(json.dumps({"synthetic": synthetic}), encoding="utf-8")
+        code = run("synth", "--config", config, *sets, "--out", out)
+        assert code in (0, 1, 2)
+        if code == 0:
+            assert ingest_csv(out / "data.csv")
+        else:
+            assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -165,10 +165,18 @@ class TestDomainRegularizer:
                                np.array([0]))
 
 
+def posterior(comp, x, **kw):
+    """A component's (mean, log-variance): both readouts of one encoder pass."""
+    h = comp.encoder(x, **kw)
+    return comp.mu(h), comp.logvar(h)
+
+
 class TestEncoderDecoder:
     def test_shape_contract(self, tiny_pair):
         x = Tensor(np.random.default_rng(0).normal(size=(3, 6)))
-        mu, logvar = tiny_pair.components["trend"].encoder(x)
+        comp = tiny_pair.components["trend"]
+        assert comp.encoder(x).shape == (3, comp.encoder.width)
+        mu, logvar = posterior(comp, x)
         assert mu.shape == (3, 4) and logvar.shape == (3, 4)
         assert np.isfinite(logvar.data).all()
 
@@ -178,17 +186,17 @@ class TestEncoderDecoder:
 
     def test_identical_noise_identical_z(self, tiny_pair):
         x = Tensor(np.random.default_rng(1).normal(size=(2, 6)))
-        enc = tiny_pair.components["seasonal"].encoder
+        comp = tiny_pair.components["seasonal"]
         noise = Tensor(np.random.default_rng(2).normal(size=(2, 4)))
-        z1 = reparameterize(*enc(x), noise)
-        z2 = reparameterize(*enc(x), noise)
+        z1 = reparameterize(*posterior(comp, x), noise)
+        z2 = reparameterize(*posterior(comp, x), noise)
         assert np.array_equal(z1.data, z2.data)
 
     def test_zero_input_mu_equals_biases(self, tiny_pair):
-        enc = tiny_pair.components["trend"].encoder
-        mu, logvar = enc(Tensor(np.zeros((1, 6))))
-        hidden = np.tanh(enc.hidden.b.data)
-        expected = hidden @ enc.mu_head.w.data + enc.mu_head.b.data
+        comp = tiny_pair.components["trend"]
+        mu, logvar = posterior(comp, Tensor(np.zeros((1, 6))))
+        hidden = np.tanh(comp.encoder.hidden.b.data)
+        expected = hidden @ comp.mu.w.data + comp.mu.b.data
         assert np.allclose(mu.data[0], expected)
         assert np.isfinite(logvar.data).all()
 
@@ -214,8 +222,29 @@ class TestEncoderDecoder:
         rng = np.random.default_rng(4)
         pair = CvaePair.build(rng, lookback=7, d_z=3, hidden=4, beta=1.0, alpha=0.5,
                               kernel=3, num_domains=2, encoder_kind="bigru")
-        mu, logvar = pair.components["trend"].encoder(Tensor(rng.normal(size=(2, 7))))
+        comp = pair.components["trend"]
+        assert comp.encoder.width == 8
+        mu, logvar = posterior(comp, Tensor(rng.normal(size=(2, 7))))
         assert mu.shape == (2, 3) and logvar.shape == (2, 3)
+
+    @pytest.mark.parametrize("encoder_kind", ["mlp", "bigru"])
+    def test_encode_is_the_mean_readout_of_the_latent_loss_pass(self, encoder_kind):
+        # the same windows through both paths into the encoders, dropout on:
+        # `encode` decomposes the rows it is given, `latent_loss` the rows of
+        # a stage-1 minibatch, and with noise supplied the rng draws only
+        # the dropout masks, trend first
+        pair = CvaePair.build(np.random.default_rng(3), lookback=7, d_z=3, hidden=4, beta=1.0,
+                              alpha=0.5, kernel=3, num_domains=2, encoder_kind=encoder_kind,
+                              drop=0.3)
+        rng = np.random.default_rng(4)
+        batch = make_stage1_batch(pair, make_samples(rng.normal(size=(9, 7)),
+                                                     rng.integers(0, 2, 9)), {0: 0, 1: 1})
+        part = batch.take(np.array([6, 1, 4, 2]))
+        means = pair.encode(part.x, rng=np.random.default_rng(5), training=True)
+        _, _, latents = latent_loss(pair, part, rng=np.random.default_rng(5),
+                                    noise={k: np.zeros((4, 3)) for k in pair.components})
+        for which in pair.components:
+            assert np.array_equal(means[which].data, latents[which].mu.data)
 
 
 class TestLatentLoss:
@@ -226,19 +255,10 @@ class TestLatentLoss:
 
     def test_perfect_reconstruction_zero_loss(self, tiny_pair):
         batch = self._batch(tiny_pair)
-        for comp in tiny_pair.components.values():
-            comp.encoder.hidden.w.data[...] = 0.0
-            comp.encoder.hidden.b.data[...] = 0.0
-            comp.encoder.mu_head.w.data[...] = 0.0
-            comp.encoder.mu_head.b.data[...] = 0.0
-            comp.encoder.logvar_head.w.data[...] = 0.0
-            comp.encoder.logvar_head.b.data[...] = 0.0
-            comp.decoder.lin.w.data[...] = 0.0
-            comp.decoder.lin.b.data[...] = 0.0
-        # make every component input zero so zero reconstructions are perfect
+        for p in tiny_pair.params():
+            p.data[...] = 0.0
+        # zero windows have zero components, so zero reconstructions are perfect
         batch.x[...] = 0.0
-        for arr in batch.components.values():
-            arr[...] = 0.0
         loss, parts, _ = latent_loss(tiny_pair, batch,
                                      noise={k: np.zeros((3, 4)) for k in tiny_pair.components})
         assert abs(float(loss.data)) < 1e-12

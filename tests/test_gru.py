@@ -187,9 +187,9 @@ def test_fused_gru_rejects_bad_shapes():
 
 def test_bigru_encoder_equals_per_step_loops():
     rng = np.random.default_rng(1)
-    enc = BiGruEncoder(rng, 5, 4, 3, drop=0.3, name="enc")
+    enc = BiGruEncoder(rng, 5, 4, drop=0.3, name="enc")
     x = Tensor(rng.normal(size=(3, 5)))
-    mu, logvar = enc(x, rng=np.random.default_rng(2), training=True)
+    features = enc(x, rng=np.random.default_rng(2), training=True)
 
     hf = hb = Tensor(np.zeros((3, 4)))
     for t in range(5):
@@ -197,12 +197,11 @@ def test_bigru_encoder_equals_per_step_loops():
     for t in reversed(range(5)):
         hb = composed_step(enc.bwd, T.slice_last(x, t, t + 1), hb)
     h = dropout(T.concat([hf, hb]), 0.3, np.random.default_rng(2), True)
-    assert np.array_equal(mu.data, enc.mu_head(h).data)
-    assert np.array_equal(logvar.data, enc.logvar_head(h).data)
+    assert np.array_equal(features.data, h.data)
 
 
 def test_bigru_encoder_rejects_grad_inputs():
-    enc = BiGruEncoder(np.random.default_rng(0), 4, 3, 2, drop=0.0, name="enc")
+    enc = BiGruEncoder(np.random.default_rng(0), 4, 3, drop=0.0, name="enc")
     with pytest.raises(T.GraphError):
         enc(Tensor(np.zeros((2, 4)), requires_grad=True))
 

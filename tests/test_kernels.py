@@ -69,6 +69,22 @@ def test_operator_columns_are_bruteforce_impulse_responses(kernel, length):
     assert np.allclose(got, expected, atol=1e-15)
 
 
+@given(n=st.integers(0, 70), half=st.integers(0, 6), extra=st.integers(0, 1000),
+       seed=st.integers(0, 2 ** 16))
+def test_moving_average_is_the_operator_product_bit_for_bit(n, half, extra, seed):
+    # 1-D windows (n == 0) and (n, T) rows; any subset of the rows gets the
+    # same bits as the whole set, so stage 1 can decompose per minibatch
+    kernel = 2 * half + 1
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, kernel + extra) if n else kernel + extra)
+    got = kernels.moving_average(x, kernel)
+    assert got.flags.c_contiguous
+    assert np.array_equal(got, x @ kernels.moving_average_operator(x.shape[-1], kernel).T)
+    if n:
+        rows = rng.permutation(n)[:(n + 1) // 2]
+        assert np.array_equal(kernels.moving_average(x[rows], kernel), got[rows])
+
+
 @pytest.mark.parametrize("kernel", [1, 3, 5, 7])
 @given(n=st.integers(1, 3), extra=st.integers(0, 30), seed=st.integers(0, 2 ** 16))
 def test_adjoint_is_transpose(kernel, n, extra, seed):

@@ -1,6 +1,7 @@
 """Two-stage training: bookkeeping, overfit sanity, frozen parameters,
 variant structure, determinism, and multi-seed aggregation."""
 
+import hashlib
 import inspect
 import json
 
@@ -18,6 +19,22 @@ from latentcast.training import (VARIANTS, RunRecord, TrainConfig, TrainingError
                                  load_stage1, multi_seed_evaluate, pipeline_split,
                                  run_pipeline, save_full, save_stage1, stage1_pretrain,
                                  stage2_train)
+
+
+def first_batch_of(monkeypatch, train) -> set[str]:
+    """Run `train` for one batch of its objective, backward included, and
+    return the names of the parameters its optimizer holds."""
+    held = set()
+
+    def first_batch(stage, opt, n, epochs, config, rng, batch_loss, *args, **kwargs):
+        held.update(p.name for p in opt.params)
+        loss, _ = batch_loss(np.arange(config.batch_size))
+        loss.backward()
+        return 0
+
+    monkeypatch.setattr(training, "_fit", first_batch)
+    train()
+    return held
 
 
 def _samples(n, length, seed=0, domains=2):
@@ -54,6 +71,19 @@ class TestStage1:
         record = RunRecord(seed=0)
         stage1_pretrain(pair, _samples(1, 8, seed=5, domains=1), {0: 0}, config, record)
         assert record.stage1_losses[-1] < 0.01 * record.stage1_losses[0]
+
+    @pytest.mark.parametrize("encoder", ["mlp", "bigru"])
+    @pytest.mark.parametrize("variant", [v for v in VARIANTS if TrainConfig(variant=v).two_stage])
+    def test_optimizer_holds_the_parameters_the_objective_reaches(self, monkeypatch, variant,
+                                                                  encoder):
+        # the stage-1 side of the variant contract: the latent objective
+        # reaches every parameter of the pair, readouts and decoders included
+        config = self._config(variant=variant, encoder=encoder)
+        pair = build_cvae(config, 2, np.random.default_rng(0))
+        held = first_batch_of(monkeypatch, lambda: stage1_pretrain(
+            pair, _samples(8, 8), {0: 0, 1: 1}, config, RunRecord(seed=0)))
+        reached = {p.name for p in pair.params() if np.any(p.grad != 0.0)}
+        assert held == reached == {p.name for p in pair.params()}
 
     def test_no_decomp_single_stack_on_raw_window(self):
         config = self._config(variant="no_decomp")
@@ -188,33 +218,18 @@ class TestStage2:
                                                               decoder):
         # the variant contract: stage 2 trains a parameter if and only if one
         # batch of its objective sends it a gradient; the linear decoder runs
-        # with a BiGRU encoder, the recurrent one with an MLP encoder. One gap
-        # is known: outside e2e the optimizer also holds the encoders'
-        # log-variance heads, which posterior means never reach, so Adam
-        # steps them by exactly zero
+        # with a BiGRU encoder, the recurrent one with an MLP encoder. Only
+        # e2e reaches the log-variance readouts and the conditional decoders
         config, model = self._setup(variant=variant, decoder=decoder, encoder=None)
-        seen = {}
-
-        def first_batch(stage, opt, n, epochs, config, rng, batch_loss, *args, **kwargs):
-            seen["held"] = opt.params
-            loss, _ = batch_loss(np.arange(config.batch_size))
-            loss.backward()
-            return 0
-
-        monkeypatch.setattr(training, "_fit", first_batch)
-        stage2_train(model, _samples(10, 8), _samples(4, 8, seed=9), config,
-                     RunRecord(seed=0), domain_index={0: 0, 1: 1})
-        reached = {id(p) for p in model.checkpoint_params() if np.any(p.grad != 0.0)}
-        held = {id(p) for p in seen["held"]}
-        names = {id(p): p.name for p in model.checkpoint_params()}
-        assert reached <= held, [names[i] for i in reached - held]
-        unreached = sorted(names[i] for i in held - reached)
-        heads = sorted(p.name for p in model.pair.encoder_params() if ".logvar." in p.name)
-        assert unreached == ([] if variant in ("e2e", "no_latent") else heads)
-        decoders = {id(p) for p in model.pair.decoder_params()}
-        encoders = {id(p) for p in model.pair.encoder_params()}
-        assert (decoders <= held) if variant == "e2e" else not decoders & held
-        assert (not encoders & held) if variant == "no_latent" else encoders <= held
+        held = first_batch_of(monkeypatch, lambda: stage2_train(
+            model, _samples(10, 8), _samples(4, 8, seed=9), config, RunRecord(seed=0),
+            domain_index={0: 0, 1: 1}))
+        reached = {p.name for p in model.checkpoint_params() if np.any(p.grad != 0.0)}
+        assert held == reached, (sorted(held - reached), sorted(reached - held))
+        means = {p.name for p in model.pair.mean_params()}
+        rest = {p.name for p in model.pair.params()} - means   # log-variance readouts, decoders
+        assert (rest <= held) if variant == "e2e" else not rest & held
+        assert (not means & held) if variant == "no_latent" else means <= held
 
     def test_bias_only_training_converges_to_batch_mean(self):
         # all weights zero, only the trend bias trains: mu is a constant per
@@ -241,6 +256,34 @@ class TestStage2:
         assert np.all(diffs <= 1e-12)
         assert losses[-1] < losses[0]
         assert float(np.linalg.norm(bias.data - target)) < 0.01 * start_dist
+
+
+CHECKPOINT_DIGESTS = {   # sha256 prefixes of the initial parameter values at seed 5
+    ("mlp", "full"): "23d3009090f3fdd46580dd9665575e1a",
+    ("mlp", "no_decomp"): "632d6c8b3e28c0e719d58a7b5831b20a",
+    ("bigru", "full"): "c009100dc69adcbd0bddd7236d93a0d7",
+    ("bigru", "no_decomp"): "6fe4fcbb0764d7a3e82b1364162899f3",
+}
+
+
+@pytest.mark.parametrize("encoder,variant", list(CHECKPOINT_DIGESTS))
+def test_checkpoint_params_keep_their_names_and_initial_values(encoder, variant):
+    # a format-2 checkpoint restores by these names, and a seed must keep
+    # giving the same initial model
+    config = TrainConfig(lookback=6, horizon=2, d_z=2, hidden=3, kernel=3, seed=5,
+                         variant=variant, decoder="linear", encoder=encoder)
+    params = build(config, 2, 0).checkpoint_params()
+    layers = {"mlp": ["hidden.w", "hidden.b"],
+              "bigru": [f"{d}.{w}" for d in ("fwd", "bwd") for w in ("wx", "wh", "b")]}[encoder]
+    comps = ["trend", "seasonal"] if variant == "full" else ["full"]
+    assert [p.name for p in params] == (
+        [f"{c}.enc.{n}" for c in comps
+         for n in layers + ["mu.w", "mu.b", "logvar.w", "logvar.b"]]
+        + [f"{c}.dec.lin.{n}" for c in comps for n in ("w", "b")]
+        + ["aug.w", "aug.b"]
+        + [f"fdec.{n}.{w}" for n in ("trend", "seasonal", "sigma") for w in ("w", "b")])
+    digest = hashlib.sha256(b"".join(p.data.tobytes() for p in params)).hexdigest()
+    assert digest[:32] == CHECKPOINT_DIGESTS[encoder, variant]
 
 
 def test_validate_checks_each_field_against_its_annotation():
