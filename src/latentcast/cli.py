@@ -42,6 +42,11 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    """Usage errors raise, and no flag is read as an abbreviation of another."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):
         raise UsageError(message)
 
@@ -50,15 +55,25 @@ class _Parser(argparse.ArgumentParser):
 # Config handling
 # ---------------------------------------------------------------------------
 
+def input_file(path: str, what: str) -> Path:
+    """A path the command reads, which must name a file."""
+    p = Path(path)
+    if not p.exists():
+        raise UsageError(f"{what} not found: {p}")
+    if not p.is_file():
+        raise UsageError(f"{what} {p} is not a file")
+    return p
+
+
 def load_config_file(path: str | None) -> dict:
     if path is None:
         return {}
-    p = Path(path)
-    if not p.exists():
-        raise UsageError(f"config file not found: {p}")
+    p = input_file(path, "config file")
     try:
         with open(p, encoding="utf-8") as fh:
             cfg = json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"config file {p} is not UTF-8 text: {exc.reason}") from None
     except json.JSONDecodeError as exc:
         raise DataError(f"config file {p} is not valid JSON: {exc}") from None
     if not isinstance(cfg, dict):
@@ -119,16 +134,22 @@ def resolve_out(out: str, overwrite: bool) -> Path:
     manifest = path / "manifest.json"
     if manifest.exists() and not overwrite:
         raise UsageError(f"output dir {path} already holds a run; pass --overwrite to reuse it")
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:
+        # a file at the path or on the way to it
+        raise UsageError(f"cannot make output dir {path}: {exc.strerror}") from None
     return path
 
 
-def write_manifest(out: Path, command: str, config_snapshot: dict,
+def write_manifest(out: Path, args: argparse.Namespace, config_snapshot: dict,
                    artifacts: dict[str, str]) -> None:
+    """The run's manifest: the command and the arguments `main` parsed, the
+    config, the artifacts and when they were made."""
     manifest = {
         "tool": f"latentcast {__version__}",
-        "command": command,
-        "argv": sys.argv[1:],
+        "command": args.command,
+        "argv": args.argv,
         "config": config_snapshot,
         "artifacts": artifacts,
         "created": _dt.datetime.now().isoformat(timespec="seconds"),
@@ -144,10 +165,7 @@ def _write_text(path: Path, text: str) -> None:
 
 
 def _load_datasets(args, config: TrainConfig):
-    path = Path(args.data)
-    if not path.exists():
-        raise UsageError(f"data file not found: {path}")
-    return ingest_csv(path, value_scale=config.value_scale,
+    return ingest_csv(input_file(args.data, "data file"), value_scale=config.value_scale,
                       fill_missing=config.fill_missing)
 
 
@@ -178,7 +196,7 @@ def cmd_synth(args) -> int:
     out = resolve_out(args.out, args.overwrite)
     csv_path = out / "data.csv"
     write_csv(datasets, csv_path)
-    write_manifest(out, "synth", {"synthetic": spec.__dict__}, {"data": str(csv_path)})
+    write_manifest(out, args, {"synthetic": spec.__dict__}, {"data": str(csv_path)})
     print(f"wrote {csv_path} ({len(datasets)} domains)")
     return EXIT_OK
 
@@ -187,11 +205,13 @@ def cmd_decompose(args) -> int:
     cfg = apply_overrides(load_config_file(args.config), args.set)
     config = train_config_from(cfg, args)
     datasets = _load_datasets(args, config)
+    if not datasets:
+        raise DataError(f"data file {args.data} holds no series")
     by_name = {ds.domain_name: ds for ds in datasets}
-    ds = by_name.get(args.domain) if args.domain else datasets[0]
+    ds = by_name.get(args.domain) if args.domain is not None else datasets[0]
     if ds is None:
         raise DataError(f"domain {args.domain!r} not in {sorted(by_name)}")
-    if args.series:
+    if args.series is not None:
         if args.series not in ds.series_names:
             raise DataError(f"series {args.series!r} not in domain {ds.domain_name}")
         s = ds.series_names.index(args.series)
@@ -205,7 +225,7 @@ def cmd_decompose(args) -> int:
         fh.write("value,trend,seasonal\n")
         for v, t, sv in zip(ds.values[s], parts.x_t, parts.x_s):
             fh.write(f"{float(v)!r},{float(t)!r},{float(sv)!r}\n")
-    write_manifest(out, "decompose",
+    write_manifest(out, args,
                    {"kernel": kernel, "domain": ds.domain_name,
                     "series": ds.series_names[s]},
                    {"decomposition": str(path)})
@@ -228,7 +248,7 @@ def cmd_pretrain(args) -> int:
     save_stage1(ckpt, pair, data.domain_map, config)
     _write_text(out / "runrecord_stage1.json",
                 json.dumps(record.to_dict(), indent=2, sort_keys=True) + "\n")
-    write_manifest(out, "pretrain", config.to_dict(),
+    write_manifest(out, args, config.to_dict(),
                    {"checkpoint": str(ckpt), "runrecord": str(out / 'runrecord_stage1.json')})
     print(f"stage-1 loss {record.stage1_losses[0]:.6f} -> {record.stage1_losses[-1]:.6f} "
           f"over {len(record.stage1_losses)} epochs; wrote {ckpt}")
@@ -241,8 +261,7 @@ def cmd_train(args) -> int:
     if config.two_stage:
         if not args.pretrained:
             raise UsageError("train requires --pretrained CHECKPOINT unless --variant e2e/no_latent")
-        if not Path(args.pretrained).exists():
-            raise UsageError(f"pretrain checkpoint not found: {args.pretrained}")
+        input_file(args.pretrained, "pretrain checkpoint")
     elif args.pretrained:
         raise UsageError(f"variant {config.variant!r} has no separate pretraining stage")
     datasets = _load_datasets(args, config)
@@ -259,7 +278,7 @@ def cmd_train(args) -> int:
     fc_path = out / "forecasts_test.csv"
     write_forecast_csv(fc_path, result.test_windows, result.test_forecasts)
     artifacts["forecasts_test"] = str(fc_path)
-    write_manifest(out, "train", config.to_dict(), artifacts)
+    write_manifest(out, args, config.to_dict(), artifacts)
     print(f"selected epoch {record.selected_epoch} "
           f"(val loss {min(record.stage2_val_losses):.6f})")
     print("test averages: " + "  ".join(
@@ -271,7 +290,7 @@ def cmd_evaluate(args) -> int:
     config, model, datasets, out, split = _fitted(args)
     reports = {w: evaluate_split(model, datasets, split, config, w)[0] for w in EVAL_SPLITS}
     artifacts = _write_reports(out, reports)
-    write_manifest(out, "evaluate", config.to_dict(), artifacts)
+    write_manifest(out, args, config.to_dict(), artifacts)
     for name, report in reports.items():
         print(f"[{name}] " + "  ".join(
             f"{m}={report.average[m]:.6f}" for m in METRIC_NAMES))
@@ -283,7 +302,7 @@ def cmd_forecast(args) -> int:
     _, wins, dists = evaluate_split(model, datasets, split, config, args.split)
     path = out / f"forecasts_{args.split}.csv"
     write_forecast_csv(path, wins, dists)
-    write_manifest(out, "forecast", config.to_dict(), {"forecasts": str(path)})
+    write_manifest(out, args, config.to_dict(), {"forecasts": str(path)})
     print(f"wrote {path} ({len(wins)} windows)")
     return EXIT_OK
 
@@ -307,7 +326,7 @@ def cmd_dump_latents(args) -> int:
     score_path = out / "separation.txt"
     _write_text(score_path, "\n".join(lines) + "\n")
     artifacts["separation"] = str(score_path)
-    write_manifest(out, "dump-latents", config.to_dict(), artifacts)
+    write_manifest(out, args, config.to_dict(), artifacts)
     print("\n".join(lines))
     return EXIT_OK
 
@@ -330,45 +349,25 @@ def cmd_ablate(args) -> int:
     datasets = _load_datasets(args, config)
     out = resolve_out(args.out, args.overwrite)
 
-    table: dict[str, dict] = {}
-    any_failed = False
-    for variant in variants:
-        result = multi_seed_evaluate(datasets, replace(config, variant=variant), seeds)
-        row: dict = {"failed_seeds": result.failures}
-        for r in result.rows:
-            if r["split"] == "test":
-                row[f"{r['metric']}_mean"] = r["mean"]
-                row[f"{r['metric']}_std"] = r["std"]
-                row["n_seeds"] = r["n_seeds"]
-        if result.failures:
-            any_failed = True
-        table[variant] = row
-
+    table = {variant: multi_seed_evaluate(datasets, replace(config, variant=variant), seeds)
+             for variant in variants}
     _write_text(out / "ablation.json", json.dumps(table, indent=2, sort_keys=True) + "\n")
-    header = f"{'variant':>12} " + " ".join(f"{m + ' (mean±std)':>22}" for m in METRIC_NAMES)
-    lines = [header]
-    for variant in variants:
-        row = table[variant]
-        if row["failed_seeds"] and f"{METRIC_NAMES[0]}_mean" not in row:
-            lines.append(f"{variant:>12} " + "FAILED: " + "; ".join(row["failed_seeds"].values()))
-            continue
-        cells = " ".join(
-            f"{row[f'{m}_mean']:>13.6f}±{row[f'{m}_std']:.4f}" for m in METRIC_NAMES)
-        lines.append(f"{variant:>12} " + cells)
+    lines = [f"{'variant':>12} " + " ".join(f"{m + ' (mean±std)':>22}" for m in METRIC_NAMES)]
+    for variant, row in table.items():
+        cells = (" ".join(f"{row[f'{m}_mean']:>13.6f}±{row[f'{m}_std']:.4f}" for m in METRIC_NAMES)
+                 if "n_seeds" in row else "FAILED: " + "; ".join(row["failed_seeds"].values()))
+        lines.append(f"{variant:>12} {cells}")
     _write_text(out / "ablation.txt", "\n".join(lines) + "\n")
-    write_manifest(out, "ablate", config.to_dict(),
-                   {"ablation": str(out / 'ablation.json')})
+    write_manifest(out, args, config.to_dict(), {"ablation": str(out / "ablation.json")})
     print("\n".join(lines))
-    return EXIT_TRAINING if any_failed else EXIT_OK
+    return EXIT_TRAINING if any(row["failed_seeds"] for row in table.values()) else EXIT_OK
 
 
 def _fitted(args):
     """A trained model's config and model, the data, the output directory and
     the domain split, for the commands that read a full checkpoint, whose
     domain split and feature width the data must have."""
-    path = Path(args.checkpoint)
-    if not path.exists():
-        raise UsageError(f"checkpoint not found: {path}")
+    path = input_file(args.checkpoint, "checkpoint")
     blob, config = read_checkpoint(path, "full")
     datasets = _load_datasets(args, config)
     split, _, domain_map = pipeline_split(datasets, config)
@@ -387,9 +386,9 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, data=True, run=False, checkpoint=False):
-        # only the commands that train read --seed and --variant; the commands
-        # that read a full checkpoint take every setting from it, and accept
-        # but do not read --config
+        # only pretrain and train read --seed and --variant; the commands that
+        # read a full checkpoint take every setting from it, and accept but do
+        # not read --config
         p.add_argument("--config", help="JSON config file")
         if checkpoint:
             p.add_argument("--checkpoint", required=True)
@@ -439,9 +438,7 @@ def build_parser() -> _Parser:
     p.set_defaults(fn=cmd_dump_latents)
 
     p = sub.add_parser("ablate", help="run variant ablations over multiple seeds")
-    # --seeds and --variants override --seed and --variant, which stay so that
-    # argparse does not read them as abbreviations of the two
-    common(p, run=True)
+    common(p)
     p.add_argument("--variants", default="full,e2e,no_reg,no_decomp,shared_only,no_cond")
     p.add_argument("--seeds", default="0")
     p.set_defaults(fn=cmd_ablate)
@@ -451,8 +448,10 @@ def build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
+        args.argv = argv
         return args.fn(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

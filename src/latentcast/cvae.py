@@ -27,13 +27,6 @@ FULL = "full"
 
 
 @dataclass
-class LatentSample:
-    mu: Tensor
-    logvar: Tensor
-    z: Tensor
-
-
-@dataclass
 class SplitLatents:
     z_shared: Tensor     # concat of the first `index` coords of each component
     z_specific: Tensor   # concat of the remainders
@@ -283,8 +276,9 @@ def latent_loss(pair: CvaePair, batch: Stage1Batch,
                 rng: np.random.Generator | None = None,
                 noise: dict[str, np.ndarray] | None = None,
                 training: bool = True,
-                ) -> tuple[Tensor, dict[str, float], dict[str, LatentSample]]:
-    """Combined-reconstruction MSE plus beta * (component NLL + KL) terms.
+                ) -> tuple[Tensor, dict[str, float], dict[str, Tensor]]:
+    """Combined-reconstruction MSE plus beta * (component NLL + KL) terms,
+    its parts, and each component's posterior mean (for `split_for`).
 
     Per sample: sum_T((sum_c xhat_c - x)^2) + beta * sum_c [0.5 * sum_T((xhat_c
     - x_c)^2) + KL_c], averaged over the batch. The component inputs x_c and
@@ -298,7 +292,7 @@ def latent_loss(pair: CvaePair, batch: Stage1Batch,
               if pair.conditional else None)
     combined = None
     bracket = None
-    latents: dict[str, LatentSample] = {}
+    means: dict[str, Tensor] = {}
     for which, comp in pair.components.items():
         xc = Tensor(comps[which])
         h = comp.encoder(xc, rng=rng, training=training)
@@ -309,9 +303,8 @@ def latent_loss(pair: CvaePair, batch: Stage1Batch,
             eps = rng.standard_normal((n, pair.d_z))
         else:
             eps = np.zeros((n, pair.d_z))
-        z = reparameterize(mu, logvar, Tensor(eps))
-        xhat = comp.decoder(z, onehot)
-        latents[which] = LatentSample(mu=mu, logvar=logvar, z=z)
+        xhat = comp.decoder(reparameterize(mu, logvar, Tensor(eps)), onehot)
+        means[which] = mu
         nll = T.tsum(T.square(xhat - xc), axis=-1) * 0.5
         term = nll + kl_standard_normal(mu, logvar)
         bracket = term if bracket is None else bracket + term
@@ -323,13 +316,13 @@ def latent_loss(pair: CvaePair, batch: Stage1Batch,
         "bracket": float(np.mean(bracket.data)),
         "beta": pair.beta,
     }
-    return loss, parts, latents
+    return loss, parts, means
 
 
-def split_for(pair: CvaePair, latents: dict[str, LatentSample]) -> SplitLatents:
+def split_for(pair: CvaePair, means: dict[str, Tensor]) -> SplitLatents:
     """Shared/specific split of the posterior means, in component order.
 
     The means, not the sampled draws: regularizing draws has a degenerate
     optimum where specific-dim variance inflates to satisfy the cross-domain
     push without structuring the means."""
-    return split_latents([latents[which].mu for which in pair.components], pair.alpha)
+    return split_latents([means[which] for which in pair.components], pair.alpha)

@@ -31,14 +31,14 @@ QUANTILE_LEVELS = tuple(q / 10.0 for q in range(1, 10))
 
 
 def augment_input(z: Tensor, x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """x' = concat(z, x) @ W + b with W of shape (d_z + T, T)."""
+    """x' = concat(z, x) @ W + b for (N, d_z) latents and (N, T) windows, with
+    W of shape (d_z + T, T)."""
     cat = T.concat([z, x])
     if cat.shape[-1] != w.shape[0]:
         raise T.ShapeError(
             f"augment_input: concat width {cat.shape[-1]} does not match W rows {w.shape[0]}"
         )
-    prod = cat @ w
-    return T.add_bias(prod, b) if prod.ndim == 2 else prod + b
+    return T.add_bias(cat @ w, b)
 
 
 def gaussian_nll(y, mu: Tensor, sigma: Tensor) -> Tensor:
@@ -158,8 +158,7 @@ class LinearDecoder:
 
 @dataclass
 class ForecastDistribution:
-    point: np.ndarray            # (h,), the q=0.5 row, original units
-    quantiles: np.ndarray        # (9, h) for q in 0.1..0.9
+    quantiles: np.ndarray        # (9, h) for q in 0.1..0.9, original units
     notes: list[str] = field(default_factory=list)
 
 
@@ -175,15 +174,15 @@ class Forecasts:
         return self.quantiles.shape[1]
 
     def __getitem__(self, i: int) -> ForecastDistribution:
-        return ForecastDistribution(point=self.quantiles[4, i], quantiles=self.quantiles[:, i],
-                                    notes=self.notes)
+        return ForecastDistribution(quantiles=self.quantiles[:, i], notes=self.notes)
 
 
 def to_distribution(mu: np.ndarray | None = None, sigma: np.ndarray | None = None,
                     samples: np.ndarray | None = None, scale=1.0,
-                    norm_stats=(0.0, 1.0)) -> ForecastDistribution:
+                    norm_stats=(0.0, 1.0)) -> tuple[np.ndarray, list[str]]:
     """Quantile grid from a Gaussian head or sampled paths, then inverted
-    back to original units (instance denormalization, then unscaling).
+    back to original units (instance denormalization, then unscaling), and
+    notes on its quality.
 
     One window's (h,) mu and sigma or (paths, h) samples give (9, h)
     quantiles; m windows' (m, h) or (m, paths, h) give (9, m, h), with
@@ -199,8 +198,7 @@ def to_distribution(mu: np.ndarray | None = None, sigma: np.ndarray | None = Non
     else:
         raise ValueError("to_distribution needs either (mu, sigma) or samples")
 
-    grid = revin_denormalize(grid, norm_stats) * scale
-    return ForecastDistribution(point=grid[4], quantiles=grid, notes=notes)
+    return revin_denormalize(grid, norm_stats) * scale, notes
 
 
 def write_forecast_csv(path, windows: WindowSet, dists: Forecasts) -> None:

@@ -22,9 +22,8 @@ class Linear:
         self.b = Tensor(np.zeros(out_dim), requires_grad=True, name=f"{name}.b")
 
     def __call__(self, x: Tensor) -> Tensor:
-        if x.ndim == 2:
-            return T.add_bias(x @ self.w, self.b)
-        return x @ self.w + self.b
+        """(N, in_dim) rows -> (N, out_dim)."""
+        return T.add_bias(x @ self.w, self.b)
 
     def params(self) -> list[Tensor]:
         return [self.w, self.b]
@@ -76,27 +75,25 @@ class GRUCell:
 
     def step(self, x: np.ndarray, h: np.ndarray) -> np.ndarray:
         """One step on plain arrays, without a graph: (N, D) inputs and the
-        (N, H) state -> the next (N, H) state. Bit-equal to
-        `self(Tensor(x[:, None, :]), h0=Tensor(h)).data[0]`."""
+        (N, H) state -> the next (N, H) state. Bit-equal to the step a
+        sequence call takes from the state `h` with the inputs `x`."""
         return self._step(self._project(x), h)[0]
 
-    def __call__(self, xs: Tensor, h0: Tensor | None = None, keep: int = 1) -> Tensor:
+    def __call__(self, xs: Tensor, keep: int = 1) -> Tensor:
         """The last `keep` states of the cell run over (N, T, D) inputs from
-        h0 (zeros when None), step-major: (keep, N, H)."""
+        the zero state, step-major: (keep, N, H)."""
         hid = self.hidden
         if xs.ndim != 3 or xs.shape[2] != self.wx.shape[0]:
             raise T.ShapeError(f"GRUCell expects (N, T, {self.wx.shape[0]}) inputs, got {xs.shape}")
         n, length, in_dim = xs.shape
         if not 1 <= keep <= length:
             raise ValueError(f"keep must be in [1, {length}], got {keep}")
-        if h0 is not None and h0.shape != (n, hid):
-            raise T.ShapeError(f"GRUCell expects an initial state of shape {(n, hid)}, got {h0.shape}")
         wx, wh = self.wx.data, self.wh.data
 
         # step-major throughout, so every per-step slice is contiguous
         x_flat = xs.data.transpose(1, 0, 2).reshape(length * n, in_dim)
         px = self._project(x_flat).reshape(length, n, 3 * hid)
-        hs = [np.zeros((n, hid)) if h0 is None else h0.data]   # hs[t] enters step t
+        hs = [np.zeros((n, hid))]   # hs[t] enters step t
         gates, cands, phcs = [], [], []   # reset | update, candidate, candidate slice of h @ wh
         for t in range(length):
             h, ru, c, ph = self._step(px[t], hs[t])
@@ -108,7 +105,7 @@ class GRUCell:
         tape: dict[str, np.ndarray] = {}
 
         def bptt(g: np.ndarray) -> dict[str, np.ndarray]:
-            """Grads of the pre-activations, h0 and wh; one pass per backward,
+            """Grads of the pre-activations and wh; one pass per backward,
             shared by every parent's vjp."""
             if tape.get("g") is g:
                 return tape
@@ -126,20 +123,17 @@ class GRUCell:
                 dh = dh * u + dph[t] @ wh.T
             dph_flat = dph.reshape(length * n, 3 * hid)
             h_prev = np.stack(hs[:-1]).reshape(length * n, hid)
-            tape.update(g=g, dh0=dh, dwh=h_prev.T @ dph_flat)
+            tape.update(g=g, dwh=h_prev.T @ dph_flat)
             dph[:, :, 2 * hid:] = dpc                 # dph now holds the grad of px
             tape["dpx"] = dph_flat
             return tape
 
-        parents = [xs, self.wx, self.wh, self.b]
         vjps = [lambda g: (bptt(g)["dpx"] @ wx.T).reshape(length, n, in_dim).transpose(1, 0, 2),
                 lambda g: x_flat.T @ bptt(g)["dpx"],
                 lambda g: bptt(g)["dwh"],
                 lambda g: bptt(g)["dpx"].sum(axis=0)]
-        if h0 is not None:
-            parents.append(h0)
-            vjps.append(lambda g: bptt(g)["dh0"])
-        return T.custom_op(np.stack(hs[length - keep + 1:]), parents, vjps)
+        return T.custom_op(np.stack(hs[length - keep + 1:]),
+                           [xs, self.wx, self.wh, self.b], vjps)
 
     def params(self) -> list[Tensor]:
         return [self.wx, self.wh, self.b]

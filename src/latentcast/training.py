@@ -266,9 +266,9 @@ def _latent_objective(pair: CvaePair, batch: Stage1Batch, config: TrainConfig,
                       rng: np.random.Generator) -> tuple[Tensor, dict[str, float]]:
     """The stage-1 objective on one minibatch: the latent loss plus
     reg_weight times the domain regularizer when it is active."""
-    loss, parts, latents = latent_loss(pair, batch, rng=rng, training=True)
+    loss, parts, means = latent_loss(pair, batch, rng=rng, training=True)
     if config.reg_active and batch.x.shape[0] >= 2:
-        sl = split_for(pair, latents)
+        sl = split_for(pair, means)
         omega = domain_regularizer(sl.z_shared, sl.z_specific, batch.domain_ids)
         loss = loss + config.reg_weight * omega
     return loss, parts
@@ -366,10 +366,9 @@ def predict_windows(model: ForecastModel, windows: WindowSet,
     for lo, hi in zip(starts, starts[1:] + [n]):
         part = prepared[lo:hi]
         out = model.predict(part.x, part.a, config.sample_paths, rng)
-        dist = to_distribution(**out, scale=part.scale[:, None],
-                               norm_stats=(part.norm_mean[:, None], part.norm_std[:, None]))
-        quantiles[:, lo:hi] = dist.quantiles
-        notes = dist.notes
+        quantiles[:, lo:hi], notes = to_distribution(
+            **out, scale=part.scale[:, None],
+            norm_stats=(part.norm_mean[:, None], part.norm_std[:, None]))
     return Forecasts(quantiles=quantiles, notes=notes)
 
 
@@ -516,39 +515,25 @@ def load_full(path) -> tuple[TrainConfig, ForecastModel, list[list], dict[int, i
 # Multi-seed evaluation
 # ---------------------------------------------------------------------------
 
-@dataclass
-class MultiSeedResult:
-    rows: list[dict]              # split, metric, mean, std, n_seeds
-    per_seed: dict[int, dict]     # seed -> {"train": avg dict, "test": avg dict}
-    failures: dict[int, str]
-    ok: bool
-
-
 def multi_seed_evaluate(datasets: Sequence[DomainDataset], config: TrainConfig,
-                        seeds: Sequence[int]) -> MultiSeedResult:
-    """Rerun the full pipeline per seed (fresh domain shuffle each time) and
-    aggregate mean/std per metric on both domain sets."""
+                        seeds: Sequence[int]) -> dict:
+    """One variant's ablation row: the full pipeline per seed (a fresh domain
+    shuffle each time), then `{metric}_mean` and `{metric}_std` over the test
+    averages of the seeds that ran, their count `n_seeds` (absent when none
+    ran), and `failed_seeds`, each failed seed's message."""
     if not seeds:
         raise ValueError("multi_seed_evaluate: need at least one seed")
-    per_seed: dict[int, dict] = {}
-    failures: dict[int, str] = {}
+    averages: list[dict[str, float]] = []
+    row: dict = {"failed_seeds": {}}
     for seed in seeds:
-        cfg = replace(config, seed=seed)
         try:
-            result = run_pipeline(datasets, cfg)
-            per_seed[seed] = {"train": result.report_train.average,
-                              "test": result.report_test.average}
+            averages.append(run_pipeline(datasets, replace(config, seed=seed)).report_test.average)
         except (TrainingError, ValueError) as exc:
-            failures[seed] = str(exc)
-    rows = []
-    for split_name in ("train", "test"):
+            row["failed_seeds"][seed] = str(exc)
+    if averages:
         for metric in METRIC_NAMES:
-            vals = [per_seed[s][split_name][metric] for s in per_seed]
-            if vals:
-                rows.append({
-                    "split": split_name, "metric": metric,
-                    "mean": float(np.mean(vals)), "std": float(np.std(vals)),
-                    "n_seeds": len(vals),
-                })
-    return MultiSeedResult(rows=rows, per_seed=per_seed, failures=failures,
-                           ok=not failures)
+            values = [average[metric] for average in averages]
+            row[f"{metric}_mean"] = float(np.mean(values))
+            row[f"{metric}_std"] = float(np.std(values))
+        row["n_seeds"] = len(averages)
+    return row

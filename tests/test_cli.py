@@ -1,8 +1,10 @@
 """CLI surface: the full synth -> pretrain -> train -> evaluate -> forecast
 -> dump-latents flow on a tiny config, plus exit codes and manifests."""
 
+import argparse
 import json
 import math
+import sys
 import tempfile
 from dataclasses import fields
 from pathlib import Path
@@ -12,12 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latentcast import evaluation
+from latentcast import evaluation, training
 from latentcast.cli import main, write_manifest
 from latentcast.data import SyntheticSpec, ingest_csv, make_windows
 from latentcast.evaluation import MetricError
 from latentcast.forecaster import Forecasts, write_forecast_csv
-from latentcast.training import TrainConfig, load_full, run_pipeline
+from latentcast.training import TrainConfig, TrainingError, load_full, run_pipeline
 
 TINY_CONFIG = {
     "synthetic": {
@@ -181,6 +183,27 @@ class TestPipelineFlow:
             assert row["n_seeds"] == 2
             assert "q50_mean" in row and "q50_std" in row
         assert (root / "abl" / "ablation.txt").exists()
+        # a rerun writes the same bytes
+        assert run("ablate", "--config", cfg, "--data", data_csv, "--variants", "full,no_reg",
+                   "--seeds", "1,2", "--out", root / "abl2") == 0
+        assert ((root / "abl" / "ablation.json").read_bytes()
+                == (root / "abl2" / "ablation.json").read_bytes())
+
+    def test_ablate_failed_seed_is_listed_with_the_training_exit_code(
+            self, workdir, data_csv, monkeypatch):
+        def fail_seed_2(datasets, config, pretrained=None):
+            if config.seed == 2:
+                raise TrainingError("stage 1 loss non-finite")
+            return run_pipeline(datasets, config, pretrained)
+
+        monkeypatch.setattr(training, "run_pipeline", fail_seed_2)
+        root, cfg = workdir
+        code = run("ablate", "--config", cfg, "--data", data_csv, "--variants", "full",
+                   "--seeds", "1,2", "--out", root / "abl")
+        assert code == 3
+        row = json.loads((root / "abl" / "ablation.json").read_text())["full"]
+        assert row["failed_seeds"] == {"2": "stage 1 loss non-finite"}
+        assert row["n_seeds"] == 1
 
     @staticmethod
     def _pretrain_and_train(root, cfg, data_csv, decoder):
@@ -299,9 +322,10 @@ class TestAtomicWrites:
 
     def test_manifest(self, tmp_path):
         # json.dump has written the keys sorted before "config" when it fails
+        args = argparse.Namespace(command="synth", argv=["synth"])
         self._check(tmp_path / "manifest.json",
-                    lambda: write_manifest(tmp_path, "synth", {"ok": 1}, {}),
-                    lambda: write_manifest(tmp_path, "synth", {"bad": object()}, {}),
+                    lambda: write_manifest(tmp_path, args, {"ok": 1}, {}),
+                    lambda: write_manifest(tmp_path, args, {"bad": object()}, {}),
                     TypeError)
 
     def test_forecast_csv(self, tmp_path, tiny_datasets):
@@ -334,14 +358,20 @@ class TestUsage:
         ("dump-latents", "--data", "d.csv", "--checkpoint", "m.json", "--set", "train.d_z=2"),
         ("train", "--data", "d.csv", "--variant", "e2e", "--pretrained", "s.json"),
         ("train", "--data", "d.csv", "--variant", "no_latent", "--pretrained", "s.json"),
+        ("ablate", "--data", "d.csv", "--seed", "3"),
+        ("ablate", "--data", "d.csv", "--variant", "no_reg"),
+        ("train", "--data", "d.csv", "--pre", "X"),
     ], ids=["synth_seed", "synth_variant", "decompose_seed", "decompose_variant",
             "evaluate_seed", "forecast_variant", "dump_latents_seed", "evaluate_set",
-            "forecast_set", "dump_latents_set", "e2e_pretrained", "no_latent_pretrained"])
+            "forecast_set", "dump_latents_set", "e2e_pretrained", "no_latent_pretrained",
+            "ablate_seed", "ablate_variant", "train_abbreviation"])
     def test_flag_the_command_would_ignore_is_a_usage_error(self, workdir, capsys, argv):
         # these commands never read the flag: the checkpoint commands take
-        # every setting from the checkpoint, and a one-stage variant has no
-        # stage-1 checkpoint to load. The files named do not exist, so the
-        # refusal must come before they are looked for
+        # every setting from the checkpoint, a one-stage variant has no
+        # stage-1 checkpoint to load, ablate takes its seeds and variants
+        # from --seeds and --variants, and no flag is read as an abbreviation.
+        # The files named do not exist, so the refusal must come before they
+        # are looked for
         root, cfg = workdir
         assert run(*argv, "--config", cfg, "--out", root / "x") == 1
         err = capsys.readouterr().err
@@ -392,6 +422,71 @@ class TestUsage:
                    "--out", root / "x")
         assert code == 1
         assert "missing.csv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--config", "--data"])
+    def test_directory_for_an_input_file_is_a_usage_error(self, workdir, capsys, flag):
+        root, cfg = workdir
+        (root / "adir").mkdir()
+        paths = {"--config": cfg, "--data": root / "missing.csv", flag: root / "adir"}
+        code = run("pretrain", *[a for item in paths.items() for a in item], "--out", root / "x")
+        assert code == 1
+        assert "adir is not a file" in capsys.readouterr().err
+        assert not (root / "x").exists()
+
+    def test_non_utf8_config_is_a_data_error(self, workdir, capsys):
+        root, _ = workdir
+        cfg = root / "latin1.json"
+        cfg.write_bytes('{"train": {"variant": "é"}}'.encode("latin-1"))
+        code = run("pretrain", "--config", cfg, "--data", root / "missing.csv",
+                   "--out", root / "x")
+        assert code == 2
+        assert "not UTF-8 text" in capsys.readouterr().err
+        assert not (root / "x").exists()
+
+    @pytest.mark.parametrize("out", ["taken", "taken/run"], ids=["file", "under_file"])
+    def test_out_that_cannot_be_a_directory_is_a_usage_error(self, workdir, capsys, out):
+        root, cfg = workdir
+        (root / "taken").write_text("not a directory", encoding="utf-8")
+        code = run("synth", "--config", cfg, "--out", root / out)
+        assert code == 1
+        assert "cannot make output dir" in capsys.readouterr().err
+        assert (root / "taken").read_text(encoding="utf-8") == "not a directory"
+
+    def test_decompose_of_a_file_without_series_is_a_data_error(self, workdir, capsys):
+        root, cfg = workdir
+        data = root / "header.csv"
+        data.write_text("domain,series,timestamp,value\n", encoding="utf-8")
+        code = run("decompose", "--config", cfg, "--data", data, "--out", root / "x")
+        assert code == 2
+        assert "holds no series" in capsys.readouterr().err
+        assert not (root / "x").exists()
+
+    @pytest.mark.parametrize("flag", ["--domain", "--series"])
+    def test_decompose_reads_an_empty_name_as_a_name(self, workdir, capsys, flag):
+        # an empty name is looked up like any other, not read as "the first"
+        root, cfg = workdir
+        data = root / "named.csv"
+        data.write_text("domain,series,timestamp,value\n"
+                        + "".join(f"a,s0,{t},{t % 3}.0\n" for t in range(8)), encoding="utf-8")
+        code = run("decompose", "--config", cfg, "--data", data, flag, "", "--out", root / "x")
+        assert code == 2
+        assert "'' not in" in capsys.readouterr().err
+        assert not (root / "x").exists()
+        unnamed = root / "unnamed.csv"
+        unnamed.write_text("domain,series,timestamp,value\n"
+                           + "".join(f"a,s0,{t},1.0\n,,{t},{t % 3}.0\n" for t in range(8)),
+                           encoding="utf-8")
+        assert run("decompose", "--config", cfg, "--data", unnamed, "--domain", "",
+                   "--series", "", "--out", root / "y") == 0
+        manifest = json.loads((root / "y" / "manifest.json").read_text())
+        assert (manifest["config"]["domain"], manifest["config"]["series"]) == ("", "")
+
+    def test_manifest_records_the_argv_main_parsed(self, workdir, monkeypatch):
+        root, cfg = workdir
+        monkeypatch.setattr(sys, "argv", ["pytest", "-q", "x.py"])
+        argv = ["synth", "--config", str(cfg), "--out", str(root / "s")]
+        assert main(argv) == 0
+        assert json.loads((root / "s" / "manifest.json").read_text())["argv"] == argv
 
 
 # ---------------------------------------------------------------------------

@@ -184,6 +184,14 @@ class TestEncoderDecoder:
         with pytest.raises(T.ShapeError):
             tiny_pair.components["trend"].encoder(Tensor(np.zeros((2, 5))))
 
+    def test_readout_takes_rows_only(self, tiny_pair):
+        # one window is a one-row batch; a 1-D row is refused
+        mu = tiny_pair.components["trend"].mu
+        width = mu.w.shape[0]
+        assert mu(Tensor(np.zeros((1, width)))).shape == (1, 4)
+        with pytest.raises(T.ShapeError):
+            mu(Tensor(np.zeros(width)))
+
     def test_identical_noise_identical_z(self, tiny_pair):
         x = Tensor(np.random.default_rng(1).normal(size=(2, 6)))
         comp = tiny_pair.components["seasonal"]
@@ -241,10 +249,11 @@ class TestEncoderDecoder:
                                                      rng.integers(0, 2, 9)), {0: 0, 1: 1})
         part = batch.take(np.array([6, 1, 4, 2]))
         means = pair.encode(part.x, rng=np.random.default_rng(5), training=True)
-        _, _, latents = latent_loss(pair, part, rng=np.random.default_rng(5),
-                                    noise={k: np.zeros((4, 3)) for k in pair.components})
+        _, _, loss_means = latent_loss(pair, part, rng=np.random.default_rng(5),
+                                       noise={k: np.zeros((4, 3)) for k in pair.components})
+        assert list(loss_means) == list(pair.components)
         for which in pair.components:
-            assert np.array_equal(means[which].data, latents[which].mu.data)
+            assert np.array_equal(means[which].data, loss_means[which].data)
 
 
 class TestLatentLoss:

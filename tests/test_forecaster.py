@@ -52,16 +52,16 @@ class TestFuse:
 
 class TestAugment:
     def test_zero_weights_bias_passthrough(self):
-        z, x = Tensor(np.zeros(2)), Tensor(np.zeros(3))
+        z, x = Tensor(np.zeros((1, 2))), Tensor(np.zeros((1, 3)))
         w = Tensor(np.zeros((5, 3)))
         b = Tensor(np.ones(3))
-        assert np.array_equal(augment_input(z, x, w, b).data, [1, 1, 1])
+        assert np.array_equal(augment_input(z, x, w, b).data, [[1, 1, 1]])
 
     def test_hand_matrix_multiply(self):
-        z, x = Tensor([1.0]), Tensor([2.0, 3.0])
+        z, x = Tensor([[1.0]]), Tensor([[2.0, 3.0]])
         w = Tensor([[1.0, 0], [0, 1], [1, 1]])
         b = Tensor([0.0, 0.0])
-        assert np.array_equal(augment_input(z, x, w, b).data, [4.0, 5.0])
+        assert np.array_equal(augment_input(z, x, w, b).data, [[4.0, 5.0]])
 
     def test_gradient_wrt_all_inputs(self):
         rng = np.random.default_rng(0)
@@ -75,8 +75,12 @@ class TestAugment:
 
     def test_shape_mismatch(self):
         with pytest.raises(T.ShapeError):
-            augment_input(Tensor(np.zeros(2)), Tensor(np.zeros(3)),
+            augment_input(Tensor(np.zeros((1, 2))), Tensor(np.zeros((1, 3))),
                           Tensor(np.zeros((4, 3))), Tensor(np.zeros(3)))
+        # one window is a one-row batch, not a 1-D row
+        with pytest.raises(T.ShapeError):
+            augment_input(Tensor(np.zeros(2)), Tensor(np.zeros(3)),
+                          Tensor(np.zeros((5, 3))), Tensor(np.zeros(3)))
 
 
 class TestGaussianNll:
@@ -199,15 +203,15 @@ class TestLinearDecoder:
 
 class TestToDistribution:
     def test_standard_normal_quantiles(self):
-        d = to_distribution(mu=np.zeros(2), sigma=np.ones(2))
-        assert np.allclose(d.quantiles[4], 0.0, atol=1e-12)
-        assert np.allclose(d.quantiles[8], 1.2815515655446004, atol=1e-9)
-        assert np.allclose(d.point, d.quantiles[4])
+        quantiles, notes = to_distribution(mu=np.zeros(2), sigma=np.ones(2))
+        assert np.allclose(quantiles[4], 0.0, atol=1e-12)
+        assert np.allclose(quantiles[8], 1.2815515655446004, atol=1e-9)
+        assert notes == []
 
     def test_tiny_sigma_collapses_to_mu(self):
         mu = np.array([3.0, -1.0])
-        d = to_distribution(mu=mu, sigma=np.full(2, 1e-300))
-        assert np.allclose(d.quantiles, np.tile(mu, (9, 1)), atol=1e-12)
+        quantiles, _ = to_distribution(mu=mu, sigma=np.full(2, 1e-300))
+        assert np.allclose(quantiles, np.tile(mu, (9, 1)), atol=1e-12)
 
     @given(m=st.integers(1, 3), horizon=st.integers(1, 4), paths=st.integers(1, 30),
            feat_dim=st.integers(0, 2), seed=st.integers(0, 2 ** 16))
@@ -217,27 +221,27 @@ class TestToDistribution:
         rng = np.random.default_rng(seed)
         scale = rng.uniform(0.1, 10.0, (m, 1))
         stats = (rng.normal(size=(m, 1)), rng.uniform(0.0, 3.0, (m, 1)))
-        closed = to_distribution(mu=rng.normal(size=(m, horizon)),
-                                 sigma=rng.uniform(1e-6, 2.0, (m, horizon)),
-                                 scale=scale, norm_stats=stats)
+        closed, _ = to_distribution(mu=rng.normal(size=(m, horizon)),
+                                    sigma=rng.uniform(1e-6, 2.0, (m, horizon)),
+                                    scale=scale, norm_stats=stats)
         dec = RecurrentDecoder(rng, feat_dim, 4, horizon, drop=0.0)
         a = rng.normal(size=(m, 5, feat_dim)) if feat_dim else None
         samples = dec.sample_paths(Tensor(rng.normal(size=(m, 5))), a, paths, rng)
-        sampled = to_distribution(samples=samples, scale=scale, norm_stats=stats)
-        for d in (closed, sampled):
-            assert d.quantiles.shape == (9, m, horizon)
-            assert np.all(np.diff(d.quantiles, axis=0) >= 0)
+        sampled, _ = to_distribution(samples=samples, scale=scale, norm_stats=stats)
+        for quantiles in (closed, sampled):
+            assert quantiles.shape == (9, m, horizon)
+            assert np.all(np.diff(quantiles, axis=0) >= 0)
         # the one-window forms: (h,) mu and sigma, (paths, h) samples
-        one_closed = to_distribution(mu=rng.normal(size=horizon),
-                                     sigma=rng.uniform(1e-6, 2.0, horizon))
-        one_sampled = to_distribution(samples=samples[0])
-        for d in (one_closed, one_sampled):
-            assert d.quantiles.shape == (9, horizon)
-            assert np.all(np.diff(d.quantiles, axis=0) >= 0)
+        one_closed, _ = to_distribution(mu=rng.normal(size=horizon),
+                                        sigma=rng.uniform(1e-6, 2.0, horizon))
+        one_sampled, _ = to_distribution(samples=samples[0])
+        for quantiles in (one_closed, one_sampled):
+            assert quantiles.shape == (9, horizon)
+            assert np.all(np.diff(quantiles, axis=0) >= 0)
 
     def test_few_samples_notes_warning(self):
-        d = to_distribution(samples=np.random.default_rng(1).normal(size=(5, 3)))
-        assert any("sample paths" in n for n in d.notes)
+        _, notes = to_distribution(samples=np.random.default_rng(1).normal(size=(5, 3)))
+        assert any("sample paths" in n for n in notes)
 
     def test_inversion_roundtrip(self):
         # re-normalizing the output grid recovers the normalized quantiles
@@ -245,8 +249,8 @@ class TestToDistribution:
         mu, sigma = rng.normal(size=3), rng.uniform(0.5, 1.5, 3)
         stats = (2.5, 1.7)
         scale = 4.0
-        d = to_distribution(mu=mu, sigma=sigma, scale=scale, norm_stats=stats)
-        renorm = (d.quantiles / scale - stats[0]) / (stats[1] + 1e-5)
+        quantiles, _ = to_distribution(mu=mu, sigma=sigma, scale=scale, norm_stats=stats)
+        renorm = (quantiles / scale - stats[0]) / (stats[1] + 1e-5)
         from scipy.special import ndtri
         expected = mu[None, :] + sigma[None, :] * ndtri(np.arange(1, 10) / 10.0)[:, None]
         assert np.allclose(renorm, expected, atol=1e-9)

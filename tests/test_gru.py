@@ -92,39 +92,31 @@ def _rel_err(a, b):
 
 @pytest.mark.parametrize("in_dim", [1, 3], ids=["value_only", "with_features"])
 @pytest.mark.parametrize("keep", ["one", "all"])
-@pytest.mark.parametrize("with_h0", [False, True], ids=["zero_state", "h0"])
-def test_fused_gru_grad_checks(in_dim, keep, with_h0):
+def test_fused_gru_grad_checks(in_dim, keep):
     cell, rng = _cell(0, in_dim, 3)
     n, length = 2, 4
     xs = Tensor(rng.normal(size=(n, length, in_dim)), requires_grad=True)
-    h0 = Tensor(rng.normal(size=(n, 3)), requires_grad=True) if with_h0 else None
     k = 1 if keep == "one" else length
     w = Tensor(rng.normal(size=(k, n, 3)))
-    params = [xs] + ([h0] if with_h0 else []) + cell.params()
-    assert grad_check(lambda: T.tsum(cell(xs, h0, keep=k) * w), params) < 1e-7
+    assert grad_check(lambda: T.tsum(cell(xs, keep=k) * w), [xs] + cell.params()) < 1e-7
 
 
 @given(n=st.integers(1, 4), length=st.integers(1, 6), in_dim=st.integers(1, 3),
-       hidden=st.integers(1, 5), keep_frac=st.floats(0.0, 1.0), with_h0=st.booleans(),
-       seed=st.integers(0, 2 ** 16))
-def test_fused_gru_equals_composed_graph(n, length, in_dim, hidden, keep_frac, with_h0, seed):
+       hidden=st.integers(1, 5), keep_frac=st.floats(0.0, 1.0), seed=st.integers(0, 2 ** 16))
+def test_fused_gru_equals_composed_graph(n, length, in_dim, hidden, keep_frac, seed):
     cell, rng = _cell(seed, in_dim, hidden)
     keep = 1 + int(keep_frac * (length - 1))
     x = rng.normal(size=(n, length, in_dim))
-    h0 = rng.normal(size=(n, hidden)) if with_h0 else np.zeros((n, hidden))
     w = rng.normal(size=(keep, n, hidden))
 
     xs = Tensor(x, requires_grad=True)
-    h0_fused = Tensor(h0, requires_grad=True) if with_h0 else None
-    out = cell(xs, h0_fused, keep=keep)
+    out = cell(xs, keep=keep)
     T.tsum(out * Tensor(w)).backward()
     fused = [xs.grad] + [p.grad.copy() for p in cell.params()]
-    if with_h0:
-        fused.append(h0_fused.grad)
 
     T.zero_grads(cell.params())
     steps = [Tensor(x[:, t], requires_grad=True) for t in range(length)]
-    h = h0_ref = Tensor(h0, requires_grad=True)
+    h = Tensor(np.zeros((n, hidden)))
     states = []
     for x_t in steps:
         h = composed_step(cell, x_t, h)
@@ -143,8 +135,6 @@ def test_fused_gru_equals_composed_graph(n, length, in_dim, hidden, keep_frac, w
         loss = loss + T.tsum(s * Tensor(w_s))
     loss.backward()
     ref = [np.stack([x_t.grad for x_t in steps], axis=1)] + [p.grad for p in cell.params()]
-    if with_h0:
-        ref.append(h0_ref.grad)
     for got, want in zip(fused, ref):
         assert _rel_err(got, want) <= 1e-10
 
@@ -167,20 +157,19 @@ def test_gate_formula_is_within_machine_epsilon_of_expit(x):
 @pytest.mark.parametrize("in_dim", [1, 3], ids=["value_only", "with_features"])
 @given(n=st.integers(2, 6), hidden=st.integers(1, 5), seed=st.integers(0, 2 ** 16))
 def test_step_equals_one_step_sequence(in_dim, n, hidden, seed):
+    # the sequence's second step starts from the first one's state
     cell, rng = _cell(seed, in_dim, hidden)
-    x = rng.normal(size=(n, in_dim))
-    h = rng.normal(size=(n, hidden))
-    got = cell.step(x, h)
+    xs = rng.normal(size=(n, 2, in_dim))
+    states = cell(Tensor(xs), keep=2).data
+    got = cell.step(xs[:, 1], states[0])
     assert isinstance(got, np.ndarray)
-    assert np.array_equal(got, cell(Tensor(x[:, None, :]), h0=Tensor(h)).data[0])
+    assert np.array_equal(got, states[1])
 
 
 def test_fused_gru_rejects_bad_shapes():
     cell, _ = _cell(0, 2, 3)
     with pytest.raises(T.ShapeError):
         cell(Tensor(np.zeros((2, 4, 3))))
-    with pytest.raises(T.ShapeError):
-        cell(Tensor(np.zeros((2, 4, 2))), h0=Tensor(np.zeros((2, 4))))
     with pytest.raises(ValueError):
         cell(Tensor(np.zeros((2, 4, 2))), keep=5)
 

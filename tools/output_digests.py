@@ -1,0 +1,92 @@
+"""Digests of the outputs the benchmark's workload configs produce, for
+checking that a change leaves every output byte-identical.
+
+    python tools/output_digests.py --seeds 101 102 103 [--src DIR]
+
+For each workload in `pipebench/workloads.py` and each seed (the workload's
+data seed, as in `pipebench/run.py --seed`) it prints one line per artifact,
+`<workload> <seed> <artifact> <sha256 prefix>`:
+
+- from `training.run_pipeline` on the workload's in-memory data: both
+  reports, the test quantiles, each checkpointed parameter and the loss lists
+- for the CLI workload, every file its commands write, except the manifests
+  and the seconds of the run records
+
+`--src` names the latentcast source tree to import (default: this repo's
+`src`). Run the script once per tree and diff the two outputs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def pipeline_artifacts(result) -> dict[str, bytes]:
+    record = result.record
+    losses = {"stage1": record.stage1_losses, "stage2_train": record.stage2_train_losses,
+              "stage2_val": record.stage2_val_losses, "selected_epoch": record.selected_epoch}
+    quantiles = result.test_forecasts.quantiles
+    out = {"report_train": result.report_train.to_json().encode(),
+           "report_test": result.report_test.to_json().encode(),
+           "test_quantiles": repr(quantiles.shape).encode() + quantiles.tobytes(),
+           "losses": json.dumps(losses).encode()}
+    for p in result.model.checkpoint_params():
+        out[f"param:{p.name}"] = repr(p.data.shape).encode() + p.data.tobytes()
+    return out
+
+
+def cli_artifacts(root: Path, exit_codes: dict[str, int]) -> dict[str, bytes]:
+    out = {"exit_codes": json.dumps(exit_codes, sort_keys=True).encode()}
+    for path in sorted(root.rglob("*")):
+        if not path.is_file() or path.name == "manifest.json":
+            continue
+        data = path.read_bytes()
+        if path.name.startswith("runrecord"):
+            record = {k: v for k, v in json.loads(data).items() if not k.endswith("_seconds")}
+            data = json.dumps(record, sort_keys=True).encode()
+        out[f"cli:{path.relative_to(root).as_posix()}"] = data
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seeds", type=int, nargs="+", required=True)
+    parser.add_argument("--src", default=str(REPO / "src"),
+                        help="latentcast source tree to import")
+    args = parser.parse_args(argv)
+    for var in BLAS_VARS:
+        os.environ[var] = "1"
+    sys.path[:0] = [str(Path(args.src).resolve()), str(REPO)]
+    from pipebench.workloads import WORKLOADS, CliRun, PipelineRun
+
+    for name, workload in WORKLOADS.items():
+        for seed in args.seeds:
+            # the commands' own stdout would mix with the digest lines
+            with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+                artifacts = pipeline_artifacts(
+                    PipelineRun(workload, seed, Path(tmp)).iterate(0).result)
+                if workload.via_cli:
+                    outcome = CliRun(workload, seed, Path(tmp)).iterate(0)
+                    artifacts.update(cli_artifacts(Path(tmp) / "iter0", outcome.exit_codes))
+            for artifact, data in artifacts.items():
+                print(f"{name} {seed} {artifact} {digest(data)}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
