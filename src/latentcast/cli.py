@@ -19,7 +19,8 @@ from pathlib import Path
 
 from . import __version__
 from .checkpoint import CheckpointError, atomic_write
-from .data import DataError, SyntheticSpec, generate_synthetic, ingest_csv, write_csv
+from .data import (DataError, SyntheticSpec, generate_synthetic, held_out_count, ingest_csv,
+                   write_csv)
 from .decomposition import DecompositionError, decompose
 from .evaluation import METRIC_NAMES, MetricError
 from .forecaster import write_forecast_csv
@@ -347,6 +348,7 @@ def cmd_ablate(args) -> int:
     cfg = apply_overrides(load_config_file(args.config), args.set)
     config = train_config_from(cfg, args)
     datasets = _load_datasets(args, config)
+    held_out_count(len(datasets), config.test_fraction)   # a fault no seed escapes
     out = resolve_out(args.out, args.overwrite)
 
     table = {variant: multi_seed_evaluate(datasets, replace(config, variant=variant), seeds)

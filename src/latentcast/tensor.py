@@ -306,11 +306,15 @@ def sigmoid(a) -> Tensor:
     return custom_op(y, (a,), (lambda g: g * y * (1.0 - y),))
 
 
+def softplus_array(x: np.ndarray) -> np.ndarray:
+    """log(1 + exp(x)) on a plain array, without overflow."""
+    return np.log1p(np.exp(-np.abs(x))) + np.maximum(x, 0.0)
+
+
 def softplus(a) -> Tensor:
     a = _as_tensor(a)
     x = a.data
-    return custom_op(np.log1p(np.exp(-np.abs(x))) + np.maximum(x, 0.0), (a,),
-                     (lambda g: g * expit(x),))
+    return custom_op(softplus_array(x), (a,), (lambda g: g * expit(x),))
 
 
 def square(a) -> Tensor:

@@ -30,7 +30,8 @@ from .data import (DataError, DomainDataset, DomainSplit, WindowSample, WindowSe
                    windows_for_role)
 from .evaluation import METRIC_NAMES, MetricReport, aggregate
 from .forecaster import (QUANTILE_LEVELS, ForecastDistribution, ForecastModel, Forecasts,
-                         LinearDecoder, RecurrentDecoder, gaussian_nll, to_distribution)
+                         LinearDecoder, RecurrentDecoder, gaussian_nll, row_blocks,
+                         to_distribution)
 from .nets import glorot
 from .optim import Adam
 from .tensor import Tensor, no_grad
@@ -351,19 +352,13 @@ def stage2_train(model: ForecastModel, train_samples: WindowSet, val_samples: Wi
 def predict_windows(model: ForecastModel, windows: WindowSet,
                     config: TrainConfig, rng: np.random.Generator | None,
                     chunk: int = 64) -> Forecasts:
-    """Per-window forecast distributions in original units, `chunk` windows
-    at a time. A trailing single window joins the chunk before it: a one-row
-    product goes through BLAS's matrix-vector routine, whose last bits differ
-    from a row of a matrix product, and forecasts must not depend on the
-    split size."""
+    """Per-window forecast distributions in original units, in `row_blocks`
+    of `chunk` windows, so that forecasts do not depend on the split size."""
     prepared = prepare_samples(windows)
     n = len(prepared)
-    starts = list(range(0, n, chunk))
-    if n % chunk == 1 and n > 1:
-        starts.pop()
     quantiles = np.empty((len(QUANTILE_LEVELS), n, config.horizon))
     notes: list[str] = []
-    for lo, hi in zip(starts, starts[1:] + [n]):
+    for lo, hi in row_blocks(n, chunk):
         part = prepared[lo:hi]
         out = model.predict(part.x, part.a, config.sample_paths, rng)
         quantiles[:, lo:hi], notes = to_distribution(

@@ -205,6 +205,23 @@ class TestPipelineFlow:
         assert row["failed_seeds"] == {"2": "stage 1 loss non-finite"}
         assert row["n_seeds"] == 1
 
+    @pytest.mark.parametrize("domains,test_fraction", [(1, 0.25), (4, 0.1), (4, 0.9)],
+                             ids=["one_domain", "no_test_domain", "no_training_domain"])
+    def test_ablate_data_fault_no_seed_escapes_ends_before_the_output_dir(
+            self, workdir, capsys, domains, test_fraction):
+        # the domain counts of a split do not depend on its seed, so no seed
+        # can run, and ablate ends with a data error before making --out
+        root, cfg = workdir
+        data = root / "few.csv"
+        data.write_text("domain,series,timestamp,value\n" + "".join(
+            f"d{d},s,{t},{t % 7}.0\n" for d in range(domains) for t in range(60)))
+        code = run("ablate", "--config", cfg, "--data", data, "--variants", "full",
+                   "--seeds", "1", "--set", f"train.test_fraction={test_fraction}",
+                   "--out", root / "abl")
+        assert code == 2
+        assert "data error" in capsys.readouterr().err
+        assert not (root / "abl").exists()
+
     @staticmethod
     def _pretrain_and_train(root, cfg, data_csv, decoder):
         dec = f"train.decoder={decoder}"

@@ -12,7 +12,7 @@ from scipy.special import expit
 
 import latentcast.tensor as T
 from latentcast.cvae import BiGruEncoder
-from latentcast.forecaster import SIGMA_FLOOR, RecurrentDecoder
+from latentcast.forecaster import SIGMA_FLOOR, RecurrentDecoder, row_blocks
 from latentcast.nets import GRUCell, dropout
 from latentcast.tensor import Tensor, grad_check, no_grad
 
@@ -217,17 +217,49 @@ def test_teacher_forced_equals_per_step_loop(feat_dim, horizon):
         assert _rel_err(got, want) <= 1e-10
 
 
-@pytest.mark.parametrize("feat_dim,windows", [(0, 3), (2, 3), (2, 1)])
-def test_sample_paths_equal_repeat_then_condition_sampler(feat_dim, windows):
+# (windows, paths): the sampler steps its windows * paths rows in blocks of
+# SAMPLE_BLOCK_ROWS (256); 257 rows end in a merged one-row tail, 520 in two
+# blocks and 8 rows
+SAMPLER_SIZES = {"3": (3, 7), "1": (1, 7), "one_block": (32, 8), "block_plus_1": (257, 1),
+                 "two_blocks_plus_8": (5, 104)}
+
+
+@pytest.mark.parametrize("feat_dim,size", [
+    pytest.param(feat_dim, size, id=f"{feat_dim}-{size}")
+    for feat_dim, size in [(0, "3"), (2, "3"), (2, "1")]
+    + [(f, s) for s in ("one_block", "block_plus_1", "two_blocks_plus_8") for f in (0, 2)]])
+def test_sample_paths_equal_repeat_then_condition_sampler(feat_dim, size):
+    windows, paths = SAMPLER_SIZES[size]
     dec = RecurrentDecoder(np.random.default_rng(6), feat_dim, 8, 4, drop=0.1)
     rng = np.random.default_rng(7)
     xp = Tensor(rng.normal(size=(windows, 6)))
     a = rng.normal(size=(windows, 6, feat_dim)) if feat_dim else None
-    got = dec.sample_paths(xp, a, 7, np.random.default_rng(8))
-    want = repeat_then_condition_sampler(dec, xp, a, 7, np.random.default_rng(8))
+    rng_got, rng_want = np.random.default_rng(8), np.random.default_rng(8)
+    got = dec.sample_paths(xp, a, paths, rng_got)
+    want = repeat_then_condition_sampler(dec, xp, a, paths, rng_want)
     if windows == 1:
         # conditioning one window multiplies one-row states, which numpy
         # hands to a matrix-vector BLAS routine that rounds differently
         assert _rel_err(got, want) <= 1e-12
     else:
         assert np.array_equal(got, want)
+    # both samplers used up the same draws
+    assert np.array_equal(rng_got.standard_normal(3), rng_want.standard_normal(3))
+
+
+@pytest.mark.parametrize("hidden", [8, 32, 64])
+@pytest.mark.parametrize("in_dim", [1, 3], ids=["value_only", "with_features"])
+def test_step_over_row_blocks_equals_one_step_over_all_rows(in_dim, hidden):
+    # the sampler's row blocks rely on this: a block of two or more rows goes
+    # through the same BLAS matrix product as the whole array, and every row's
+    # result is the same (a one-row block goes to matrix-vector routines and
+    # may differ in the last bits, so the sampler never makes one)
+    cell, rng = _cell(hidden, in_dim, hidden)
+    rows = 700
+    x = rng.normal(size=(rows, in_dim))
+    h = rng.normal(size=(rows, hidden))
+    want = cell.step(x, h)
+    for size in (2, 3, 5, 64, 255, 256, 257, 699):
+        got = np.concatenate([cell.step(x[lo:hi], h[lo:hi])
+                              for lo, hi in row_blocks(rows, size)])
+        assert np.array_equal(got, want), size

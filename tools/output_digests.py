@@ -9,8 +9,11 @@ data seed, as in `pipebench/run.py --seed`) it prints one line per artifact,
 
 - from `training.run_pipeline` on the workload's in-memory data: both
   reports, the test quantiles, each checkpointed parameter and the loss lists
-- for the CLI workload, every file its commands write, except the manifests
-  and the seconds of the run records
+- for the CLI workload and for every workload with a recurrent decoder, every
+  file that the CLI run of its config writes (pretrain, train, forecast and
+  dump-latents on the workload's data as a CSV), except the manifests and
+  the seconds of the run records; so the sampled forecasts that `train` and
+  `forecast` write from a recurrent checkpoint are covered too
 
 `--src` names the latentcast source tree to import (default: this repo's
 `src`). Run the script once per tree and diff the two outputs.
@@ -80,7 +83,7 @@ def main(argv=None) -> int:
             with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
                 artifacts = pipeline_artifacts(
                     PipelineRun(workload, seed, Path(tmp)).iterate(0).result)
-                if workload.via_cli:
+                if workload.via_cli or workload.config.get("decoder") == "recurrent":
                     outcome = CliRun(workload, seed, Path(tmp)).iterate(0)
                     artifacts.update(cli_artifacts(Path(tmp) / "iter0", outcome.exit_codes))
             for artifact, data in artifacts.items():
