@@ -165,9 +165,15 @@ def _write_text(path: Path, text: str) -> None:
         fh.write(text)
 
 
-def _load_datasets(args, config: TrainConfig):
-    return ingest_csv(input_file(args.data, "data file"), value_scale=config.value_scale,
-                      fill_missing=config.fill_missing)
+def _load_datasets(args, config: TrainConfig, split: bool = True):
+    """The data file's domains; with `split`, a data error unless every domain
+    split of them has a test and a training side, a fault no seed escapes,
+    found before the command makes its output directory."""
+    datasets = ingest_csv(input_file(args.data, "data file"), value_scale=config.value_scale,
+                          fill_missing=config.fill_missing)
+    if split:
+        held_out_count(len(datasets), config.test_fraction)
+    return datasets
 
 
 def _write_reports(out: Path, result_reports: dict) -> dict[str, str]:
@@ -205,7 +211,7 @@ def cmd_synth(args) -> int:
 def cmd_decompose(args) -> int:
     cfg = apply_overrides(load_config_file(args.config), args.set)
     config = train_config_from(cfg, args)
-    datasets = _load_datasets(args, config)
+    datasets = _load_datasets(args, config, split=False)
     if not datasets:
         raise DataError(f"data file {args.data} holds no series")
     by_name = {ds.domain_name: ds for ds in datasets}
@@ -348,7 +354,6 @@ def cmd_ablate(args) -> int:
     cfg = apply_overrides(load_config_file(args.config), args.set)
     config = train_config_from(cfg, args)
     datasets = _load_datasets(args, config)
-    held_out_count(len(datasets), config.test_fraction)   # a fault no seed escapes
     out = resolve_out(args.out, args.overwrite)
 
     table = {variant: multi_seed_evaluate(datasets, replace(config, variant=variant), seeds)

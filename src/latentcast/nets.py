@@ -56,8 +56,12 @@ class GRUCell:
         self.b = Tensor(np.zeros(3 * hidden), requires_grad=True, name=f"{name}.b")
 
     def _project(self, x: np.ndarray) -> np.ndarray:
-        """(M, D) inputs -> (M, 3H) input projections, bias included."""
-        px = x @ self.wx.data
+        """(M, D) inputs -> (M, 3H) input projections, bias included.
+
+        `np.dot`, not `@`: the values are the same, but for a one-wide input
+        (the encoders, a decoder without features) numpy's `matmul` takes a
+        path several times slower."""
+        px = np.dot(x, self.wx.data)
         px += self.b.data
         return px
 
@@ -81,7 +85,12 @@ class GRUCell:
 
     def __call__(self, xs: Tensor, keep: int = 1) -> Tensor:
         """The last `keep` states of the cell run over (N, T, D) inputs from
-        the zero state, step-major: (keep, N, H)."""
+        the zero state, step-major: (keep, N, H).
+
+        The states, gates and candidates of every step are kept for the
+        backward only when the call records a graph node; otherwise (under
+        `no_grad`, or with no parent requiring grad) the same steps run and
+        only the returned states are kept."""
         hid = self.hidden
         if xs.ndim != 3 or xs.shape[2] != self.wx.shape[0]:
             raise T.ShapeError(f"GRUCell expects (N, T, {self.wx.shape[0]}) inputs, got {xs.shape}")
@@ -89,10 +98,20 @@ class GRUCell:
         if not 1 <= keep <= length:
             raise ValueError(f"keep must be in [1, {length}], got {keep}")
         wx, wh = self.wx.data, self.wh.data
+        parents = [xs, self.wx, self.wh, self.b]
 
         # step-major throughout, so every per-step slice is contiguous
         x_flat = xs.data.transpose(1, 0, 2).reshape(length * n, in_dim)
         px = self._project(x_flat).reshape(length, n, 3 * hid)
+        if not T.records(parents):   # no backward can follow: keep no tape
+            out = np.empty((keep, n, hid))
+            h = np.zeros((n, hid))
+            for t in range(length):
+                h = self._step(px[t], h)[0]
+                if t >= length - keep:
+                    out[t - length + keep] = h
+            return Tensor(out)
+
         hs = [np.zeros((n, hid))]   # hs[t] enters step t
         gates, cands, phcs = [], [], []   # reset | update, candidate, candidate slice of h @ wh
         for t in range(length):
@@ -132,8 +151,7 @@ class GRUCell:
                 lambda g: x_flat.T @ bptt(g)["dpx"],
                 lambda g: bptt(g)["dwh"],
                 lambda g: bptt(g)["dpx"].sum(axis=0)]
-        return T.custom_op(np.stack(hs[length - keep + 1:]),
-                           [xs, self.wx, self.wh, self.b], vjps)
+        return T.custom_op(np.stack(hs[length - keep + 1:]), parents, vjps)
 
     def params(self) -> list[Tensor]:
         return [self.wx, self.wh, self.b]

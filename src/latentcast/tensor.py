@@ -182,6 +182,13 @@ class Tensor:
         return transpose(self)
 
 
+def records(parents: Sequence[Tensor]) -> bool:
+    """Whether an op on these parents records a graph node: grad mode is on
+    and some parent requires grad. An op that keeps state only for its
+    backward can skip keeping it when this is False."""
+    return _grad_mode and any(p.requires_grad for p in parents)
+
+
 def custom_op(data: np.ndarray, parents: Sequence[Tensor],
               vjps: Sequence[Vjp | None]) -> Tensor:
     """The one graph-node constructor: a forward value, its parents and, per
@@ -194,7 +201,7 @@ def custom_op(data: np.ndarray, parents: Sequence[Tensor],
     reference cycle.
     """
     out = Tensor(data)
-    if _grad_mode and any(p.requires_grad for p in parents):
+    if records(parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._vjps = tuple(vjps)

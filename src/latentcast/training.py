@@ -409,10 +409,10 @@ class PipelineResult:
     pair: CvaePair
     model: ForecastModel
     record: RunRecord
-    report_train: MetricReport
-    report_test: MetricReport
-    test_windows: WindowSet
-    test_forecasts: Forecasts
+    report_train: MetricReport | None   # None for a split not evaluated
+    report_test: MetricReport | None
+    test_windows: WindowSet | None
+    test_forecasts: Forecasts | None
 
     @property
     def forecasts_test(self) -> list[tuple[WindowSample, ForecastDistribution]]:
@@ -421,10 +421,12 @@ class PipelineResult:
 
 
 def run_pipeline(datasets: Sequence[DomainDataset], config: TrainConfig,
-                 pretrained=None) -> PipelineResult:
-    """Both stages, then both splits' reports. A two-stage variant given a
-    `pretrained` stage-1 checkpoint restores the pair from it instead of
-    running stage 1."""
+                 pretrained=None, splits: Sequence[str] = EVAL_SPLITS) -> PipelineResult:
+    """Both stages, then the reports of `splits`, train before test. A
+    two-stage variant given a `pretrained` stage-1 checkpoint restores the
+    pair from it instead of running stage 1."""
+    if not set(splits) <= set(EVAL_SPLITS):
+        raise ValueError(f"splits must be among {EVAL_SPLITS}, got {tuple(splits)}")
     config.validate()
     data = training_data(datasets, config, ("train", "val"))
     model = build(config, len(data.split.train_domains), datasets[0].feat_dim)
@@ -435,8 +437,10 @@ def run_pipeline(datasets: Sequence[DomainDataset], config: TrainConfig,
         stage1_pretrain(model.pair, data.samples["train"], data.domain_index, config, record)
     stage2_train(model, data.samples["train"], data.samples["val"], config, record,
                  domain_index=data.domain_index)
-    report_train, _, _ = evaluate_split(model, datasets, data.split, config, "train")
-    report_test, windows, dists = evaluate_split(model, datasets, data.split, config, "test")
+    evaluated = {which: evaluate_split(model, datasets, data.split, config, which)
+                 if which in splits else (None, None, None) for which in EVAL_SPLITS}
+    report_train = evaluated["train"][0]
+    report_test, windows, dists = evaluated["test"]
     return PipelineResult(config=config, split=data.split, domain_map=data.domain_map,
                           domain_index=data.domain_index, pair=model.pair, model=model,
                           record=record, report_train=report_train, report_test=report_test,
@@ -513,16 +517,18 @@ def load_full(path) -> tuple[TrainConfig, ForecastModel, list[list], dict[int, i
 def multi_seed_evaluate(datasets: Sequence[DomainDataset], config: TrainConfig,
                         seeds: Sequence[int]) -> dict:
     """One variant's ablation row: the full pipeline per seed (a fresh domain
-    shuffle each time), then `{metric}_mean` and `{metric}_std` over the test
-    averages of the seeds that ran, their count `n_seeds` (absent when none
-    ran), and `failed_seeds`, each failed seed's message."""
+    shuffle each time), evaluating only the test split, then `{metric}_mean`
+    and `{metric}_std` over the test averages of the seeds that ran, their
+    count `n_seeds` (absent when none ran), and `failed_seeds`, each failed
+    seed's message."""
     if not seeds:
         raise ValueError("multi_seed_evaluate: need at least one seed")
     averages: list[dict[str, float]] = []
     row: dict = {"failed_seeds": {}}
     for seed in seeds:
         try:
-            averages.append(run_pipeline(datasets, replace(config, seed=seed)).report_test.average)
+            result = run_pipeline(datasets, replace(config, seed=seed), splits=("test",))
+            averages.append(result.report_test.average)
         except (TrainingError, ValueError) as exc:
             row["failed_seeds"][seed] = str(exc)
     if averages:

@@ -48,6 +48,11 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
+# domain counts and test fractions whose split has an empty side for any seed
+SPLIT_FAULTS = ("domains,test_fraction", [(1, 0.25), (4, 0.1), (4, 0.9)])
+SPLIT_FAULT_IDS = ["one_domain", "no_test_domain", "no_training_domain"]
+
+
 class TestSynth:
     def test_writes_domains(self, workdir):
         root, cfg = workdir
@@ -191,10 +196,10 @@ class TestPipelineFlow:
 
     def test_ablate_failed_seed_is_listed_with_the_training_exit_code(
             self, workdir, data_csv, monkeypatch):
-        def fail_seed_2(datasets, config, pretrained=None):
+        def fail_seed_2(datasets, config, **kwargs):
             if config.seed == 2:
                 raise TrainingError("stage 1 loss non-finite")
-            return run_pipeline(datasets, config, pretrained)
+            return run_pipeline(datasets, config, **kwargs)
 
         monkeypatch.setattr(training, "run_pipeline", fail_seed_2)
         root, cfg = workdir
@@ -205,22 +210,37 @@ class TestPipelineFlow:
         assert row["failed_seeds"] == {"2": "stage 1 loss non-finite"}
         assert row["n_seeds"] == 1
 
-    @pytest.mark.parametrize("domains,test_fraction", [(1, 0.25), (4, 0.1), (4, 0.9)],
-                             ids=["one_domain", "no_test_domain", "no_training_domain"])
+    @staticmethod
+    def _few_domains_csv(root, domains):
+        data = root / "few.csv"
+        data.write_text("domain,series,timestamp,value\n" + "".join(
+            f"d{d},s,{t},{t % 7}.0\n" for d in range(domains) for t in range(60)))
+        return data
+
+    @pytest.mark.parametrize(*SPLIT_FAULTS, ids=SPLIT_FAULT_IDS)
     def test_ablate_data_fault_no_seed_escapes_ends_before_the_output_dir(
             self, workdir, capsys, domains, test_fraction):
         # the domain counts of a split do not depend on its seed, so no seed
         # can run, and ablate ends with a data error before making --out
         root, cfg = workdir
-        data = root / "few.csv"
-        data.write_text("domain,series,timestamp,value\n" + "".join(
-            f"d{d},s,{t},{t % 7}.0\n" for d in range(domains) for t in range(60)))
-        code = run("ablate", "--config", cfg, "--data", data, "--variants", "full",
-                   "--seeds", "1", "--set", f"train.test_fraction={test_fraction}",
-                   "--out", root / "abl")
+        code = run("ablate", "--config", cfg, "--data", self._few_domains_csv(root, domains),
+                   "--variants", "full", "--seeds", "1",
+                   "--set", f"train.test_fraction={test_fraction}", "--out", root / "abl")
         assert code == 2
         assert "data error" in capsys.readouterr().err
         assert not (root / "abl").exists()
+
+    @pytest.mark.parametrize("command", [["pretrain"], ["train", "--variant", "e2e"]],
+                             ids=["pretrain", "train"])
+    @pytest.mark.parametrize(*SPLIT_FAULTS, ids=SPLIT_FAULT_IDS)
+    def test_fit_data_fault_no_seed_escapes_ends_before_the_output_dir(
+            self, workdir, capsys, command, domains, test_fraction):
+        root, cfg = workdir
+        code = run(*command, "--config", cfg, "--data", self._few_domains_csv(root, domains),
+                   "--set", f"train.test_fraction={test_fraction}", "--out", root / "fit")
+        assert code == 2
+        assert "data error" in capsys.readouterr().err
+        assert not (root / "fit").exists()
 
     @staticmethod
     def _pretrain_and_train(root, cfg, data_csv, decoder):

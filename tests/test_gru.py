@@ -110,7 +110,13 @@ def test_fused_gru_equals_composed_graph(n, length, in_dim, hidden, keep_frac, s
     w = rng.normal(size=(keep, n, hidden))
 
     xs = Tensor(x, requires_grad=True)
+    with no_grad():
+        inferred = cell(xs, keep=keep)
     out = cell(xs, keep=keep)
+    # the inference path keeps no tape but takes the same steps
+    assert np.array_equal(inferred.data, out.data)
+    assert inferred._parents == () and not inferred.requires_grad
+    assert out._parents != ()
     T.tsum(out * Tensor(w)).backward()
     fused = [xs.grad] + [p.grad.copy() for p in cell.params()]
 
@@ -263,3 +269,12 @@ def test_step_over_row_blocks_equals_one_step_over_all_rows(in_dim, hidden):
         got = np.concatenate([cell.step(x[lo:hi], h[lo:hi])
                               for lo, hi in row_blocks(rows, size)])
         assert np.array_equal(got, want), size
+
+
+@pytest.mark.parametrize("rows", [1, 2, 255, 256, 257, 3840])
+def test_one_wide_projection_equals_matmul(rows):
+    # each output of a one-wide product is a single multiply, so `np.dot`
+    # and `@` agree bit for bit whatever route numpy takes
+    cell, rng = _cell(rows, 1, 16)
+    x = rng.normal(size=(rows, 1))
+    assert np.array_equal(cell._project(x), x @ cell.wx.data + cell.b.data)

@@ -319,6 +319,17 @@ class TestPipeline:
         assert a.record.stage1_losses == b.record.stage1_losses
         assert a.record.stage2_val_losses == b.record.stage2_val_losses
 
+    def test_test_split_only_equals_its_part_of_both(self, tiny_datasets, tiny_config):
+        # each split samples from its own stream, so leaving out the train
+        # split changes nothing of the test split's
+        both = run_pipeline(tiny_datasets, tiny_config)
+        test = run_pipeline(tiny_datasets, tiny_config, splits=("test",))
+        assert test.report_train is None
+        assert test.report_test.to_json() == both.report_test.to_json()
+        assert np.array_equal(test.test_forecasts.quantiles, both.test_forecasts.quantiles)
+        with pytest.raises(ValueError, match="splits must be among"):
+            run_pipeline(tiny_datasets, tiny_config, splits=("val",))
+
     def test_stage1_loss_mostly_nonincreasing(self, tiny_datasets, tiny_config):
         from dataclasses import replace
         config = replace(tiny_config, epochs_stage1=12, epochs_stage2=1)

@@ -16,7 +16,12 @@ data seed, as in `pipebench/run.py --seed`) it prints one line per artifact,
   `forecast` write from a recurrent checkpoint are covered too
 
 `--src` names the latentcast source tree to import (default: this repo's
-`src`). Run the script once per tree and diff the two outputs.
+`src`). `--against DIR` digests that tree and DIR (a source tree, or a
+checkout holding `src/latentcast`), each in its own subprocess, prints only
+the artifacts whose digests differ or that one side lacks, and exits 1 on
+any difference:
+
+    python tools/output_digests.py --seeds 101 102 103 --against /path/to/parent
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ import hashlib
 import io
 import json
 import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -66,15 +72,47 @@ def cli_artifacts(root: Path, exit_codes: dict[str, int]) -> dict[str, bytes]:
     return out
 
 
+def source_tree(path: str) -> Path:
+    """The directory holding the `latentcast` package: `path` itself or its `src`."""
+    root = Path(path).resolve()
+    for tree in (root, root / "src"):
+        if (tree / "latentcast" / "__init__.py").is_file():
+            return tree
+    raise SystemExit(f"no latentcast package in {root} or {root / 'src'}")
+
+
+def compare(src: Path, against: Path, seeds: list[int]) -> int:
+    """Digest both trees, each in a subprocess of its own running this
+    script, and print the artifacts that differ; 1 if any does."""
+    procs = [subprocess.Popen([sys.executable, __file__, "--src", str(tree),
+                               "--seeds", *map(str, seeds)], stdout=subprocess.PIPE, text=True)
+             for tree in (src, against)]
+    outs = [proc.communicate()[0] for proc in procs]
+    if any(proc.returncode for proc in procs):
+        raise SystemExit(f"digesting failed: exit codes {[proc.returncode for proc in procs]}")
+    ours, theirs = (dict(line.rsplit(" ", 1) for line in out.splitlines()) for out in outs)
+    keys = list(ours) + [k for k in theirs if k not in ours]
+    differ = [k for k in keys if ours.get(k) != theirs.get(k)]
+    for key in differ:
+        print(key, ours.get(key, "-"), theirs.get(key, "-"))
+    print(f"{len(differ)} of {len(keys)} artifacts differ between {src} and {against}",
+          file=sys.stderr)
+    return 1 if differ else 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
     parser.add_argument("--src", default=str(REPO / "src"),
                         help="latentcast source tree to import")
+    parser.add_argument("--against", metavar="DIR",
+                        help="a second source tree; print only the artifacts that differ")
     args = parser.parse_args(argv)
+    if args.against is not None:
+        return compare(source_tree(args.src), source_tree(args.against), args.seeds)
     for var in BLAS_VARS:
         os.environ[var] = "1"
-    sys.path[:0] = [str(Path(args.src).resolve()), str(REPO)]
+    sys.path[:0] = [str(source_tree(args.src)), str(REPO)]
     from pipebench.workloads import WORKLOADS, CliRun, PipelineRun
 
     for name, workload in WORKLOADS.items():
