@@ -45,6 +45,14 @@ class GRUCell:
     formula), so its values are bit-equal to that graph wherever numpy sends
     both to the same BLAS routine (a one-row step product goes to a
     matrix-vector routine instead).
+
+    A call that records a graph node keeps, for its backward, exactly what
+    backpropagation through time reads: the inputs as step-major rows
+    (T*N, D), the T + 1 states from the zero state on (N, H each), and per
+    step the [reset | update] gates (N, 2H), the candidate (N, H) and a copy
+    of the candidate slice of h @ wh (N, H). The first vjp to run adds the
+    grads of the input projections (T*N, 3H) and of wh, which the other vjps
+    share. `Tensor.backward` frees all of it once the node's vjps have run.
     """
 
     def __init__(self, rng: np.random.Generator, in_dim: int, hidden: int, name: str):
@@ -119,7 +127,7 @@ class GRUCell:
             hs.append(h)
             gates.append(ru)
             cands.append(c)
-            phcs.append(ph[:, 2 * hid:])
+            phcs.append(ph[:, 2 * hid:].copy())   # a view would keep all of ph
 
         tape: dict[str, np.ndarray] = {}
 

@@ -4,9 +4,11 @@ A Tensor wraps an ndarray plus an optional gradient buffer. Every operation
 on grad-enabled tensors records one graph node through `custom_op`: its value,
 its parents and one vector-Jacobian product per parent. `Tensor.backward()`
 walks that graph once in reverse topological order and is the only code that
-accumulates gradients. Elementwise broadcasting is restricted to
-scalar-with-tensor so shape mistakes fail loudly. Every tensor holds float64,
-which the finite-difference checks need.
+accumulates gradients. A graph is single-use: backward releases each node's
+parents and vjps as soon as they have run, so the arrays the vjps captured are
+freed during the pass, and marks the node consumed. Elementwise broadcasting
+is restricted to scalar-with-tensor so shape mistakes fail loudly. Every
+tensor holds float64, which the finite-difference checks need.
 """
 
 from __future__ import annotations
@@ -93,9 +95,17 @@ class Tensor:
         reverse topological order, each node hands its grad to its parents'
         vjps, and each contribution is reduced onto the parent's shape and
         added to the parent's grad, which the first contribution creates as a
-        copy. The traversed graph is marked consumed; a second backward
-        through it raises GraphError. Leaf grads accumulate (+=), so separate
-        passes over fresh graphs sum, matching d(l1+l2) = dl1 + dl2.
+        copy. Leaf grads accumulate (+=), so separate passes over fresh graphs
+        sum, matching d(l1+l2) = dl1 + dl2.
+
+        A graph is single-use, and backward releases it as it goes: once a
+        node's vjps have run, the node drops its parents and vjps, so what
+        they captured (a GRU's tape, the operands of a product) is freed
+        during the pass unless something else holds it, and the node is
+        marked consumed. A consumed node keeps its value and its grad, but it
+        is never taken for a leaf: a second backward from it, or a backward
+        through a new graph built on it, raises GraphError. A parameter (a
+        leaf) holds no graph and is never consumed.
         """
         if self.size != 1:
             raise GraphError(f"backward requires a scalar loss, got shape {self.shape}")
@@ -115,7 +125,7 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
-            if node._consumed and node._parents:
+            if node._consumed:
                 raise GraphError("backward through an intermediate of a consumed graph")
             seen.add(id(node))
             stack.append((node, True))
@@ -124,17 +134,21 @@ class Tensor:
                     stack.append((p, False))
 
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
-            node._consumed = True
-            if node.grad is None:
+        # popping drops each node from the pass once it is done: every child
+        # has released it by then, so it is freed unless the caller holds it
+        while topo:
+            node = topo.pop()
+            if not node._parents:
                 continue
-            for p, vjp in zip(node._parents, node._vjps):
-                if p.requires_grad and vjp is not None:
-                    contribution = _fit(vjp(node.grad), p.shape)
-                    if p.grad is None:
-                        p.grad = np.array(contribution, dtype=np.float64)
-                    else:
-                        p.grad += contribution
+            if node.grad is not None:
+                for p, vjp in zip(node._parents, node._vjps):
+                    if p.requires_grad and vjp is not None:
+                        contribution = _fit(vjp(node.grad), p.shape)
+                        if p.grad is None:
+                            p.grad = np.array(contribution, dtype=np.float64)
+                        else:
+                            p.grad += contribution
+            node._parents, node._vjps, node._consumed = (), (), True
 
     # -- operator sugar --------------------------------------------------
 

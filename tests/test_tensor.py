@@ -2,11 +2,13 @@
 differences, shape/domain errors, and graph semantics."""
 
 import gc
+import weakref
 
 import numpy as np
 import pytest
 
 import latentcast.tensor as T
+from latentcast.nets import GRUCell
 from latentcast.tensor import (GraphError, MathDomainError, ShapeError, Tensor,
                                grad_check, no_grad)
 
@@ -86,6 +88,47 @@ def test_intermediate_grad_is_allocated_by_backward():
     assert h.grad is None and loss.grad is None
     loss.backward()
     assert np.allclose(h.grad, 2.0 * h.data)
+
+
+def test_backward_through_a_consumed_gru_output_is_an_error():
+    # a released node has no parents, like a leaf; it must not be taken for
+    # one, which would silently drop the gradient that should reach the cell
+    rng = np.random.default_rng(0)
+    cell = GRUCell(rng, 1, 3, "c")
+    out = cell(Tensor(rng.normal(size=(2, 4, 1))))
+    T.tsum(out).backward()
+    grads = [p.grad.copy() for p in cell.params()]
+    with pytest.raises(GraphError):
+        T.tsum(out * 2.0).backward()
+    assert all(np.array_equal(p.grad, g) for p, g in zip(cell.params(), grads))
+
+
+def test_backward_releases_what_the_vjps_captured():
+    x = Tensor([1.0, -2.0, 3.0], requires_grad=True)
+    w = np.array([0.5, -1.0, 2.0])
+    held_by_graph = weakref.ref(w)
+    loss = T.tsum(T.tanh(x * Tensor(w)))   # only the product's node holds w
+    del w
+    assert held_by_graph() is not None
+    loss.backward()
+    assert held_by_graph() is None
+    assert loss.grad == 1.0 and np.isfinite(loss.data)
+
+
+def test_released_graph_grads_are_the_vjps_values():
+    # bit-equal to the vjps applied by hand in backward's order, so releasing
+    # the graph changes no value; an intermediate the caller holds keeps its grad
+    rng = np.random.default_rng(1)
+    x = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+    w = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    c = rng.normal(size=(5, 4))
+    h = T.tanh(x @ w)
+    T.tsum(h * Tensor(c)).backward()
+    y = np.tanh(x.data @ w.data)
+    gy = c * (1.0 - y * y)
+    assert np.array_equal(h.grad, c)
+    assert np.array_equal(x.grad, gy @ w.data.T)
+    assert np.array_equal(w.grad, x.data.T @ gy)
 
 
 def test_first_accumulation_stores_a_copy():

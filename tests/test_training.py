@@ -4,6 +4,7 @@ variant structure, determinism, and multi-seed aggregation."""
 import hashlib
 import inspect
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -130,6 +131,22 @@ class TestStage1:
         _, record = self._fit(5)
         assert np.any(np.diff(record.stage1_losses) > 0)
         assert len(record.stage1_losses) == len(record.stage1_seconds) == 5
+
+    def test_training_steps_hold_one_graph_at_a_time(self):
+        # two minibatch steps of a BiGRU pair at N = 64, T = 60, hidden 32.
+        # Traced peaks: 25.7 MB when backward releases each graph, 33.6 MB
+        # when each GRU tape keeps a view of the whole h @ wh product, and
+        # 73.2 MB when step 1's graph lives on while step 2 builds its own
+        config = TrainConfig(encoder="bigru", batch_size=64, epochs_stage1=1)
+        pair = build_cvae(config, 2, np.random.default_rng(0))
+        samples = _samples(128, 60)
+        tracemalloc.start()
+        try:
+            stage1_pretrain(pair, samples, {0: 0, 1: 1}, config, RunRecord(seed=0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 30e6
 
 
 class TestStage2:

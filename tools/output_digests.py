@@ -14,6 +14,10 @@ data seed, as in `pipebench/run.py --seed`) it prints one line per artifact,
   dump-latents on the workload's data as a CSV), except the manifests and
   the seconds of the run records; so the sampled forecasts that `train` and
   `forecast` write from a recurrent checkpoint are covered too
+- for every workload, the exit code and `ablation.json` of the CLI's
+  `ablate` on the workload's data and config, over the variants
+  `ABLATION_VARIANTS` at the training seeds `ABLATION_SEEDS`: the table the
+  paper's ablation claims rest on, from `training.multi_seed_evaluate`
 
 `--src` names the latentcast source tree to import (default: this repo's
 `src`). `--against DIR` digests that tree and DIR (a source tree, or a
@@ -39,6 +43,8 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+ABLATION_VARIANTS = "full,e2e"
+ABLATION_SEEDS = "0,1"
 
 
 def digest(data: bytes) -> str:
@@ -70,6 +76,18 @@ def cli_artifacts(root: Path, exit_codes: dict[str, int]) -> dict[str, bytes]:
             data = json.dumps(record, sort_keys=True).encode()
         out[f"cli:{path.relative_to(root).as_posix()}"] = data
     return out
+
+
+def ablation_artifacts(run, out: Path) -> dict[str, bytes]:
+    """`latentcast ablate` on a `CliRun`'s data and config: its exit code and
+    the `ablation.json` it writes."""
+    from latentcast import cli
+
+    code = cli.main(["ablate", "--config", str(run.config_file), "--data", str(run.data),
+                     "--out", str(out), "--variants", ABLATION_VARIANTS,
+                     "--seeds", ABLATION_SEEDS])
+    return {"ablate:exit_code": str(code).encode(),
+            "ablate:ablation.json": (out / "ablation.json").read_bytes()}
 
 
 def source_tree(path: str) -> Path:
@@ -119,11 +137,13 @@ def main(argv=None) -> int:
         for seed in args.seeds:
             # the commands' own stdout would mix with the digest lines
             with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
-                artifacts = pipeline_artifacts(
-                    PipelineRun(workload, seed, Path(tmp)).iterate(0).result)
+                tmp = Path(tmp)
+                artifacts = pipeline_artifacts(PipelineRun(workload, seed, tmp).iterate(0).result)
+                cli_run = CliRun(workload, seed, tmp)
                 if workload.via_cli or workload.config.get("decoder") == "recurrent":
-                    outcome = CliRun(workload, seed, Path(tmp)).iterate(0)
-                    artifacts.update(cli_artifacts(Path(tmp) / "iter0", outcome.exit_codes))
+                    outcome = cli_run.iterate(0)
+                    artifacts.update(cli_artifacts(tmp / "iter0", outcome.exit_codes))
+                artifacts.update(ablation_artifacts(cli_run, tmp / "ablate"))
             for artifact, data in artifacts.items():
                 print(f"{name} {seed} {artifact} {digest(data)}", flush=True)
     return 0
