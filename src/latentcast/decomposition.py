@@ -21,7 +21,8 @@ class DecompositionError(ValueError):
     pass
 
 
-def _check_kernel(kernel: int, length: int) -> None:
+def check_kernel(kernel: int, length: int) -> None:
+    """A moving-average kernel must be odd and within [1, length]."""
     if kernel % 2 == 0:
         raise DecompositionError(f"kernel must be odd, got {kernel}")
     if not 1 <= kernel <= length:
@@ -42,7 +43,7 @@ def decompose(x: np.ndarray, kernel: int) -> DecomposedWindow:
 def decompose_batch(x: np.ndarray, kernel: int) -> tuple[np.ndarray, np.ndarray]:
     """A (T,) window or (N, T) rows decomposed at once; returns (trend, seasonal)."""
     x = np.asarray(x, dtype=np.float64)
-    _check_kernel(kernel, x.shape[-1])
+    check_kernel(kernel, x.shape[-1])
     x_t = kernels.moving_average(x, kernel)
     return x_t, x - x_t
 
@@ -52,7 +53,7 @@ def trend_component(x: Tensor, kernel: int) -> Tensor:
 
     The operator is linear, so the backward pass is its transpose.
     """
-    _check_kernel(kernel, x.shape[-1])
+    check_kernel(kernel, x.shape[-1])
     a = kernels.moving_average_operator(x.shape[-1], kernel)
     out = kernels.moving_average(x.data, kernel)
     return custom_op(out, (x,), (lambda g: g @ a,))

@@ -29,6 +29,10 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 SIGMA_FLOOR = 1e-6
 QUANTILE_LEVELS = tuple(q / 10.0 for q in range(1, 10))
 SAMPLE_BLOCK_ROWS = 256   # a 64 KB state and 200 KB of gates at hidden 32: in L2 cache
+# Windows per forecast block of `training.predict_windows`. Forecasts depend
+# on this value: each block draws its paths' noise as one array, and BLAS may
+# round a product over another number of rows differently.
+PREDICT_BLOCK_WINDOWS = 64
 
 
 def row_blocks(n: int, size: int) -> list[tuple[int, int]]:

@@ -95,10 +95,10 @@ class GRUCell:
         """The last `keep` states of the cell run over (N, T, D) inputs from
         the zero state, step-major: (keep, N, H).
 
-        The states, gates and candidates of every step are kept for the
-        backward only when the call records a graph node; otherwise (under
-        `no_grad`, or with no parent requiring grad) the same steps run and
-        only the returned states are kept."""
+        One loop runs the steps and writes the kept states into the output.
+        It tapes every step's state, gates and candidate for the backward
+        only when the call records a graph node; otherwise (under `no_grad`,
+        or with no parent requiring grad) the tape stays empty."""
         hid = self.hidden
         if xs.ndim != 3 or xs.shape[2] != self.wx.shape[0]:
             raise T.ShapeError(f"GRUCell expects (N, T, {self.wx.shape[0]}) inputs, got {xs.shape}")
@@ -107,27 +107,24 @@ class GRUCell:
             raise ValueError(f"keep must be in [1, {length}], got {keep}")
         wx, wh = self.wx.data, self.wh.data
         parents = [xs, self.wx, self.wh, self.b]
+        taped = T.records(parents)
 
         # step-major throughout, so every per-step slice is contiguous
         x_flat = xs.data.transpose(1, 0, 2).reshape(length * n, in_dim)
         px = self._project(x_flat).reshape(length, n, 3 * hid)
-        if not T.records(parents):   # no backward can follow: keep no tape
-            out = np.empty((keep, n, hid))
-            h = np.zeros((n, hid))
-            for t in range(length):
-                h = self._step(px[t], h)[0]
-                if t >= length - keep:
-                    out[t - length + keep] = h
-            return Tensor(out)
-
-        hs = [np.zeros((n, hid))]   # hs[t] enters step t
+        out = np.empty((keep, n, hid))
+        h = np.zeros((n, hid))
+        hs = [h]   # the tape: hs[t] enters step t
         gates, cands, phcs = [], [], []   # reset | update, candidate, candidate slice of h @ wh
         for t in range(length):
-            h, ru, c, ph = self._step(px[t], hs[t])
-            hs.append(h)
-            gates.append(ru)
-            cands.append(c)
-            phcs.append(ph[:, 2 * hid:].copy())   # a view would keep all of ph
+            h, ru, c, ph = self._step(px[t], h)
+            if t >= length - keep:
+                out[t - length + keep] = h
+            if taped:
+                hs.append(h)
+                gates.append(ru)
+                cands.append(c)
+                phcs.append(ph[:, 2 * hid:].copy())   # a view would keep all of ph
 
         tape: dict[str, np.ndarray] = {}
 
@@ -159,7 +156,8 @@ class GRUCell:
                 lambda g: x_flat.T @ bptt(g)["dpx"],
                 lambda g: bptt(g)["dwh"],
                 lambda g: bptt(g)["dpx"].sum(axis=0)]
-        return T.custom_op(np.stack(hs[length - keep + 1:]), parents, vjps)
+        # untaped, custom_op records no node and the vjps are dropped
+        return T.custom_op(out, parents, vjps)
 
     def params(self) -> list[Tensor]:
         return [self.wx, self.wh, self.b]

@@ -6,9 +6,11 @@ its parents and one vector-Jacobian product per parent. `Tensor.backward()`
 walks that graph once in reverse topological order and is the only code that
 accumulates gradients. A graph is single-use: backward releases each node's
 parents and vjps as soon as they have run, so the arrays the vjps captured are
-freed during the pass, and marks the node consumed. Elementwise broadcasting
-is restricted to scalar-with-tensor so shape mistakes fail loudly. Every
-tensor holds float64, which the finite-difference checks need.
+freed during the pass, and marks the node consumed. The engine accepts only
+the shapes the model sends, so shape mistakes fail loudly: an elementwise op
+takes operands of equal shape, or a constant 0-d operand against any shape,
+and `matmul` takes (N, K) @ (K, M). Every vjp therefore returns its parent's
+shape. Every tensor holds float64, which the finite-difference checks need.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ class Tensor:
         self.grad = np.zeros_like(self.data) if requires_grad else None
         self.name = name
         self._parents: tuple[Tensor, ...] = ()
-        self._vjps: tuple[Vjp | None, ...] = ()
+        self._vjps: tuple[Vjp, ...] = ()
         self._consumed = False
 
     # -- introspection -------------------------------------------------
@@ -93,10 +95,10 @@ class Tensor:
 
         Self must be scalar. This is the only code that writes gradients: in
         reverse topological order, each node hands its grad to its parents'
-        vjps, and each contribution is reduced onto the parent's shape and
-        added to the parent's grad, which the first contribution creates as a
-        copy. Leaf grads accumulate (+=), so separate passes over fresh graphs
-        sum, matching d(l1+l2) = dl1 + dl2.
+        vjps, and each contribution, of the parent's shape, is added to the
+        parent's grad, which the first contribution creates as a copy. Leaf
+        grads accumulate (+=), so separate passes over fresh graphs sum,
+        matching d(l1+l2) = dl1 + dl2.
 
         A graph is single-use, and backward releases it as it goes: once a
         node's vjps have run, the node drops its parents and vjps, so what
@@ -142,8 +144,8 @@ class Tensor:
                 continue
             if node.grad is not None:
                 for p, vjp in zip(node._parents, node._vjps):
-                    if p.requires_grad and vjp is not None:
-                        contribution = _fit(vjp(node.grad), p.shape)
+                    if p.requires_grad:
+                        contribution = vjp(node.grad)
                         if p.grad is None:
                             p.grad = np.array(contribution, dtype=np.float64)
                         else:
@@ -173,23 +175,8 @@ class Tensor:
     def __truediv__(self, other):
         return div(self, other)
 
-    def __rtruediv__(self, other):
-        return div(_as_tensor(other), self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
     def __matmul__(self, other):
         return matmul(self, other)
-
-    def sum(self, axis=None):
-        return tsum(self, axis)
-
-    def mean(self, axis=None):
-        return tmean(self, axis)
-
-    def transpose(self):
-        return transpose(self)
 
     @property
     def T(self):
@@ -204,15 +191,14 @@ def records(parents: Sequence[Tensor]) -> bool:
 
 
 def custom_op(data: np.ndarray, parents: Sequence[Tensor],
-              vjps: Sequence[Vjp | None]) -> Tensor:
+              vjps: Sequence[Vjp]) -> Tensor:
     """The one graph-node constructor: a forward value, its parents and, per
     parent, a vector-Jacobian product.
 
-    vjps[i] maps the upstream grad to parents[i]'s contribution (None for a
-    non-differentiable input); `Tensor.backward` reduces a contribution of
-    the full shape onto a scalar parent and does all accumulation. A vjp may
-    capture arrays but not the node it belongs to, so a graph holds no
-    reference cycle.
+    vjps[i] maps the upstream grad to parents[i]'s contribution, of
+    parents[i]'s shape; `Tensor.backward` runs it only if parents[i]
+    requires grad, and does all accumulation. A vjp may capture arrays but
+    not the node it belongs to, so a graph holds no reference cycle.
     """
     out = Tensor(data)
     if records(parents):
@@ -226,16 +212,12 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
 
 
-def _fit(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Reduce an upstream grad onto a (possibly scalar) operand shape."""
-    if grad.shape == shape:
-        return grad
-    return np.sum(grad).reshape(shape) if int(np.prod(shape)) == 1 else grad.reshape(shape)
-
-
 def _check_elementwise(op: str, a: Tensor, b: Tensor) -> None:
-    if a.shape != b.shape and a.ndim != 0 and b.ndim != 0:
-        raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} differ and neither is scalar")
+    """Equal shapes, or a 0-d operand that needs no grad: its vjp, which
+    would return the other operand's shape, never runs."""
+    if a.shape != b.shape and not any(t.ndim == 0 and not t.requires_grad for t in (a, b)):
+        raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} differ "
+                         f"and neither is a constant scalar")
 
 
 def _identity(g: np.ndarray) -> np.ndarray:
@@ -274,18 +256,12 @@ def div(a, b) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
+    """(N, K) @ (K, M) -> (N, M)."""
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.ndim not in (1, 2) or b.ndim not in (1, 2):
-        raise ShapeError(f"matmul: only 1-D/2-D operands, got {a.shape} @ {b.shape}")
-    if a.shape[-1] != b.shape[0]:
-        raise ShapeError(f"matmul: inner dimensions differ, {a.shape} @ {b.shape}")
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+        raise ShapeError(f"matmul: need (N, K) @ (K, M), got {a.shape} @ {b.shape}")
     x, y = a.data, b.data
-    if x.ndim == 1 and y.ndim == 1:
-        vjps = (lambda g: g * y, lambda g: g * x)
-    else:
-        vjps = ((lambda g: np.outer(g, y)) if y.ndim == 1 else (lambda g: g @ y.T),
-                (lambda g: np.outer(x, g)) if x.ndim == 1 else (lambda g: x.T @ g))
-    return custom_op(x @ y, (a, b), vjps)
+    return custom_op(x @ y, (a, b), (lambda g: g @ y.T, lambda g: x.T @ g))
 
 
 def add_bias(mat, vec) -> Tensor:

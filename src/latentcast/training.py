@@ -28,10 +28,11 @@ from .cvae import (CvaePair, Stage1Batch, domain_regularizer, latent_loss,
 from .data import (DataError, DomainDataset, DomainSplit, WindowSample, WindowSet,
                    check_field_types, field_types, prepare_samples, split_domains,
                    windows_for_role)
+from .decomposition import check_kernel
 from .evaluation import METRIC_NAMES, MetricReport, aggregate
-from .forecaster import (QUANTILE_LEVELS, ForecastDistribution, ForecastModel, Forecasts,
-                         LinearDecoder, RecurrentDecoder, gaussian_nll, row_blocks,
-                         to_distribution)
+from .forecaster import (PREDICT_BLOCK_WINDOWS, QUANTILE_LEVELS, ForecastDistribution,
+                         ForecastModel, Forecasts, LinearDecoder, RecurrentDecoder,
+                         gaussian_nll, row_blocks, to_distribution)
 from .nets import glorot
 from .optim import Adam
 from .tensor import Tensor, no_grad
@@ -84,8 +85,11 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 2 while the domain regularizer is active")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
-        if min(self.lookback, self.horizon, self.d_z, self.hidden) < 1:
-            raise ValueError("lookback, horizon, d_z and hidden must be >= 1")
+        for name in ("lookback", "horizon", "d_z", "hidden", "stride", "eval_stride"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.patience < 0:
+            raise ValueError(f"patience must be >= 0, got {self.patience}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.two_stage and self.epochs_stage1 < 1:
@@ -102,6 +106,7 @@ class TrainConfig:
         if self.value_scale == 0.0:
             raise ValueError(f"value_scale must be nonzero, got {self.value_scale}")
         split_index(self.alpha, self.d_z)
+        check_kernel(self.kernel, self.lookback)
 
     @property
     def reg_active(self) -> bool:
@@ -350,15 +355,15 @@ def stage2_train(model: ForecastModel, train_samples: WindowSet, val_samples: Wi
 # ---------------------------------------------------------------------------
 
 def predict_windows(model: ForecastModel, windows: WindowSet,
-                    config: TrainConfig, rng: np.random.Generator | None,
-                    chunk: int = 64) -> Forecasts:
+                    config: TrainConfig, rng: np.random.Generator | None) -> Forecasts:
     """Per-window forecast distributions in original units, in `row_blocks`
-    of `chunk` windows, so that forecasts do not depend on the split size."""
+    of `PREDICT_BLOCK_WINDOWS` windows, so that forecasts do not depend on
+    the split size."""
     prepared = prepare_samples(windows)
     n = len(prepared)
     quantiles = np.empty((len(QUANTILE_LEVELS), n, config.horizon))
     notes: list[str] = []
-    for lo, hi in row_blocks(n, chunk):
+    for lo, hi in row_blocks(n, PREDICT_BLOCK_WINDOWS):
         part = prepared[lo:hi]
         out = model.predict(part.x, part.a, config.sample_paths, rng)
         quantiles[:, lo:hi], notes = to_distribution(

@@ -157,7 +157,7 @@ def test_backward_leaves_no_reference_cycles():
     # a trained step's graph is freed by reference counting once the loss is
     # dropped; left to the cycle collector, dead graphs pile up until it runs
     x = Tensor(np.ones((4, 3)), requires_grad=True)
-    w = Tensor(np.full(3, 0.5), requires_grad=True)
+    w = Tensor(np.full((3, 1), 0.5), requires_grad=True)
     gc.collect()
     gc.disable()
     try:
@@ -190,6 +190,25 @@ def test_scalar_broadcast_only():
     assert np.allclose(x.grad, 2.0)
     with pytest.raises(ShapeError):
         T.mul(x, Tensor(np.ones(3)))
+
+
+@pytest.mark.parametrize("op", [T.add, T.sub, T.mul, T.div], ids=["add", "sub", "mul", "div"])
+def test_only_a_constant_scalar_broadcasts(op):
+    # a 0-d operand that needs a grad would need its contribution summed over
+    # the other operand's shape; no model op sends one, so the engine refuses it
+    vec = Tensor(np.ones(5), requires_grad=True)
+    for a, b in ((Tensor(2.0, requires_grad=True), vec), (vec, Tensor(2.0, requires_grad=True))):
+        with pytest.raises(ShapeError, match=r"\(\) and \(5,\)|\(5,\) and \(\)"):
+            op(a, b)
+    for a, b in ((Tensor(2.0), vec), (vec, Tensor(2.0))):
+        assert op(a, b).shape == (5,)
+
+
+def test_matmul_takes_2d_operands_only():
+    mat, vec = Tensor(np.ones((3, 3))), Tensor(np.ones(3))
+    for a, b in ((vec, mat), (mat, vec), (vec, vec)):
+        with pytest.raises(ShapeError, match=r"need \(N, K\) @ \(K, M\)"):
+            a @ b
 
 
 @pytest.mark.parametrize("op", [T.add, T.sub, T.mul, T.div], ids=["add", "sub", "mul", "div"])
@@ -242,10 +261,10 @@ PRIMITIVE_CASES = [
     ("slice", lambda a, b: T.tsum(T.slice_last(a, 1, 3) * T.slice_last(b, 0, 2)), (2, 4), (2, 3)),
     ("transpose", lambda a, b: T.tsum(a.T @ b), (3, 2), (3, 4)),
     ("add_bias", lambda a, b: T.tsum(T.square(T.add_bias(a, b))), (3, 4), (4,)),
-    ("matmul_vec_mat", lambda a, b: T.tsum(a @ b), (3,), (3, 4)),
-    ("matmul_mat_vec", lambda a, b: T.tsum(a @ b), (3, 2), (2,)),
-    ("matmul_dot", lambda a, b: a @ b, (4,), (4,)),
-    ("mul_scalar", lambda a, b: T.tsum(T.square(a * b)), (), (5,)),
+    ("matmul_vec_mat", lambda a, b: T.tsum(a @ b), (1, 3), (3, 4)),
+    ("matmul_mat_vec", lambda a, b: T.tsum(a @ b), (3, 2), (2, 1)),
+    ("matmul_dot", lambda a, b: T.tsum(a @ b), (1, 4), (4, 1)),
+    ("mul_scalar", lambda a, b: T.tsum(T.square(a * 2.5) + 0.5 * b), (2, 3), (2, 3)),
     ("reshape", lambda a, b: T.tsum(T.square(T.reshape(a, (3, 4))) * b), (2, 6), (3, 4)),
 ]
 
