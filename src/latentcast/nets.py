@@ -32,9 +32,9 @@ class Linear:
 class GRUCell:
     """Gated recurrent unit; gate layout [reset | update | candidate].
 
-    One call runs the cell over a whole sequence as one graph node: the input
-    projection of every step is a single product, the recurrence runs in
-    numpy, and backward is hand-written backpropagation through time
+    One call runs the cell over a whole sequence as one graph node: each step
+    projects its own inputs as `step` does, the recurrence runs in numpy, and
+    backward is hand-written backpropagation through time
     (Appleyard et al. 2016, arXiv:1604.01946). `step` runs one step on plain
     arrays, with no graph, through the same step code.
 
@@ -42,9 +42,8 @@ class GRUCell:
     0.5 + 0.5*tanh(x/2), within machine epsilon (2**-52) of `expit` and
     cheaper. The forward uses the same float operations in the same order as
     a per-step graph of engine primitives (`tensor.sigmoid` uses the same
-    formula), so its values are bit-equal to that graph wherever numpy sends
-    both to the same BLAS routine (a one-row step product goes to a
-    matrix-vector routine instead).
+    formula) and the same per-step products, so its values are bit-equal to
+    that graph, one-row batches included.
 
     A call that records a graph node keeps, for its backward, exactly what
     backpropagation through time reads: the inputs as step-major rows
@@ -111,13 +110,13 @@ class GRUCell:
 
         # step-major throughout, so every per-step slice is contiguous
         x_flat = xs.data.transpose(1, 0, 2).reshape(length * n, in_dim)
-        px = self._project(x_flat).reshape(length, n, 3 * hid)
+        x_steps = x_flat.reshape(length, n, in_dim)
         out = np.empty((keep, n, hid))
         h = np.zeros((n, hid))
         hs = [h]   # the tape: hs[t] enters step t
         gates, cands, phcs = [], [], []   # reset | update, candidate, candidate slice of h @ wh
         for t in range(length):
-            h, ru, c, ph = self._step(px[t], h)
+            h, ru, c, ph = self._step(self._project(x_steps[t]), h)
             if t >= length - keep:
                 out[t - length + keep] = h
             if taped:

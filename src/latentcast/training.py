@@ -100,6 +100,9 @@ class TrainConfig:
             raise ValueError(f"sample_paths must be >= 1, got {self.sample_paths}")
         if not self.learning_rate > 0.0:
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+        for name in ("beta", "reg_weight"):
+            if getattr(self, name) < 0.0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         for name in ("test_fraction", "val_fraction"):
             if not 0.0 < getattr(self, name) < 1.0:
                 raise ValueError(f"{name} must be in (0, 1), got {getattr(self, name)}")

@@ -303,17 +303,21 @@ class TestPipelineFlow:
         (("pretrain", "--set", "train.eval_stride=0"), "eval_stride"),
         (("train", "--variant", "e2e", "--set", "train.eval_stride=0"), "eval_stride"),
         (("pretrain", "--set", "train.patience=-1"), "patience"),
+        (("train", "--variant", "e2e", "--set", "train.beta=-1"), "beta"),
+        (("train", "--variant", "e2e", "--set", "train.reg_weight=-1"), "reg_weight"),
     ], ids=["epochs_stage1", "epochs_stage2", "batch_size", "sample_paths", "latent_split",
             "learning_rate", "value_scale", "text_for_float", "text_for_int",
             "fraction_for_int", "negative_seed", "test_fraction_range", "val_fraction_range",
             "even_kernel", "zero_kernel", "negative_kernel", "kernel_over_lookback",
-            "zero_stride", "zero_eval_stride", "zero_eval_stride_e2e", "negative_patience"])
+            "zero_stride", "zero_eval_stride", "zero_eval_stride_e2e", "negative_patience",
+            "negative_beta", "negative_reg_weight"])
     def test_empty_training_loop_is_a_usage_error(self, workdir, data_csv, capsys,
                                                   argv, field):
         # a loop that would run no epoch or no batch, a setting that would
-        # crash after training, train uphill, divide every value by zero or
-        # hold out no domain, a kernel, stride or patience out of range, and
-        # a value of the wrong type, are refused before any data loads
+        # crash after training, train uphill or on a loss unbounded below,
+        # divide every value by zero or hold out no domain, a kernel, stride
+        # or patience out of range, and a value of the wrong type, are
+        # refused before any data loads
         root, cfg = workdir
         code = run(*argv, "--config", cfg, "--data", data_csv, "--out", root / "bad")
         assert code == 1

@@ -129,13 +129,7 @@ def test_fused_gru_equals_composed_graph(n, length, in_dim, hidden, keep_frac, s
         states.append(h)
     kept = states[length - keep:]
     want = np.stack([s.data for s in kept])
-    if n == 1 and in_dim > 1:
-        # numpy computes the reference's one-row input product with a
-        # matrix-vector BLAS routine, which rounds differently from the
-        # fused op's matrix-matrix product
-        assert _rel_err(out.data, want) <= 1e-13
-    else:
-        assert np.array_equal(out.data, want)
+    assert np.array_equal(out.data, want)
     loss = T.tsum(kept[0] * Tensor(w[0]))
     for s, w_s in zip(kept[1:], w[1:]):
         loss = loss + T.tsum(s * Tensor(w_s))

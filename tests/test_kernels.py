@@ -213,6 +213,51 @@ def test_pair_kernel_matches_reference(n, width, seed, domains, coincident, scal
     assert kernels.pair_dist_sum(z, group[:, None] & group[None, :])[0] == 0.0
 
 
+def column_loop_pair_dist_sum(z, mask=None):
+    # the slow reference for bits: the kernel before row tiles, which adds
+    # the squared distances of all N^2 ordered pairs one latent column at a
+    # time; the tiled kernel must give every output bit of it
+    z = np.asarray(z, dtype=np.float64)
+    n = z.shape[0]
+    d = np.zeros((n, n))
+    step = np.empty((n, n))
+    for col in z.T:
+        np.subtract.outer(col, col, out=step)
+        np.multiply(step, step, out=step)
+        d += step
+    np.sqrt(d, out=d)
+    total = float(d.sum() if mask is None else d[mask].sum())
+    counted = d > 0.0 if mask is None else np.logical_and(d > 0.0, mask)
+    w = np.divide(1.0, d, out=np.zeros((n, n)), where=counted)
+    return total, 2.0 * (z * w.sum(axis=1)[:, None] - w @ z)
+
+
+@given(n=st.integers(2, 300), width=st.integers(1, 64), seed=st.integers(0, 2**32 - 1),
+       domains=st.none() | st.integers(1, 6), coincident=st.integers(0, 5))
+# at width 8 and the default tile budget: n one below a multiple of the
+# tile's 16 rows, equal to one, and one past one; at width 64 from n = 257
+# on, every tile is one row; a batch of two is one tile
+@example(n=255, width=8, seed=0, domains=None, coincident=0)
+@example(n=256, width=8, seed=1, domains=12, coincident=2)
+@example(n=241, width=8, seed=2, domains=3, coincident=1)
+@example(n=257, width=64, seed=3, domains=4, coincident=3)
+@example(n=2, width=1, seed=4, domains=None, coincident=1)
+def test_tiled_pair_kernel_equals_column_loop_bit_for_bit(n, width, seed, domains,
+                                                          coincident):
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(n, width))
+    z[rng.choice(np.arange(1, n), size=min(coincident, n - 1), replace=False)] = z[0]
+    mask = None
+    if domains is not None:
+        dom = rng.integers(0, domains, size=n)
+        mask = dom[:, None] != dom[None, :]
+
+    total, grad = kernels.pair_dist_sum(z, mask)
+    exp_total, exp_grad = column_loop_pair_dist_sum(z, mask)
+    assert total == exp_total
+    assert np.array_equal(grad, exp_grad)
+
+
 def test_pair_kernel_memory_is_quadratic_in_the_batch():
     # a few (N, N) buffers, never the (N, N, d) difference tensor
     n, width = 256, 64

@@ -395,6 +395,22 @@ class TestPipeline:
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt.json"]
 
+    def test_checkpoint_text_is_the_sorted_json_encoding(self, tmp_path):
+        # the file is json's sorted compact text of the blob, floats as repr:
+        # any other encoder must write the same bytes
+        from latentcast.checkpoint import FORMAT_VERSION, save_checkpoint
+        data = np.array([[0.1, 1 / 3, -0.0], [1e-300, -2.5e17, 7.0]])
+        params = [Tensor(data, name="w"), Tensor(np.array([np.pi]), name="b")]
+        config = {"lookback": 3, "beta": 5.0, "variant": "full", "encoder": None}
+        domain_map = [[4, "dom\u00e9", 0], [7, "b", 1]]
+        path = tmp_path / "model.ckpt.json"
+        save_checkpoint(path, "full", config, domain_map, params, extra={"feat_dim": 2})
+        blob = {"format_version": FORMAT_VERSION, "kind": "full", "config": config,
+                "domain_map": domain_map, "extra": {"feat_dim": 2},
+                "params": {"w": {"shape": [2, 3], "data": data.ravel().tolist()},
+                           "b": {"shape": [1], "data": [np.pi]}}}
+        assert path.read_text(encoding="utf-8") == json.dumps(blob, sort_keys=True)
+
 
 class TestBenchmarkBindings:
     """The benchmark harness wraps these functions and binds their arguments
