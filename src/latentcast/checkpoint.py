@@ -3,20 +3,25 @@ hyperparameters, and the training-domain map needed to rebuild one-hot
 encodings. float64 values round-trip exactly through JSON repr.
 
 `atomic_write` is the file writer of every output the package produces,
-checkpoints included."""
+checkpoints included, and `csv_lines` the line encoder of every CSV of
+numbers."""
 
 from __future__ import annotations
 
+import csv
 import json
 import os
 from contextlib import contextmanager
-from typing import Iterable, Iterator, TextIO
+from itertools import repeat
+from types import SimpleNamespace
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
 from .tensor import Tensor
 
 FORMAT_VERSION = 2
+CSV_BLOCK_WINDOWS = 64   # windows whose CSV text a writer holds at once
 
 
 class CheckpointError(ValueError):
@@ -39,31 +44,65 @@ def atomic_write(path, newline: str | None = None) -> Iterator[TextIO]:
             os.remove(tmp)
 
 
-def _param_payload(params: Iterable[Tensor]) -> dict:
-    payload = {}
-    for p in params:
-        if p.name is None:
-            raise CheckpointError("cannot checkpoint an unnamed parameter")
-        if p.name in payload:
-            raise CheckpointError(f"duplicate parameter name {p.name!r}")
-        payload[p.name] = {"shape": list(p.shape), "data": p.data.reshape(-1).tolist()}
-    return payload
+# writerow returns what `write` returns: here the row's text
+_ROW_WRITER = csv.writer(SimpleNamespace(write=lambda line: line))
+
+
+def csv_row(fields: Iterable) -> str:
+    """`fields` as csv.writer writes them as one row, without the line end:
+    csv's own rules decide which are quoted."""
+    return _ROW_WRITER.writerow(fields)[:-2]
+
+
+def repr_rows(values: np.ndarray) -> Iterator[tuple[str, ...]]:
+    """The rows of a 2-D array as the reprs of their values (csv.writer's
+    text for a float), formatted by one `map` over the block."""
+    n, width = values.shape
+    if not width:
+        return repeat((), n)
+    return zip(*[map(repr, values.ravel().tolist())] * width)
+
+
+def csv_lines(rows: Iterable[Sequence[str]], end: str = "\r\n") -> str:
+    """One CSV line per row, its fields joined by commas. The fields must
+    already be csv.writer's text: `csv_row` of text fields, `repr_rows` of
+    numbers."""
+    return "".join([",".join(row) + end for row in rows])
 
 
 def save_checkpoint(path, kind: str, config: dict, domain_map: list[list],
                     params: Iterable[Tensor], extra: dict | None = None) -> None:
-    """domain_map rows are [domain_id, domain_name, train_index]."""
-    blob = {
-        "format_version": FORMAT_VERSION,
-        "kind": kind,
-        "config": config,
-        "domain_map": domain_map,
-        "params": _param_payload(params),
-    }
+    """domain_map rows are [domain_id, domain_name, train_index].
+
+    The file holds the text of `json.dumps(blob, sort_keys=True)`, written
+    one top-level value, and one parameter, at a time, so that a
+    parameter's values become a list only while it is written."""
+    named = {}
+    for p in params:
+        if p.name is None:
+            raise CheckpointError("cannot checkpoint an unnamed parameter")
+        if p.name in named:
+            raise CheckpointError(f"duplicate parameter name {p.name!r}")
+        named[p.name] = p
+    blob = {"format_version": FORMAT_VERSION, "kind": kind, "config": config,
+            "domain_map": domain_map}
     if extra:
         blob["extra"] = extra
     with atomic_write(path) as fh:
-        json.dump(blob, fh, sort_keys=True)
+        fh.write("{")
+        for i, key in enumerate(sorted([*blob, "params"])):
+            fh.write(f"{', ' if i else ''}{json.dumps(key)}: ")
+            if key != "params":
+                fh.write(json.dumps(blob[key], sort_keys=True))
+                continue
+            fh.write("{")
+            for j, name in enumerate(sorted(named)):
+                entry = {"shape": list(named[name].shape),
+                         "data": named[name].data.reshape(-1).tolist()}
+                fh.write(f"{', ' if j else ''}{json.dumps(name)}: "
+                         f"{json.dumps(entry, sort_keys=True)}")
+            fh.write("}")
+        fh.write("}")
 
 
 # the JSON type of each top-level value; every key but "extra" is required

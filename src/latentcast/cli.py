@@ -17,8 +17,10 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
-from .checkpoint import CheckpointError, atomic_write
+from .checkpoint import CheckpointError, atomic_write, csv_lines, repr_rows
 from .data import (DataError, SyntheticSpec, generate_synthetic, held_out_count, ingest_csv,
                    write_csv)
 from .decomposition import DecompositionError, decompose
@@ -211,6 +213,9 @@ def cmd_synth(args) -> int:
 def cmd_decompose(args) -> int:
     cfg = apply_overrides(load_config_file(args.config), args.set)
     config = train_config_from(cfg, args)
+    # a kernel longer than the series is a data error, found once it is read
+    if args.kernel is not None and (args.kernel < 1 or args.kernel % 2 == 0):
+        raise UsageError(f"--kernel must be odd and at least 1, got {args.kernel}")
     datasets = _load_datasets(args, config, split=False)
     if not datasets:
         raise DataError(f"data file {args.data} holds no series")
@@ -230,8 +235,8 @@ def cmd_decompose(args) -> int:
     path = out / "decomposition.csv"
     with atomic_write(path) as fh:
         fh.write("value,trend,seasonal\n")
-        for v, t, sv in zip(ds.values[s], parts.x_t, parts.x_s):
-            fh.write(f"{float(v)!r},{float(t)!r},{float(sv)!r}\n")
+        fh.write(csv_lines(repr_rows(np.column_stack([ds.values[s], parts.x_t, parts.x_s])),
+                           end="\n"))
     write_manifest(out, args,
                    {"kernel": kernel, "domain": ds.domain_name,
                     "series": ds.series_names[s]},

@@ -19,7 +19,7 @@ from typing import Iterable, Sequence, get_args, get_origin, get_type_hints
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .checkpoint import atomic_write
+from .checkpoint import atomic_write, csv_lines, csv_row, repr_rows
 
 REVIN_EPS = 1e-5
 MAX_SERIES_STEPS = 10_000_000    # longest timestamp span a series may fill gaps over
@@ -340,16 +340,16 @@ def ingest_csv(path, value_scale: float = 1.0, fill_missing: float = 0.0) -> lis
 
 
 def write_csv(datasets: Sequence[DomainDataset], path) -> None:
+    feat_dim = datasets[0].feat_dim if datasets else 0
     with atomic_write(path, newline="") as fh:
-        writer = csv.writer(fh)
-        feat_dim = datasets[0].feat_dim if datasets else 0
-        writer.writerow(["domain", "series", "timestamp", "value"]
-                        + [f"feat_{i}" for i in range(feat_dim)])
+        fh.write(csv_lines([["domain", "series", "timestamp", "value"]
+                            + [f"feat_{i}" for i in range(feat_dim)]]))
         for ds in datasets:
             for s, name in enumerate(ds.series_names):
-                columns = [ds.timestamps[s].tolist(), ds.values[s].tolist()]
-                columns += ds.features[s].T.tolist() if feat_dim else []
-                writer.writerows([ds.domain_name, name, *row] for row in zip(*columns))
+                key = csv_row([ds.domain_name, name])
+                values = np.column_stack([ds.values[s]] + ([ds.features[s]] if feat_dim else []))
+                fh.write(csv_lines((f"{key},{t}", *row) for t, row
+                                   in zip(ds.timestamps[s].tolist(), repr_rows(values))))
 
 
 # ---------------------------------------------------------------------------

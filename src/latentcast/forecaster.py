@@ -10,7 +10,6 @@ the horizon. Both train by Gaussian negative log-likelihood.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from functools import reduce
 
@@ -18,7 +17,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from . import tensor as T
-from .checkpoint import atomic_write
+from .checkpoint import CSV_BLOCK_WINDOWS, atomic_write, csv_lines, csv_row, repr_rows
 from .cvae import CvaePair
 from .data import WindowSet, revin_denormalize
 from .decomposition import trend_component
@@ -217,17 +216,20 @@ def to_distribution(mu: np.ndarray | None = None, sigma: np.ndarray | None = Non
 def write_forecast_csv(path, windows: WindowSet, dists: Forecasts) -> None:
     """Per-step quantile rows in original units:
     domain,series,origin_timestamp,step,q10..q90,point."""
-    levels, _, h = dists.quantiles.shape
-    # each quantile is formatted once, in row order; the point column reuses q50's text
-    text = map(repr, dists.quantiles.transpose(1, 2, 0).ravel().tolist())
-    rows = zip(np.repeat(windows.domain_id, h).tolist(),
-               np.repeat(windows.series_name, h).tolist(), np.repeat(windows.origin, h).tolist(),
-               np.tile(np.arange(1, h + 1), len(windows)).tolist(), zip(*[text] * levels))
+    levels, n, h = dists.quantiles.shape
     with atomic_write(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["domain", "series", "origin_timestamp", "step"]
-                        + [f"q{int(q * 100)}" for q in QUANTILE_LEVELS] + ["point"])
-        writer.writerows([*key, *q, q[4]] for *key, q in rows)
+        fh.write(csv_lines([["domain", "series", "origin_timestamp", "step"]
+                            + [f"q{int(q * 100)}" for q in QUANTILE_LEVELS] + ["point"]]))
+        for lo in range(0, n, CSV_BLOCK_WINDOWS):
+            block = slice(lo, lo + CSV_BLOCK_WINDOWS)
+            keys = [f"{key},{step}"
+                    for key in map(csv_row, zip(windows.domain_id[block].tolist(),
+                                                windows.series_name[block].tolist(),
+                                                windows.origin[block].tolist()))
+                    for step in range(1, h + 1)]
+            # each quantile is formatted once, in row order; the point column reuses q50's text
+            rows = repr_rows(dists.quantiles[:, block].transpose(1, 2, 0).reshape(-1, levels))
+            fh.write(csv_lines((key, *q, q[4]) for key, q in zip(keys, rows)))
 
 
 # ---------------------------------------------------------------------------

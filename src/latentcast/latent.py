@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checkpoint import atomic_write
+from .checkpoint import CSV_BLOCK_WINDOWS, atomic_write, csv_lines, csv_row, repr_rows
 from .cvae import CvaePair, split_latents
 from .data import WindowSet, prepare_samples
 from .tensor import no_grad
@@ -52,13 +52,15 @@ def dump_latents(pair: CvaePair, windows: WindowSet) -> LatentDump:
 def write_dump(dump: LatentDump, path) -> None:
     with atomic_write(path, newline="") as fh:
         fh.write(f"# d_z={dump.d_z} alpha={dump.alpha}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["domain_id", "series", "origin"]
-                        + [f"zsh_{i}" for i in range(dump.z_shared.shape[1])]
-                        + [f"zsp_{i}" for i in range(dump.z_specific.shape[1])])
-        writer.writerows(zip(dump.domain_id.tolist(), dump.series_name.tolist(),
-                             dump.origin.tolist(), *dump.z_shared.T.tolist(),
-                             *dump.z_specific.T.tolist()))
+        fh.write(csv_lines([["domain_id", "series", "origin"]
+                            + [f"zsh_{i}" for i in range(dump.z_shared.shape[1])]
+                            + [f"zsp_{i}" for i in range(dump.z_specific.shape[1])]]))
+        z = np.hstack([dump.z_shared, dump.z_specific])
+        for lo in range(0, len(dump), CSV_BLOCK_WINDOWS):
+            block = slice(lo, lo + CSV_BLOCK_WINDOWS)
+            keys = map(csv_row, zip(dump.domain_id[block].tolist(),
+                                    dump.series_name[block].tolist(), dump.origin[block].tolist()))
+            fh.write(csv_lines((key, *row) for key, row in zip(keys, repr_rows(z[block]))))
 
 
 def read_dump(path) -> LatentDump:

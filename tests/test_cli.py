@@ -176,6 +176,28 @@ class TestPipelineFlow:
         v, t, s = (float(x) for x in lines[1].split(","))
         assert abs(v - (t + s)) < 1e-12
 
+    @pytest.mark.parametrize("kernel", ["4", "0", "-3"])
+    def test_decompose_kernel_not_odd_and_positive_is_a_usage_error(self, workdir, capsys,
+                                                                    kernel):
+        # refused before the data is read: this file would be a data error
+        root, cfg = workdir
+        data = root / "bad.csv"
+        data.write_text("not,a,schema\n", encoding="utf-8")
+        code = run("decompose", "--config", cfg, "--data", data, "--kernel", kernel,
+                   "--out", root / "dec")
+        assert code == 1
+        assert f"--kernel must be odd and at least 1, got {kernel}" in capsys.readouterr().err
+        assert not (root / "dec").exists()
+
+    def test_decompose_kernel_longer_than_the_series_is_a_data_error(self, workdir, data_csv,
+                                                                    capsys):
+        root, cfg = workdir
+        code = run("decompose", "--config", cfg, "--data", data_csv, "--kernel", "61",
+                   "--out", root / "dec")
+        assert code == 2
+        assert "kernel 61 outside [1, 60]" in capsys.readouterr().err
+        assert not (root / "dec").exists()
+
     def test_ablate_table(self, workdir, data_csv):
         root, cfg = workdir
         code = run("ablate", "--config", cfg, "--data", data_csv,

@@ -389,27 +389,51 @@ class TestPipeline:
         path = tmp_path / "model.ckpt.json"
         save_checkpoint(path, "full", {"lookback": 3}, [], params)
         before = path.read_bytes()
-        # json.dump writes the keys sorted before "extra" and then fails on it
+        # the keys sorted before "extra" are written before it fails to encode
         with pytest.raises(TypeError):
             save_checkpoint(path, "full", {"lookback": 4}, [], params, extra={"bad": object()})
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt.json"]
 
-    def test_checkpoint_text_is_the_sorted_json_encoding(self, tmp_path):
+    @pytest.mark.parametrize("extra", [{"feat_dim": 2}, None])
+    def test_checkpoint_text_is_the_sorted_json_encoding(self, tmp_path, extra):
         # the file is json's sorted compact text of the blob, floats as repr:
         # any other encoder must write the same bytes
         from latentcast.checkpoint import FORMAT_VERSION, save_checkpoint
         data = np.array([[0.1, 1 / 3, -0.0], [1e-300, -2.5e17, 7.0]])
-        params = [Tensor(data, name="w"), Tensor(np.array([np.pi]), name="b")]
+        odd_name = 'enc"\\\n\u00e9.w'
+        params = [Tensor(data, name="w"), Tensor(np.array([np.pi]), name="b"),
+                  Tensor(np.array([[5e-324]]), name=odd_name)]
         config = {"lookback": 3, "beta": 5.0, "variant": "full", "encoder": None}
         domain_map = [[4, "dom\u00e9", 0], [7, "b", 1]]
         path = tmp_path / "model.ckpt.json"
-        save_checkpoint(path, "full", config, domain_map, params, extra={"feat_dim": 2})
+        save_checkpoint(path, "full", config, domain_map, params, extra=extra)
         blob = {"format_version": FORMAT_VERSION, "kind": "full", "config": config,
-                "domain_map": domain_map, "extra": {"feat_dim": 2},
+                "domain_map": domain_map,
                 "params": {"w": {"shape": [2, 3], "data": data.ravel().tolist()},
-                           "b": {"shape": [1], "data": [np.pi]}}}
+                           "b": {"shape": [1], "data": [np.pi]},
+                           odd_name: {"shape": [1, 1], "data": [5e-324]}}}
+        if extra:
+            blob["extra"] = extra
         assert path.read_text(encoding="utf-8") == json.dumps(blob, sort_keys=True)
+
+    def test_checkpoint_save_holds_one_parameter_list_at_a_time(self, tmp_path):
+        # a model at the bigru-train benchmark config, 5 training domains (a
+        # 494 KB file): every parameter's list built before json's C encoder
+        # runs peaks at about 1.2 MB
+        config = TrainConfig(decoder="linear", encoder="bigru", epochs_stage1=1,
+                             epochs_stage2=1, patience=10, stride=16, eval_stride=4)
+        model = build(config, 5, 0)
+        domain_map = [[i, f"dom{i}", i] for i in range(5)]
+        path = tmp_path / "model.ckpt.json"
+        save_full(path, model, domain_map, config, 0)
+        tracemalloc.start()
+        try:
+            save_full(path, model, domain_map, config, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.0e6
 
 
 class TestBenchmarkBindings:

@@ -18,6 +18,10 @@ data seed, as in `pipebench/run.py --seed`) it prints one line per artifact,
   `ablate` on the workload's data and config, over the variants
   `ABLATION_VARIANTS` at the training seeds `ABLATION_SEEDS`: the table the
   paper's ablation claims rest on, from `training.multi_seed_evaluate`
+- for every workload, the exit code and `decomposition.csv` of the CLI's
+  `decompose` on the workload's data and config (its first series)
+- for each seed, under the name `synth`, the `data.csv` that the CLI's
+  `synth` writes from the default synthetic spec at that seed
 
 `--src` names the latentcast source tree to import (default: this repo's
 `src`). `--against DIR` digests that tree and DIR (a source tree, or a
@@ -90,6 +94,27 @@ def ablation_artifacts(run, out: Path) -> dict[str, bytes]:
             "ablate:ablation.json": (out / "ablation.json").read_bytes()}
 
 
+def decompose_artifacts(run, out: Path) -> dict[str, bytes]:
+    """`latentcast decompose` on a `CliRun`'s data and config: its exit code
+    and the `decomposition.csv` it writes."""
+    from latentcast import cli
+
+    code = cli.main(["decompose", "--config", str(run.config_file), "--data", str(run.data),
+                     "--out", str(out)])
+    return {"decompose:exit_code": str(code).encode(),
+            "decompose:decomposition.csv": (out / "decomposition.csv").read_bytes()}
+
+
+def synth_artifacts(seed: int, out: Path) -> dict[str, bytes]:
+    """`latentcast synth` of the default spec at `seed`: its exit code and
+    the `data.csv` it writes."""
+    from latentcast import cli
+
+    code = cli.main(["synth", "--set", f"synthetic.seed={seed}", "--out", str(out)])
+    return {"synth:exit_code": str(code).encode(),
+            "synth:data.csv": (out / "data.csv").read_bytes()}
+
+
 def source_tree(path: str) -> Path:
     """The directory holding the `latentcast` package: `path` itself or its `src`."""
     root = Path(path).resolve()
@@ -133,6 +158,11 @@ def main(argv=None) -> int:
     sys.path[:0] = [str(source_tree(args.src)), str(REPO)]
     from pipebench.workloads import WORKLOADS, CliRun, PipelineRun
 
+    for seed in args.seeds:
+        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+            artifacts = synth_artifacts(seed, Path(tmp) / "synth")
+        for artifact, data in artifacts.items():
+            print(f"synth {seed} {artifact} {digest(data)}", flush=True)
     for name, workload in WORKLOADS.items():
         for seed in args.seeds:
             # the commands' own stdout would mix with the digest lines
@@ -144,6 +174,7 @@ def main(argv=None) -> int:
                     outcome = cli_run.iterate(0)
                     artifacts.update(cli_artifacts(tmp / "iter0", outcome.exit_codes))
                 artifacts.update(ablation_artifacts(cli_run, tmp / "ablate"))
+                artifacts.update(decompose_artifacts(cli_run, tmp / "decompose"))
             for artifact, data in artifacts.items():
                 print(f"{name} {seed} {artifact} {digest(data)}", flush=True)
     return 0
