@@ -395,8 +395,14 @@ class TestPipeline:
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt.json"]
 
-    @pytest.mark.parametrize("extra", [{"feat_dim": 2}, None])
-    def test_checkpoint_text_is_the_sorted_json_encoding(self, tmp_path, extra):
+    def test_checkpoint_text_is_the_sorted_json_encoding(self, tmp_path):
+        self._assert_checkpoint_text_is_sorted_json(tmp_path, {"feat_dim": 2})
+
+    def test_checkpoint_text_without_extra_is_the_sorted_json_encoding(self, tmp_path):
+        self._assert_checkpoint_text_is_sorted_json(tmp_path, None)
+
+    @staticmethod
+    def _assert_checkpoint_text_is_sorted_json(tmp_path, extra):
         # the file is json's sorted compact text of the blob, floats as repr:
         # any other encoder must write the same bytes
         from latentcast.checkpoint import FORMAT_VERSION, save_checkpoint
