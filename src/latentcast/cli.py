@@ -23,7 +23,7 @@ from . import __version__
 from .checkpoint import CheckpointError, atomic_write, csv_lines, repr_rows
 from .data import (DataError, SyntheticSpec, generate_synthetic, held_out_count, ingest_csv,
                    write_csv)
-from .decomposition import DecompositionError, decompose
+from .decomposition import DecompositionError, decompose_batch
 from .evaluation import METRIC_NAMES, MetricError
 from .forecaster import write_forecast_csv
 from .latent import dump_latents, separation_score, write_dump
@@ -230,7 +230,7 @@ def cmd_decompose(args) -> int:
     else:
         s = 0
     kernel = args.kernel if args.kernel is not None else config.kernel
-    parts = decompose(ds.values[s], kernel)
+    parts = decompose_batch(ds.values[s], kernel)
     out = resolve_out(args.out, args.overwrite)
     path = out / "decomposition.csv"
     with atomic_write(path) as fh:

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from functools import reduce
 
 import numpy as np
-from scipy.special import ndtri
 
 from . import tensor as T
 from .checkpoint import CSV_BLOCK_WINDOWS, atomic_write, csv_lines, csv_row, repr_rows
@@ -27,6 +26,10 @@ from .tensor import Tensor, no_grad
 LOG_2PI = float(np.log(2.0 * np.pi))
 SIGMA_FLOOR = 1e-6
 QUANTILE_LEVELS = tuple(q / 10.0 for q in range(1, 10))
+# the standard normal's quantiles at QUANTILE_LEVELS, ndtri's bits: not quite symmetric
+NORMAL_QUANTILES = (-1.2815515655446004, -0.8416212335729142, -0.5244005127080409,
+                    -0.2533471031357997, 0.0, 0.2533471031357997,
+                    0.5244005127080407, 0.8416212335729143, 1.2815515655446004)
 SAMPLE_BLOCK_ROWS = 256   # a 64 KB state and 200 KB of gates at hidden 32: in L2 cache
 # Windows per forecast block of `training.predict_windows`. Forecasts depend
 # on this value: each block draws its paths' noise as one array, and BLAS may
@@ -205,7 +208,7 @@ def to_distribution(mu: np.ndarray | None = None, sigma: np.ndarray | None = Non
             notes.append(f"only {samples.shape[-2]} sample paths; quantiles are coarse")
         grid = np.quantile(samples, QUANTILE_LEVELS, axis=-2)
     elif mu is not None and sigma is not None:
-        z = ndtri(np.array(QUANTILE_LEVELS)).reshape((-1,) + (1,) * mu.ndim)
+        z = np.array(NORMAL_QUANTILES).reshape((-1,) + (1,) * mu.ndim)
         grid = mu + sigma * z
     else:
         raise ValueError("to_distribution needs either (mu, sigma) or samples")

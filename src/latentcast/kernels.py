@@ -1,62 +1,61 @@
-"""Hot numeric kernels in numpy.
-
-Two operators carry the method: the edge-replicated moving average used by
-the trend/seasonal split, and the O(N^2 d) pairwise-distance sums of the
-domain regularizer.
-
-The moving average is a fixed linear map, so it is kept as one sparse (T, T)
-matrix `A` per (length, kernel): the trend of rows `x` is `x @ A.T`, and the
-backward pass of anything built on it is `g @ A`. The pairwise kernel returns
-the sum and its gradient: it computes the squared distances of the upper
-triangle only, in tiles of rows sized to stay in cache, and mirrors each tile
-into the lower triangle; its gradient is one (N, N) @ (N, d) product. Its
-memory is a few (N, N) arrays plus one tile of rows.
-It needs a symmetric mask. tests/test_kernels.py checks both kernels against
-brute-force loops, finite differences, the difference-tensor reference and,
-bit for bit, the column-loop kernel the tiles replaced.
+"""Hot numeric kernels in numpy: the edge-replicated moving average of the
+trend/seasonal split and its adjoint, sums of shifted slices that add their
+terms in the order of the sparse (T, T) operator's products `A @ x.T` and
+`g @ A`, and the O(N^2 d) pairwise-distance sum of the domain regularizer
+and its gradient. tests/test_kernels.py checks them against brute-force
+loops, finite differences and, bit for bit, the sparse operator, the
+difference-tensor reference and the column-loop kernel the row tiles replaced.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
-from scipy import sparse
 
 
 # ---------------------------------------------------------------------------
-# Edge-replicated moving average as a sparse linear operator
+# Edge-replicated moving average and its adjoint
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=64)
-def moving_average_operator(length: int, kernel: int) -> sparse.csr_array:
-    """(length, length) matrix of the centered moving average.
-
-    Row i holds `kernel` entries of 1/kernel at columns i - pad .. i + pad,
-    clipped to [0, length - 1]: a window running off an end repeats the edge
-    column, and CSR sums the duplicates, which is exactly edge replication.
-    The cached matrix is shared between callers, so its arrays are read-only.
-    """
-    pad = (kernel - 1) // 2
-    cols = np.arange(length)[:, None] + np.arange(-pad, pad + 1)[None, :]
-    indices = np.clip(cols, 0, length - 1).ravel()
-    indptr = np.arange(0, length * kernel + 1, kernel)
-    data = np.full(length * kernel, 1.0 / kernel)
-    a = sparse.csr_array((data, indices, indptr), shape=(length, length))
-    for arr in (a.data, a.indices, a.indptr):
-        arr.flags.writeable = False
-    return a
+def _window_sums(padded: np.ndarray, length: int) -> np.ndarray:
+    # the sums of consecutive rows of `padded`, `length` of them, added in row
+    # order from 0.0 (first + 0.0 is 0.0 + first, which turns -0.0 into 0.0)
+    out = padded[:length] + 0.0
+    for p in range(1, padded.shape[0] - length + 1):
+        out += padded[p:p + length]
+    return out
 
 
 def moving_average(x: np.ndarray, kernel: int) -> np.ndarray:
     """Centered moving average of a 1-D window or of each row of a 2-D
-    array, edges replicated."""
+    array, edges replicated: the window sums of the edge-padded transposed
+    (T, N) rows, scaled by 1/kernel, returned in C order."""
     x = np.asarray(x, dtype=np.float64)
-    a = moving_average_operator(x.shape[-1], kernel)
-    # a @ x.T, not x @ a.T, which builds a transposed operator on every call;
-    # the product comes back in Fortran order, and the trend feeds row-major
-    # matmuls, so it is returned in C order like every other window array
-    return np.ascontiguousarray((a @ x.T).T)
+    pad, length = (kernel - 1) // 2, x.shape[-1]
+    rows = x.reshape(-1, length)
+    padded = np.empty((length + 2 * pad, rows.shape[0]))
+    np.multiply(rows.T, 1.0 / kernel, out=padded[pad:pad + length])
+    padded[:pad] = padded[pad]            # the first and last steps, replicated
+    padded[pad + length:] = padded[pad + length - 1]
+    return np.ascontiguousarray(_window_sums(padded, length).T).reshape(x.shape)
+
+
+def moving_average_adjoint(g: np.ndarray, kernel: int) -> np.ndarray:
+    """The transpose of `moving_average` applied to `g`, for kernel <= T:
+    the window sums of the zero-padded rows, but an end column c also gets
+    the replicated entries, pad + 1 - |c - r| copies of row r, which the
+    sparse product adds one at a time in ascending r."""
+    g = np.asarray(g, dtype=np.float64)
+    pad, length = (kernel - 1) // 2, g.shape[-1]
+    rows = g.reshape(-1, length)
+    padded = np.zeros((length + 2 * pad, rows.shape[0]))
+    np.multiply(rows.T, 1.0 / kernel, out=padded[pad:pad + length])
+    out = _window_sums(padded, length)
+    for c in (0, length - 1):
+        out[c] = 0.0
+        for r in range(max(0, c - pad), min(length, c + pad + 1)):
+            for _ in range(pad + 1 - abs(c - r)):
+                out[c] += padded[pad + r]
+    return np.ascontiguousarray(out.T).reshape(g.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -91,9 +90,7 @@ def pair_dist_sum(z: np.ndarray, mask: np.ndarray | None = None
     0; the Gram identity ||a||^2 + ||b||^2 - 2 a.b would leave them a small
     nonzero distance through cancellation. Memory is a few (N, N) arrays
     plus one tile of at most max(`PAIR_TILE_ELEMENTS`, N * d) doubles, never
-    an (N, N, d) tensor. `scipy.spatial.distance.pdist` gives the same bits
-    faster, but importing `scipy.spatial` adds about 8 MB to the peak
-    resident memory, near a tenth of a CLI run's.
+    an (N, N, d) tensor.
     """
     z = np.asarray(z, dtype=np.float64)
     n, width = z.shape

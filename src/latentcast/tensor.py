@@ -20,7 +20,6 @@ from itertools import accumulate
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy.special import expit
 
 
 class ShapeError(ValueError):
@@ -311,7 +310,11 @@ def softplus_array(x: np.ndarray) -> np.ndarray:
 def softplus(a) -> Tensor:
     a = _as_tensor(a)
     x = a.data
-    return custom_op(softplus_array(x), (a,), (lambda g: g * expit(x),))
+    # `softplus_array`, and the logistic from the same exp(-|x|): it never
+    # overflows, and it is nonzero down to x = -745 (`sigmoid` is 0 below -38)
+    e = np.exp(-np.abs(x))
+    return custom_op(np.log1p(e) + np.maximum(x, 0.0), (a,),
+                     (lambda g: g * (np.where(x >= 0, 1.0, e) / (1.0 + e)),))
 
 
 def square(a) -> Tensor:

@@ -4,6 +4,8 @@
 import argparse
 import json
 import math
+import os
+import subprocess
 import sys
 import tempfile
 from dataclasses import fields
@@ -46,6 +48,17 @@ def workdir(tmp_path):
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def test_the_cli_imports_no_scipy():
+    # numpy is the one runtime dependency: a fresh interpreter that imports
+    # the CLI has loaded no scipy module
+    src = Path(training.__file__).resolve().parents[1]
+    code = ("import sys, latentcast.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    assert out.stdout == "[]\n"
 
 
 # domain counts and test fractions whose split has an empty side for any seed

@@ -16,7 +16,7 @@ from hypothesis.extra.numpy import arrays
 
 from latentcast import cli
 from latentcast.data import DomainDataset, WindowSet, write_csv
-from latentcast.decomposition import DecomposedWindow
+from latentcast.decomposition import Parts
 from latentcast.forecaster import QUANTILE_LEVELS, Forecasts, write_forecast_csv
 from latentcast.latent import LatentDump, write_dump
 
@@ -164,16 +164,16 @@ def test_data_csv_matches_csv_writer(sets):
     floats(t, elements=FINITE_VALUES), floats(t), floats(t))))
 def test_decomposition_csv_matches_the_line_writer(case):
     # the values come through ingest, which takes finite values only; the
-    # trend and seasonal parts are drawn freely, in place of `decompose`
+    # trend and seasonal parts are drawn freely, in place of `decompose_batch`
     values, trend, seasonal = case
-    parts = DecomposedWindow(trend, seasonal, 1)
+    parts = Parts(trend, seasonal)
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         data = tmp / "data.csv"
         data.write_text("domain,series,timestamp,value\n"
                         + "".join(f"d,s,{t},{v!r}\n" for t, v in enumerate(values.tolist())),
                         encoding="utf-8")
-        with mock.patch.object(cli, "decompose", lambda x, kernel: parts):
+        with mock.patch.object(cli, "decompose_batch", lambda x, kernel: parts):
             assert cli.main(["decompose", "--data", str(data), "--kernel", "1",
                              "--out", str(tmp / "dec")]) == 0
         reference_decomposition_csv(tmp / "reference.csv", values, parts)

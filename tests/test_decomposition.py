@@ -7,20 +7,19 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import latentcast.tensor as T
-from latentcast.decomposition import (DecompositionError, decompose, decompose_batch,
-                                      trend_component)
+from latentcast.decomposition import DecompositionError, decompose_batch, trend_component
 from latentcast.tensor import Tensor, grad_check
 
 
 def test_worked_example_kernel3():
-    parts = decompose(np.array([1.0, 2, 3, 4, 5]), 3)
+    parts = decompose_batch(np.array([1.0, 2, 3, 4, 5]), 3)
     assert np.allclose(parts.x_t, [4 / 3, 2, 3, 4, 14 / 3], atol=1e-12)
     assert np.allclose(parts.x_s, [-1 / 3, 0, 0, 0, 1 / 3], atol=1e-12)
 
 
 def test_kernel_one_is_identity():
     x = np.array([3.0, -1.0, 7.0])
-    parts = decompose(x, 1)
+    parts = decompose_batch(x, 1)
     assert np.array_equal(parts.x_t, x)
     assert np.array_equal(parts.x_s, np.zeros(3))
 
@@ -28,7 +27,7 @@ def test_kernel_one_is_identity():
 def test_constant_input_all_trend():
     x = np.full(9, 4.2)
     for kernel in (1, 3, 5, 9):
-        parts = decompose(x, kernel)
+        parts = decompose_batch(x, kernel)
         assert np.allclose(parts.x_t, x, atol=1e-12)
         assert np.allclose(parts.x_s, 0.0, atol=1e-12)
 
@@ -48,7 +47,7 @@ def test_exact_reconstruction(kernel, n, extra, log_scale, seed):
 def test_linear_ramp_interior_trend_equals_ramp():
     x = np.arange(20.0) * 0.7 + 3.0
     kernel = 5
-    parts = decompose(x, kernel)
+    parts = decompose_batch(x, kernel)
     lo = (kernel - 1) // 2
     assert np.allclose(parts.x_t[lo:20 - lo], x[lo:20 - lo], atol=1e-12)
 
@@ -56,17 +55,17 @@ def test_linear_ramp_interior_trend_equals_ramp():
 def test_translation_equivariance():
     rng = np.random.default_rng(5)
     x = rng.normal(size=15)
-    base = decompose(x, 5)
-    shifted = decompose(x + 10.0, 5)
+    base = decompose_batch(x, 5)
+    shifted = decompose_batch(x + 10.0, 5)
     assert np.allclose(shifted.x_t, base.x_t + 10.0, atol=1e-10)
 
 
 def test_errors():
     x = np.arange(6.0)
     with pytest.raises(DecompositionError):
-        decompose(x, 4)
+        decompose_batch(x, 4)
     with pytest.raises(DecompositionError):
-        decompose(x, 7)
+        decompose_batch(x, 7)
 
 
 def test_batch_matches_single():
@@ -74,7 +73,7 @@ def test_batch_matches_single():
     x = rng.normal(size=(4, 12))
     x_t, x_s = decompose_batch(x, 5)
     for i in range(4):
-        parts = decompose(x[i], 5)
+        parts = decompose_batch(x[i], 5)
         assert np.allclose(x_t[i], parts.x_t, atol=1e-12)
         assert np.allclose(x_s[i], parts.x_s, atol=1e-12)
 

@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.special import ndtri
 
 import latentcast.tensor as T
 from latentcast.cvae import CvaePair
-from latentcast.forecaster import (ForecastModel, LinearDecoder, RecurrentDecoder,
-                                   augment_input, gaussian_nll,
-                                   to_distribution)
+from latentcast.forecaster import (NORMAL_QUANTILES, QUANTILE_LEVELS, ForecastModel,
+                                   LinearDecoder, RecurrentDecoder, augment_input,
+                                   gaussian_nll, to_distribution)
 from latentcast.nets import glorot
 from latentcast.tensor import Tensor, grad_check
 
@@ -243,6 +244,9 @@ class TestToDistribution:
         _, notes = to_distribution(samples=np.random.default_rng(1).normal(size=(5, 3)))
         assert any("sample paths" in n for n in notes)
 
+    def test_normal_quantiles_are_the_bits_of_ndtri(self):
+        assert NORMAL_QUANTILES == tuple(ndtri(np.array(QUANTILE_LEVELS)).tolist())
+
     def test_inversion_roundtrip(self):
         # re-normalizing the output grid recovers the normalized quantiles
         rng = np.random.default_rng(2)
@@ -251,7 +255,6 @@ class TestToDistribution:
         scale = 4.0
         quantiles, _ = to_distribution(mu=mu, sigma=sigma, scale=scale, norm_stats=stats)
         renorm = (quantiles / scale - stats[0]) / (stats[1] + 1e-5)
-        from scipy.special import ndtri
         expected = mu[None, :] + sigma[None, :] * ndtri(np.arange(1, 10) / 10.0)[:, None]
         assert np.allclose(renorm, expected, atol=1e-9)
 

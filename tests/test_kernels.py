@@ -1,5 +1,6 @@
 """Kernel correctness: the numpy kernels against brute-force loops, finite
-differences and the difference-tensor reference."""
+differences, the sparse moving-average operator and the difference-tensor
+reference."""
 
 import tracemalloc
 
@@ -7,10 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from scipy import sparse
 
 import latentcast.tensor as T
 from latentcast import kernels
-from latentcast.decomposition import decompose, trend_component
+from latentcast.decomposition import decompose_batch, trend_component
 from latentcast.tensor import Tensor
 
 
@@ -44,6 +46,19 @@ def brute_cross_sum(z, dom):
     return total, count
 
 
+def sparse_operator(length, kernel):
+    # the reference for bits: the (length, length) CSR matrix of the moving
+    # average. Row i holds `kernel` entries of 1/kernel at columns
+    # i - pad .. i + pad clipped to the ends, so a window running off an end
+    # repeats the edge column, and the product sums the duplicates one by one
+    pad = (kernel - 1) // 2
+    cols = np.arange(length)[:, None] + np.arange(-pad, pad + 1)[None, :]
+    indices = np.clip(cols, 0, length - 1).ravel()
+    indptr = np.arange(0, length * kernel + 1, kernel)
+    data = np.full(length * kernel, 1.0 / kernel)
+    return sparse.csr_array((data, indices, indptr), shape=(length, length))
+
+
 @pytest.mark.parametrize("kernel", [1, 3, 5, 9, 13])
 def test_moving_average_matches_bruteforce(kernel):
     rng = np.random.default_rng(0)
@@ -61,28 +76,70 @@ def test_moving_average_worked_example():
 @pytest.mark.parametrize("kernel", [1, 3, 5, 9, 13])
 @pytest.mark.parametrize("length", ["kernel", 17])
 def test_operator_columns_are_bruteforce_impulse_responses(kernel, length):
+    # column j of the operator is the moving average of the j-th impulse:
+    # the reference matrix, the forward kernel on each impulse and the
+    # adjoint on each impulse (row j of A) all give it
     length = kernel if length == "kernel" else length
     eye = np.eye(length)
     expected = np.stack([brute_moving_average(eye[j], kernel) for j in range(length)],
                         axis=1)
-    got = kernels.moving_average_operator(length, kernel).toarray()
-    assert np.allclose(got, expected, atol=1e-15)
+    assert np.allclose(sparse_operator(length, kernel).toarray(), expected, atol=1e-15)
+    assert np.allclose(kernels.moving_average(eye, kernel).T, expected, atol=1e-15)
+    assert np.allclose(kernels.moving_average_adjoint(eye, kernel), expected, atol=1e-15)
 
 
-@given(n=st.integers(0, 70), half=st.integers(0, 6), extra=st.integers(0, 1000),
-       seed=st.integers(0, 2 ** 16))
-def test_moving_average_is_the_operator_product_bit_for_bit(n, half, extra, seed):
-    # 1-D windows (n == 0) and (n, T) rows; any subset of the rows gets the
-    # same bits as the whole set, so stage 1 can decompose per minibatch
+def operator_case(n, half, extra, seed):
+    # 1-D windows (n == 0) and (n, T) rows at kernel 1-61, their operator,
+    # and half of the rows (none for a 1-D window). A fifth of the rows are
+    # -0.0, which the product sums from +0.0 into +0.0
     kernel = 2 * half + 1
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(n, kernel + extra) if n else kernel + extra)
+    x *= 10.0 ** rng.integers(-3, 4)
+    x[rng.random(x.shape[:-1]) < 0.2] = -0.0
+    return kernel, x, sparse_operator(x.shape[-1], kernel), rng.permutation(n)[:(n + 1) // 2]
+
+
+def same_bits(a, b):
+    # bit for bit: np.array_equal takes -0.0 for 0.0
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+OPERATOR_CASES = dict(n=st.integers(0, 300), half=st.integers(0, 30),
+                      extra=st.integers(0, 120), seed=st.integers(0, 2 ** 16))
+
+
+@given(**OPERATOR_CASES)
+# the workloads' shapes: 64, 256 and 1,088 rows of 60 steps at kernel 9
+@example(n=64, half=4, extra=51, seed=0)
+@example(n=1088, half=4, extra=51, seed=1)
+def test_moving_average_is_the_operator_product_bit_for_bit(n, half, extra, seed):
+    # any subset of the rows gets the same bits as the whole set, so stage 1
+    # can decompose per minibatch
+    kernel, x, a, rows = operator_case(n, half, extra, seed)
     got = kernels.moving_average(x, kernel)
     assert got.flags.c_contiguous
-    assert np.array_equal(got, x @ kernels.moving_average_operator(x.shape[-1], kernel).T)
+    assert same_bits(got, (a @ x.T).T)
     if n:
-        rows = rng.permutation(n)[:(n + 1) // 2]
-        assert np.array_equal(kernels.moving_average(x[rows], kernel), got[rows])
+        assert same_bits(kernels.moving_average(x[rows], kernel), got[rows])
+
+
+@given(**OPERATOR_CASES)
+@example(n=64, half=4, extra=51, seed=0)
+@example(n=256, half=4, extra=51, seed=1)
+# one step and one kernel: both end columns are the same column
+@example(n=3, half=0, extra=0, seed=2)
+# kernel == T: every row's window runs off one end
+@example(n=5, half=30, extra=0, seed=3)
+def test_adjoint_is_the_operator_product_bit_for_bit(n, half, extra, seed):
+    # the end columns sum the edge's duplicate entries in the sparse
+    # product's order; any subset of the rows gets the same bits
+    kernel, g, a, rows = operator_case(n, half, extra, seed)
+    got = kernels.moving_average_adjoint(g, kernel)
+    assert got.flags.c_contiguous
+    assert same_bits(got, g @ a)
+    if n:
+        assert same_bits(kernels.moving_average_adjoint(g[rows], kernel), got[rows])
 
 
 @pytest.mark.parametrize("kernel", [1, 3, 5, 7])
@@ -103,12 +160,18 @@ def test_adjoint_is_transpose(kernel, n, extra, seed):
 
 def test_long_series_decomposes_with_a_sparse_operator():
     # a whole series, as the decompose command sees it; a dense (T, T)
-    # operator would not fit in memory at this length
+    # operator would not fit in memory at this length, and the shifted sums
+    # hold a few copies of the series, not one per kernel tap
     length, kernel = 100_000, 9
     x = np.random.default_rng(4).normal(size=length)
-    parts = decompose(x, kernel)
-    assert np.max(np.abs(parts.x_t + parts.x_s - x)) <= 1e-12
-    assert kernels.moving_average_operator(length, kernel).nnz <= length * kernel
+    tracemalloc.start()
+    try:
+        x_t, x_s = decompose_batch(x, kernel)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.max(np.abs(x_t + x_s - x)) <= 1e-12
+    assert peak <= 4 * x.nbytes < kernel * x.nbytes
 
 
 def test_pairwise_sums_match_bruteforce():

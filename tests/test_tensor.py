@@ -6,6 +6,10 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.special import expit
 
 import latentcast.tensor as T
 from latentcast.nets import GRUCell
@@ -21,6 +25,25 @@ def test_matmul_identity():
 
 def test_softplus_at_zero():
     assert abs(T.softplus(Tensor([0.0])).data[0] - np.log(2.0)) < 1e-12
+
+
+@given(x=arrays(np.float64, st.integers(1, 64), elements=st.floats(-800.0, 800.0)))
+# -38 and -40: where sigmoid's tanh form is already 0; -709.78: expit's
+# smallest nonzero value, a subnormal 5.6e-309
+@example(x=np.array([0.0, -0.0, 1e-300, -1e-300, 36.0, -36.0, -38.0, -40.0, -708.4,
+                     -709.78, -709.79, 710.0, -745.0, 800.0, -800.0]))
+def test_softplus_derivative_is_expit_to_four_ulps(x):
+    # relative, not absolute: at the sigma floor dL/dsigma grows like
+    # 1/sigma^3, so a derivative of 4e-18 at x = -40 still moves the weights,
+    # and it must not become 0 where expit is not. Below x = -709.78 expit's
+    # exp(-x) overflows and it returns 0; there the derivative is subnormal
+    a = Tensor(x, requires_grad=True)
+    T.tsum(T.softplus(a)).backward()
+    want = expit(x)
+    nonzero = want > 0
+    assert np.all(np.abs(a.grad - want)[nonzero] <= 4 * np.finfo(np.float64).eps * want[nonzero])
+    assert np.all(a.grad[nonzero] > 0)
+    assert np.all(a.grad[~nonzero] < np.finfo(np.float64).tiny)
 
 
 def test_concat_slice_inverse_pair():
