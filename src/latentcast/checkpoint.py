@@ -31,10 +31,12 @@ class CheckpointError(ValueError):
 @contextmanager
 def atomic_write(path, newline: str | None = None) -> Iterator[TextIO]:
     """A UTF-8 text handle whose content replaces `path` only once the block
-    completes. It is written beside the target and renamed over it, so a
-    failure mid-write leaves any existing file intact and no temporary file
-    behind. `newline` is passed to `open` (csv writers need "")."""
+    completes. It is written beside the target, in its directory, which is
+    made if missing, and renamed over it, so a failure mid-write leaves any
+    existing file intact and no temporary file behind. `newline` is passed to
+    `open` (csv writers need "")."""
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    os.makedirs(os.path.dirname(tmp) or ".", exist_ok=True)
     try:
         with open(tmp, "w", newline=newline, encoding="utf-8") as fh:
             yield fh

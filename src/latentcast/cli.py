@@ -73,7 +73,7 @@ def load_config_file(path: str | None) -> dict:
         return {}
     p = input_file(path, "config file")
     try:
-        with open(p, encoding="utf-8") as fh:
+        with open(p, encoding="utf-8-sig") as fh:
             cfg = json.load(fh)
     except UnicodeDecodeError as exc:
         raise DataError(f"config file {p} is not UTF-8 text: {exc.reason}") from None
@@ -132,16 +132,17 @@ def synthetic_spec_from(cfg: dict) -> SyntheticSpec:
 # ---------------------------------------------------------------------------
 
 def resolve_out(out: str, overwrite: bool) -> Path:
+    """The output directory, which the command's first write makes: a
+    command that fails before it leaves no directory."""
     root = os.environ.get(OUT_ROOT_ENV, ".")
     path = Path(out) if os.path.isabs(out) else Path(root) / out
     manifest = path / "manifest.json"
     if manifest.exists() and not overwrite:
         raise UsageError(f"output dir {path} already holds a run; pass --overwrite to reuse it")
-    try:
-        path.mkdir(parents=True, exist_ok=True)
-    except (FileExistsError, NotADirectoryError) as exc:
-        # a file at the path or on the way to it
-        raise UsageError(f"cannot make output dir {path}: {exc.strerror}") from None
+    # the nearest path on the way that exists must be a directory
+    nearest = next(p for p in (path, *path.parents) if os.path.lexists(p))
+    if not nearest.is_dir():
+        raise UsageError(f"cannot make output dir {path}: {nearest} is not a directory")
     return path
 
 
@@ -167,15 +168,9 @@ def _write_text(path: Path, text: str) -> None:
         fh.write(text)
 
 
-def _load_datasets(args, config: TrainConfig, split: bool = True):
-    """The data file's domains; with `split`, a data error unless every domain
-    split of them has a test and a training side, a fault no seed escapes,
-    found before the command makes its output directory."""
-    datasets = ingest_csv(input_file(args.data, "data file"), value_scale=config.value_scale,
-                          fill_missing=config.fill_missing)
-    if split:
-        held_out_count(len(datasets), config.test_fraction)
-    return datasets
+def _load_datasets(args, config: TrainConfig):
+    return ingest_csv(input_file(args.data, "data file"), value_scale=config.value_scale,
+                      fill_missing=config.fill_missing)
 
 
 def _write_reports(out: Path, result_reports: dict) -> dict[str, str]:
@@ -216,7 +211,7 @@ def cmd_decompose(args) -> int:
     # a kernel longer than the series is a data error, found once it is read
     if args.kernel is not None and (args.kernel < 1 or args.kernel % 2 == 0):
         raise UsageError(f"--kernel must be odd and at least 1, got {args.kernel}")
-    datasets = _load_datasets(args, config, split=False)
+    datasets = _load_datasets(args, config)
     if not datasets:
         raise DataError(f"data file {args.data} holds no series")
     by_name = {ds.domain_name: ds for ds in datasets}
@@ -321,10 +316,7 @@ def cmd_forecast(args) -> int:
 
 def cmd_dump_latents(args) -> int:
     config, model, datasets, out, split = _fitted(args)
-    windows = eval_windows(datasets, split, config, args.split)
-    if not windows:
-        raise DataError(f"no windows available for split {args.split!r}")
-    dump = dump_latents(model.pair, windows)
+    dump = dump_latents(model.pair, eval_windows(datasets, split, config, args.split))
     path = out / f"latents_{args.split}.csv"
     write_dump(dump, path)
     artifacts = {"latents": str(path)}
@@ -359,6 +351,8 @@ def cmd_ablate(args) -> int:
     cfg = apply_overrides(load_config_file(args.config), args.set)
     config = train_config_from(cfg, args)
     datasets = _load_datasets(args, config)
+    # a split fault fails every seed alike: a data error, not failed seeds
+    held_out_count(len(datasets), config.test_fraction)
     out = resolve_out(args.out, args.overwrite)
 
     table = {variant: multi_seed_evaluate(datasets, replace(config, variant=variant), seeds)

@@ -47,14 +47,11 @@ class MlpEncoder:
 
     def __init__(self, rng: np.random.Generator, in_dim: int, hidden: int, drop: float,
                  name: str):
-        self.in_dim = in_dim
         self.drop = drop
         self.width = hidden
         self.hidden = Linear(rng, in_dim, hidden, f"{name}.hidden")
 
     def __call__(self, x: Tensor, rng=None, training: bool = False) -> Tensor:
-        if x.shape[-1] != self.in_dim:
-            raise T.ShapeError(f"encoder expects window length {self.in_dim}, got {x.shape[-1]}")
         return dropout(T.tanh(self.hidden(x)), self.drop, rng, training)
 
     def params(self) -> list[Tensor]:
@@ -95,15 +92,11 @@ class CondDecoder:
     def __init__(self, rng: np.random.Generator, d_z: int, num_domains: int,
                  out_dim: int, conditional: bool, name: str):
         self.conditional = conditional
-        self.num_domains = num_domains
         in_dim = d_z + (num_domains if conditional else 0)
         self.lin = Linear(rng, in_dim, out_dim, f"{name}.lin")
 
     def __call__(self, z: Tensor, dom_onehot: Tensor | None) -> Tensor:
         if self.conditional:
-            if dom_onehot is None or dom_onehot.shape[-1] != self.num_domains:
-                got = None if dom_onehot is None else dom_onehot.shape[-1]
-                raise T.ShapeError(f"decoder needs a one-hot of length {self.num_domains}, got {got}")
             z = T.concat([z, dom_onehot])
         return self.lin(z)
 

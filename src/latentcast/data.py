@@ -291,7 +291,7 @@ def ingest_csv(path, value_scale: float = 1.0, fill_missing: float = 0.0) -> lis
     time; when one is at fault, a scan of the records names the first.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except UnicodeDecodeError as exc:
         raise DataError(f"not UTF-8 text: {exc.reason}") from None

@@ -47,22 +47,14 @@ def row_blocks(n: int, size: int) -> list[tuple[int, int]]:
 def augment_input(z: Tensor, x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x' = concat(z, x) @ W + b for (N, d_z) latents and (N, T) windows, with
     W of shape (d_z + T, T)."""
-    cat = T.concat([z, x])
-    if cat.shape[-1] != w.shape[0]:
-        raise T.ShapeError(
-            f"augment_input: concat width {cat.shape[-1]} does not match W rows {w.shape[0]}"
-        )
-    return T.add_bias(cat @ w, b)
+    return T.add_bias(T.concat([z, x]) @ w, b)
 
 
 def gaussian_nll(y, mu: Tensor, sigma: Tensor) -> Tensor:
-    """Mean over all entries of 0.5*ln(2*pi*sigma^2) + (y - mu)^2 / (2*sigma^2)."""
-    y = y if isinstance(y, Tensor) else Tensor(np.asarray(y, dtype=np.float64))
-    if y.shape != mu.shape or mu.shape != sigma.shape:
-        raise T.ShapeError(f"gaussian_nll: shapes {y.shape}, {mu.shape}, {sigma.shape} differ")
-    if np.any(sigma.data <= 0.0):
-        raise T.MathDomainError("gaussian_nll: nonpositive sigma")
-    return T.tmean(0.5 * LOG_2PI + T.log(sigma) + T.square(y - mu) / (T.square(sigma) * 2.0))
+    """Mean over all entries of 0.5*ln(2*pi*sigma^2) + (y - mu)^2 / (2*sigma^2).
+    The engine refuses operands of unequal shape and a nonpositive sigma."""
+    return T.tmean(0.5 * LOG_2PI + T.log(sigma)
+                   + T.square(T.sub(y, mu)) / (T.square(sigma) * 2.0))
 
 
 class RecurrentDecoder:

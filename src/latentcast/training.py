@@ -271,6 +271,15 @@ def training_data(datasets: Sequence[DomainDataset], config: TrainConfig,
 # Stage 1
 # ---------------------------------------------------------------------------
 
+def _latent_inputs(pair: CvaePair, samples: WindowSet, domain_index: dict[int, int],
+                   config: TrainConfig) -> Stage1Batch:
+    """The latent objective's inputs, for stage 1 and the e2e variant. An
+    active domain regularizer needs at least two training domains."""
+    if config.reg_active and len(set(domain_index.values())) < 2:
+        raise TrainingError("stage 1: domain regularization needs at least 2 training domains")
+    return make_stage1_batch(pair, samples, domain_index)
+
+
 def _latent_objective(pair: CvaePair, batch: Stage1Batch, config: TrainConfig,
                       rng: np.random.Generator) -> tuple[Tensor, dict[str, float]]:
     """The stage-1 objective on one minibatch: the latent loss plus
@@ -289,9 +298,7 @@ def stage1_pretrain(pair: CvaePair, samples: WindowSet, domain_index: dict[int, 
     best epoch-mean parameters."""
     if not len(samples):
         raise TrainingError("stage 1: no training windows")
-    if config.reg_active and len(set(domain_index.values())) < 2:
-        raise TrainingError("stage 1: domain regularization needs at least 2 training domains")
-    inputs = make_stage1_batch(pair, samples, domain_index)
+    inputs = _latent_inputs(pair, samples, domain_index, config)
     rng = np.random.default_rng([config.seed, 2])
     _fit(1, Adam(pair.params(), lr=config.learning_rate), len(samples), config.epochs_stage1,
          config, rng, lambda idx: _latent_objective(pair, inputs.take(idx), config, rng),
@@ -323,7 +330,8 @@ def stage2_train(model: ForecastModel, train_samples: WindowSet, val_samples: Wi
     e2e = config.variant == "e2e"
     if e2e and domain_index is None:
         raise TrainingError("e2e training needs the domain index map")
-    latent_inputs = make_stage1_batch(model.pair, train_samples, domain_index) if e2e else None
+    latent_inputs = (_latent_inputs(model.pair, train_samples, domain_index, config)
+                     if e2e else None)
 
     opt = Adam(model.checkpoint_params() if e2e else model.params(), lr=config.learning_rate)
     rng = np.random.default_rng([config.seed, 3])
@@ -381,12 +389,18 @@ EVAL_SPLITS = ("train", "test")
 def eval_windows(datasets: Sequence[DomainDataset], split: DomainSplit,
                  config: TrainConfig, which: str) -> WindowSet:
     """Evaluation-stride windows of the held-out periods of training domains
-    ("train") or of the test domains ("test")."""
+    ("train") or of the test domains ("test"). A split left without a window
+    is a data error."""
     if which not in EVAL_SPLITS:
         raise ValueError(f"which must be 'train' or 'test', got {which!r}")
     role = "val" if which == "train" else "test"
-    return windows_for_role(datasets, split, role, config.lookback, config.horizon,
-                            config.eval_stride)
+    windows = windows_for_role(datasets, split, role, config.lookback, config.horizon,
+                               config.eval_stride)
+    if not len(windows):
+        raise DataError(f"no {which} evaluation window: no {role} period holds lookback + "
+                        f"horizon = {config.lookback + config.horizon} steps at eval_stride "
+                        f"{config.eval_stride}")
+    return windows
 
 
 def evaluate_split(model: ForecastModel, datasets: Sequence[DomainDataset],
@@ -395,8 +409,6 @@ def evaluate_split(model: ForecastModel, datasets: Sequence[DomainDataset],
     """Metrics on the windows of `eval_windows`. Each split samples from a
     stream of its own, so every command that forecasts a split agrees."""
     windows = eval_windows(datasets, split, config, which)
-    if not windows:
-        raise TrainingError(f"no evaluation windows for the {which} domain set")
     rng = np.random.default_rng([config.seed, 4, EVAL_SPLITS.index(which)])
     dists = predict_windows(model, windows, config, rng)
     domains = split.train_domains if which == "train" else split.test_domains

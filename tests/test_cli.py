@@ -21,6 +21,7 @@ from latentcast.cli import main, write_manifest
 from latentcast.data import SyntheticSpec, ingest_csv, make_windows
 from latentcast.evaluation import MetricError
 from latentcast.forecaster import Forecasts, write_forecast_csv
+from latentcast.tensor import Tensor
 from latentcast.training import TrainConfig, TrainingError, load_full, run_pipeline
 
 TINY_CONFIG = {
@@ -371,6 +372,7 @@ class TestPipelineFlow:
         code = run(*argv, "--config", cfg, "--data", data_csv, "--out", root / "bad")
         assert code == 2
         assert f"no {role} window" in capsys.readouterr().err
+        assert not (root / "bad").exists()
 
     def test_undefined_metric_is_a_data_error(self, workdir, data_csv, capsys, monkeypatch):
         # nrmse fails as it does on all-zero predictions; the run ends with the
@@ -384,6 +386,34 @@ class TestPipelineFlow:
                    "--out", root / "fit")
         assert code == 2
         assert "train split, domain" in capsys.readouterr().err
+        assert not (root / "fit").exists()
+
+    @pytest.mark.parametrize("command", [["pretrain"], ["train", "--variant", "e2e"]],
+                             ids=["pretrain", "train"])
+    def test_training_failure_leaves_no_output_dir(self, workdir, data_csv, capsys,
+                                                   monkeypatch, command):
+        # the latent objective of stage 1 and of e2e turns non-finite
+        monkeypatch.setattr(training, "_latent_objective",
+                            lambda *args: (Tensor(math.nan), {}))
+        root, cfg = workdir
+        code = run(*command, "--config", cfg, "--data", data_csv, "--out", root / "fit")
+        assert code == 3
+        assert "loss non-finite" in capsys.readouterr().err
+        assert not (root / "fit").exists()
+
+    @pytest.mark.parametrize("command", [["pretrain"], ["train", "--variant", "e2e"]],
+                             ids=["pretrain", "train"])
+    def test_one_training_domain_is_refused_by_both_latent_objectives(self, workdir, capsys,
+                                                                      command):
+        # two domains at test_fraction 0.5 leave one: the domain regularizer
+        # of stage 1 and of e2e has no cross-domain pair
+        root, cfg = workdir
+        code = run(*command, "--config", cfg, "--data", self._few_domains_csv(root, 2),
+                   "--set", "train.test_fraction=0.5", "--out", root / "fit")
+        assert code == 3
+        assert ("stage 1: domain regularization needs at least 2 training domains"
+                in capsys.readouterr().err)
+        assert not (root / "fit").exists()
 
     def test_unknown_variant_lists_valid_names(self, workdir, data_csv, capsys):
         root, cfg = workdir
@@ -529,6 +559,14 @@ class TestUsage:
         assert "not UTF-8 text" in capsys.readouterr().err
         assert not (root / "x").exists()
 
+    def test_config_with_a_utf8_byte_order_mark_is_read_as_without(self, workdir):
+        root, cfg = workdir
+        marked = root / "marked.json"
+        marked.write_bytes(b"\xef\xbb\xbf" + cfg.read_bytes())
+        assert run("synth", "--config", marked, "--out", root / "a") == 0
+        assert run("synth", "--config", cfg, "--out", root / "b") == 0
+        assert (root / "a" / "data.csv").read_bytes() == (root / "b" / "data.csv").read_bytes()
+
     @pytest.mark.parametrize("out", ["taken", "taken/run"], ids=["file", "under_file"])
     def test_out_that_cannot_be_a_directory_is_a_usage_error(self, workdir, capsys, out):
         root, cfg = workdir
@@ -597,8 +635,7 @@ FUZZ_VALUES = (st.integers(-3, 40) | st.booleans() | st.none() | st.text("ab1.e"
 def test_cli_ends_with_an_exit_code_on_mutated_settings(where, field, value, as_json, command):
     # one setting of a valid config gets a drawn value, through --set or the
     # config file, or the whole "train" section is replaced; a setting that
-    # leaves no window to train on is a data error (exit code 2), and one that
-    # leaves no evaluation window is found after training (exit code 3)
+    # leaves no window to train on or to evaluate is a data error (exit code 2)
     train = dict(FUZZ_TRAIN)
     sets = []
     if where == "set":
@@ -670,6 +707,28 @@ def fuzz_run(tmp_path_factory):
     full = root / "fit" / "model.ckpt.json"
     assert run("evaluate", *common, "--checkpoint", full, "--out", root / "eval") == 0
     return {"common": common, "stage1": stage1, "full": full}
+
+
+@pytest.mark.parametrize("argv", [
+    ("train", "--variant", "e2e", "--set", "train.eval_stride=1000"),
+    ("evaluate",), ("forecast", "--split", "train"), ("dump-latents", "--split", "train"),
+], ids=["train", "evaluate", "forecast", "dump_latents"])
+def test_eval_stride_that_leaves_no_evaluation_window_is_a_data_error(fuzz_run, tmp_path,
+                                                                      capsys, argv):
+    # 16-step series: at eval_stride 1000 each series has one window, whose
+    # target starts in the training period; train finds it after training,
+    # the other commands in the checkpoint's config
+    blob = json.loads(fuzz_run["full"].read_text(encoding="utf-8"))
+    blob["config"]["eval_stride"] = 1000
+    checkpoint = tmp_path / "model.ckpt.json"
+    checkpoint.write_text(json.dumps(blob), encoding="utf-8")
+    model = () if argv[0] == "train" else ("--checkpoint", checkpoint)
+    code = run(*argv, *fuzz_run["common"], *model, "--out", tmp_path / "out")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert ("data error: no train evaluation window: no val period holds lookback + horizon "
+            "= 8 steps at eval_stride 1000") in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["evaluate", "forecast", "dump-latents"])

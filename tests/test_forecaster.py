@@ -109,6 +109,13 @@ class TestGaussianNll:
             gaussian_nll(np.zeros((1, 1)), Tensor(np.zeros((1, 1))),
                          Tensor(np.zeros((1, 1))))
 
+    @pytest.mark.parametrize("y, mu, sigma", [((2, 3), (2, 2), (2, 2)), ((2, 3), (2, 3), (3, 2)),
+                                              ((1, 3), (3,), (3,))],
+                             ids=["y_and_mu", "mu_and_sigma", "row_and_1d"])
+    def test_unequal_shapes_rejected(self, y, mu, sigma):
+        with pytest.raises(T.ShapeError):
+            gaussian_nll(np.zeros(y), Tensor(np.zeros(mu)), Tensor(np.ones(sigma)))
+
 
 class TestRecurrentDecoder:
     def _decoder(self, feat_dim=0, hidden=4, horizon=3, seed=0):

@@ -316,6 +316,14 @@ def test_bytes_that_are_not_utf8_are_a_data_error(tmp_path, capsys):
     assert main(["pretrain", "--data", str(path), "--out", str(tmp_path / "out")]) == 2
 
 
+def test_a_utf8_byte_order_mark_is_read_as_no_mark(tmp_path):
+    # Excel's "CSV UTF-8" starts the file with the bytes EF BB BF
+    text = "domain,series,timestamp,value\na,s,0,1.0\nb,s,0,2.0\n"
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    assert_same_datasets(ingest_csv(marked), ingest_csv(write(tmp_path, text)))
+
+
 # ---------------------------------------------------------------------------
 # CLI on mutated files
 # ---------------------------------------------------------------------------

@@ -347,6 +347,17 @@ class TestPipeline:
         with pytest.raises(ValueError, match="splits must be among"):
             run_pipeline(tiny_datasets, tiny_config, splits=("val",))
 
+    @pytest.mark.parametrize("variant", ["full", "e2e"])
+    def test_regularizer_needs_two_training_domains_on_both_paths(self, tiny_datasets,
+                                                                 tiny_config, variant):
+        # two domains at test_fraction 0.5 leave one training domain: stage 1
+        # and the e2e objective, which holds the regularizer too, refuse it alike
+        from dataclasses import replace
+        config = replace(tiny_config, variant=variant, test_fraction=0.5)
+        with pytest.raises(TrainingError, match="^stage 1: domain regularization needs "
+                                                "at least 2 training domains$"):
+            run_pipeline(tiny_datasets[:2], config)
+
     def test_stage1_loss_mostly_nonincreasing(self, tiny_datasets, tiny_config):
         from dataclasses import replace
         config = replace(tiny_config, epochs_stage1=12, epochs_stage2=1)
