@@ -21,8 +21,7 @@ import numpy as np
 
 from . import __version__
 from .checkpoint import CheckpointError, atomic_write, csv_lines, repr_rows
-from .data import (DataError, SyntheticSpec, generate_synthetic, held_out_count, ingest_csv,
-                   write_csv)
+from .data import DataError, SyntheticSpec, generate_synthetic, ingest_csv, write_csv
 from .decomposition import DecompositionError, decompose_batch
 from .evaluation import METRIC_NAMES, MetricError
 from .forecaster import write_forecast_csv
@@ -340,9 +339,6 @@ def cmd_ablate(args) -> int:
     seeds = [s.strip() for s in args.seeds.split(",") if s.strip()]
     if not variants or not seeds:
         raise UsageError("--variants and --seeds each need at least one item")
-    unknown = [v for v in variants if v not in VARIANTS]
-    if unknown:
-        raise UsageError(f"unknown variants {unknown}; valid: {', '.join(VARIANTS)}")
     if not all(s.isdecimal() for s in seeds):
         raise UsageError(f"--seeds must be non-negative integers, got {args.seeds!r}")
     seeds = [int(s) for s in seeds]
@@ -350,9 +346,12 @@ def cmd_ablate(args) -> int:
         raise UsageError("--variants and --seeds must not repeat an item")
     cfg = apply_overrides(load_config_file(args.config), args.set)
     config = train_config_from(cfg, args)
+    for variant in variants:
+        try:
+            replace(config, variant=variant).validate()
+        except ValueError as exc:
+            raise UsageError(f"--variants {variant}: {exc}") from None
     datasets = _load_datasets(args, config)
-    # a split fault fails every seed alike: a data error, not failed seeds
-    held_out_count(len(datasets), config.test_fraction)
     out = resolve_out(args.out, args.overwrite)
 
     table = {variant: multi_seed_evaluate(datasets, replace(config, variant=variant), seeds)

@@ -508,22 +508,17 @@ def generate_synthetic(spec: SyntheticSpec) -> list[DomainDataset]:
     return datasets
 
 
-def held_out_count(n_domains: int, test_fraction: float) -> int:
-    """The number of test domains in any split of n domains; a data error if a side is empty."""
-    if n_domains < 2:
-        raise DataError("need at least 2 domains to split")
-    n_test = int(n_domains * test_fraction + 0.5)
-    if not 0 < n_test < n_domains:
-        raise DataError(f"test_fraction={test_fraction} holds out {n_test} of {n_domains} "
-                        "domains; the test and training sides each need one")
-    return n_test
-
-
 def split_domains(datasets: Sequence[DomainDataset], test_fraction: float = 0.2,
                   seed: int = 0, val_fraction: float = 0.2) -> DomainSplit:
-    """Random domain partition plus per-training-domain validation tails."""
+    """Random domain partition plus per-training-domain validation tails; an
+    empty side of either is a data error."""
     ids = sorted(ds.domain_id for ds in datasets)
-    n_test = held_out_count(len(ids), test_fraction)
+    if len(ids) < 2:
+        raise DataError("need at least 2 domains to split")
+    n_test = int(len(ids) * test_fraction + 0.5)
+    if not 0 < n_test < len(ids):
+        raise DataError(f"test_fraction={test_fraction} holds out {n_test} of {len(ids)} "
+                        "domains; the test and training sides each need one")
     rng = np.random.default_rng(seed)
     order = [ids[i] for i in rng.permutation(len(ids))]
     test = sorted(order[:n_test])
@@ -538,7 +533,8 @@ def split_domains(datasets: Sequence[DomainDataset], test_fraction: float = 0.2,
         span = t1 - t0
         train_end = t0 + int(span * (1.0 - val_fraction))
         if not t0 < train_end < t1:
-            raise DataError(f"domain {dom}: validation tail empty for val_fraction={val_fraction}")
+            side = "training period" if train_end <= t0 else "validation tail"
+            raise DataError(f"domain {dom}: {side} empty for val_fraction={val_fraction}")
         boundaries[dom] = (train_end, t1)
     return DomainSplit(train_domains=train, test_domains=test,
                        boundaries=boundaries, seed=seed)

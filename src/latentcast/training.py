@@ -175,6 +175,8 @@ def _fit(stage: int, opt: Adam, n: int, epochs: int, config: TrainConfig,
     at the end, and its index is returned. With `patience`, training stops
     after that many epochs without a better score.
     """
+    if not n:
+        raise TrainingError(f"stage {stage}: no training windows")
     params = opt.params
     best, best_epoch, best_snap = np.inf, -1, [p.data.copy() for p in params]
     for epoch in range(epochs):
@@ -296,8 +298,6 @@ def stage1_pretrain(pair: CvaePair, samples: WindowSet, domain_index: dict[int, 
                     config: TrainConfig, record: RunRecord) -> None:
     """Minibatch Adam on latent loss + reg_weight * regularizer; keeps the
     best epoch-mean parameters."""
-    if not len(samples):
-        raise TrainingError("stage 1: no training windows")
     inputs = _latent_inputs(pair, samples, domain_index, config)
     rng = np.random.default_rng([config.seed, 2])
     _fit(1, Adam(pair.params(), lr=config.learning_rate), len(samples), config.epochs_stage1,
@@ -323,8 +323,6 @@ def stage2_train(model: ForecastModel, train_samples: WindowSet, val_samples: Wi
     join the objective and every parameter of the model trains; otherwise the
     log-variance readouts and the conditional decoders are frozen and unused.
     """
-    if not len(train_samples):
-        raise TrainingError("stage 2: no training windows")
     if not len(val_samples):
         raise TrainingError("stage 2: validation set is empty")
     e2e = config.variant == "e2e"
@@ -497,11 +495,15 @@ def load_stage1(path, pair: CvaePair, config: TrainConfig, domain_map: list[list
     """Restore pretrained VAE parameters into a freshly built pair, after
     checking that they were pretrained for this config and domain split."""
     blob, ckpt_config = read_checkpoint(path, "stage1")
-    # the settings that shape the pair or its pretraining split
-    for key in ("lookback", "d_z", "hidden", "alpha", "kernel", "seed", "dropout", "encoder"):
-        if getattr(ckpt_config, key) != getattr(config, key):
-            raise CheckpointError(f"checkpoint {path}: {key}={getattr(ckpt_config, key)!r} "
-                                  f"does not match config {key}={getattr(config, key)!r}")
+    # the settings that shape the pair or its pretraining split, with the
+    # encoder as the pair resolves it
+    for key in ("lookback", "d_z", "hidden", "alpha", "kernel", "seed", "dropout", "val_fraction",
+                "encoder"):
+        stored, wanted = (c.resolved_encoder() if key == "encoder" else getattr(c, key)
+                          for c in (ckpt_config, config))
+        if stored != wanted:
+            raise CheckpointError(f"checkpoint {path}: {key}={stored!r} "
+                                  f"does not match config {key}={wanted!r}")
     restore_params(blob, pair.params(), path, domain_map)
 
 
@@ -539,8 +541,8 @@ def multi_seed_evaluate(datasets: Sequence[DomainDataset], config: TrainConfig,
     """One variant's ablation row: the full pipeline per seed (a fresh domain
     shuffle each time), evaluating only the test split, then `{metric}_mean`
     and `{metric}_std` over the test averages of the seeds that ran, their
-    count `n_seeds` (absent when none ran), and `failed_seeds`, each failed
-    seed's message."""
+    count `n_seeds` (absent when none ran), and `failed_seeds`, the message of
+    each seed whose training failed. Any other error propagates."""
     if not seeds:
         raise ValueError("multi_seed_evaluate: need at least one seed")
     averages: list[dict[str, float]] = []
@@ -549,7 +551,7 @@ def multi_seed_evaluate(datasets: Sequence[DomainDataset], config: TrainConfig,
         try:
             result = run_pipeline(datasets, replace(config, seed=seed), splits=("test",))
             averages.append(result.report_test.average)
-        except (TrainingError, ValueError) as exc:
+        except TrainingError as exc:
             row["failed_seeds"][seed] = str(exc)
     if averages:
         for metric in METRIC_NAMES:

@@ -246,6 +246,21 @@ class TestPipelineFlow:
         assert row["failed_seeds"] == {"2": "stage 1 loss non-finite"}
         assert row["n_seeds"] == 1
 
+    def test_ablate_undefined_metric_is_a_data_error(self, workdir, data_csv, capsys):
+        # an all-zero domain leaves the quantile loss undefined for every seed
+        # that holds it out: the run ends, and no seed is dropped from the row
+        root, cfg = workdir
+        lines = data_csv.read_text().splitlines()
+        zeroed = root / "zeroed.csv"
+        zeroed.write_text("\n".join([lines[0]] + [
+            line.rsplit(",", 1)[0] + ",0.0" if line.startswith("dom0,") else line
+            for line in lines[1:]]) + "\n")
+        code = run("ablate", "--config", cfg, "--data", zeroed, "--variants", "full",
+                   "--seeds", "0,1,2,3,4,5", "--out", root / "abl")
+        assert code == 2
+        assert "test split, domain 0" in capsys.readouterr().err
+        assert not (root / "abl").exists()
+
     @staticmethod
     def _few_domains_csv(root, domains):
         data = root / "few.csv"
@@ -307,6 +322,26 @@ class TestPipelineFlow:
         for p, q in zip(saved, held):
             assert np.array_equal(p.data, q.data), p.name
 
+    def test_pretrained_encoder_is_compared_as_the_pair_resolves_it(self, workdir, data_csv):
+        # unset, the linear decoder's encoder is the BiGRU: the same pair
+        root, cfg = workdir
+        assert run("pretrain", "--config", cfg, "--data", data_csv,
+                   "--set", "train.encoder=null", "--out", root / "pre") == 0
+        assert run("train", "--config", cfg, "--data", data_csv, "--set", "train.encoder=bigru",
+                   "--pretrained", root / "pre" / "stage1.ckpt.json", "--out", root / "fit") == 0
+
+    def test_pretrained_val_fraction_must_match(self, workdir, data_csv, capsys):
+        # stage 1 trained on the validation tails stage 2 would select on
+        root, cfg = workdir
+        assert run("pretrain", "--config", cfg, "--data", data_csv, "--out", root / "pre") == 0
+        code = run("train", "--config", cfg, "--data", data_csv,
+                   "--set", "train.val_fraction=0.5",
+                   "--pretrained", root / "pre" / "stage1.ckpt.json", "--out", root / "fit")
+        assert code == 2
+        assert "val_fraction=0.25 does not match config val_fraction=0.5" in (
+            capsys.readouterr().err)
+        assert not (root / "fit").exists()
+
     def test_forecast_matches_train_for_recurrent_decoder(self, workdir, data_csv):
         root, cfg = workdir
         self._pretrain_and_train(root, cfg, data_csv, "recurrent")
@@ -341,19 +376,22 @@ class TestPipelineFlow:
         (("pretrain", "--set", "train.patience=-1"), "patience"),
         (("train", "--variant", "e2e", "--set", "train.beta=-1"), "beta"),
         (("train", "--variant", "e2e", "--set", "train.reg_weight=-1"), "reg_weight"),
+        (("ablate", "--set", "train.variant=no_reg", "--set", "train.batch_size=1",
+          "--variants", "full", "--seeds", "0"), "--variants full: batch_size must be >= 2"),
     ], ids=["epochs_stage1", "epochs_stage2", "batch_size", "sample_paths", "latent_split",
             "learning_rate", "value_scale", "text_for_float", "text_for_int",
             "fraction_for_int", "negative_seed", "test_fraction_range", "val_fraction_range",
             "even_kernel", "zero_kernel", "negative_kernel", "kernel_over_lookback",
             "zero_stride", "zero_eval_stride", "zero_eval_stride_e2e", "negative_patience",
-            "negative_beta", "negative_reg_weight"])
+            "negative_beta", "negative_reg_weight", "ablate_listed_variant"])
     def test_empty_training_loop_is_a_usage_error(self, workdir, data_csv, capsys,
                                                   argv, field):
         # a loop that would run no epoch or no batch, a setting that would
         # crash after training, train uphill or on a loss unbounded below,
         # divide every value by zero or hold out no domain, a kernel, stride
         # or patience out of range, and a value of the wrong type, are
-        # refused before any data loads
+        # refused before any data loads; ablate refuses so a listed variant
+        # whose config fails these checks, though the file's config passes
         root, cfg = workdir
         code = run(*argv, "--config", cfg, "--data", data_csv, "--out", root / "bad")
         assert code == 1
@@ -363,11 +401,14 @@ class TestPipelineFlow:
     @pytest.mark.parametrize("argv, role", [
         (("pretrain", "--set", "train.lookback=60"), "train"),
         (("train", "--variant", "e2e", "--set", "train.stride=60"), "val"),
-    ], ids=["lookback", "stride"])
+        (("ablate", "--variants", "full", "--seeds", "0", "--set", "train.lookback=46"),
+         "train"),
+    ], ids=["lookback", "stride", "ablate_lookback"])
     def test_setting_that_leaves_no_window_is_a_data_error(self, workdir, data_csv, capsys,
                                                           argv, role):
-        # 60-step series: no window fits a 64-step span, and with stride 60
-        # each series has one window, which ends inside the training period
+        # 60-step series: no window fits a 64-step span, with stride 60 each
+        # series has one window, which ends inside the training period, and
+        # a 45-step training period holds no 50-step window
         root, cfg = workdir
         code = run(*argv, "--config", cfg, "--data", data_csv, "--out", root / "bad")
         assert code == 2

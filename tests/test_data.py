@@ -280,6 +280,14 @@ class TestSplit:
         with pytest.raises(DataError):
             split_domains(self._datasets(4), 0.05, seed=0)
 
+    @pytest.mark.parametrize("val_fraction, side", [(0.99, "training period"),
+                                                    (0.0, "validation tail")])
+    def test_empty_side_of_a_domain_is_named(self, val_fraction, side):
+        # 30 steps: 0.99 leaves no step before the tail, 0.0 none in it
+        with pytest.raises(DataError, match=f"domain \\d: {side} empty for "
+                                            f"val_fraction={val_fraction}"):
+            split_domains(self._datasets(4), 0.25, seed=0, val_fraction=val_fraction)
+
     def test_boundaries_inside_domain(self):
         split = split_domains(self._datasets(5, length=50), 0.2, seed=2)
         for dom in split.train_domains:

@@ -12,9 +12,9 @@ import pytest
 from latentcast import cli, training
 from latentcast.cvae import FULL, make_stage1_batch
 from latentcast.data import WindowSample, WindowSet, prepare_samples, write_csv
-from latentcast.evaluation import METRIC_NAMES, MetricReport
+from latentcast.evaluation import METRIC_NAMES, MetricError, MetricReport
 from latentcast.forecaster import ForecastDistribution, Forecasts, gaussian_nll
-from latentcast.tensor import Tensor
+from latentcast.tensor import ShapeError, Tensor
 from latentcast.training import (VARIANTS, RunRecord, TrainConfig, TrainingError, build,
                                  build_cvae, build_model, evaluate_split, load_full,
                                  load_stage1, multi_seed_evaluate, pipeline_split,
@@ -117,6 +117,12 @@ class TestStage1:
         stage1_pretrain(pair, _samples(12, 8, seed=6), {0: 0, 1: 1}, config, record)
         return pair, record
 
+    def test_empty_training_set_rejected(self):
+        config = self._config()
+        pair = build_cvae(config, 2, np.random.default_rng(0))
+        with pytest.raises(TrainingError, match="stage 1: no training windows"):
+            stage1_pretrain(pair, _samples(0, 8), {0: 0, 1: 1}, config, RunRecord(seed=0))
+
     def test_best_epoch_parameters_returned(self):
         # the loss curve's minimum, not the last epoch, is what comes back: the
         # same pair as a run that ends at that epoch
@@ -195,6 +201,13 @@ class TestStage2:
         with pytest.raises(TrainingError,
                            match=r"stage 2 loss non-finite \(epoch 0, batch \d, parts \{'nll'"):
             stage2_train(model, samples, _samples(4, 8, seed=9), config, RunRecord(seed=0))
+
+    @pytest.mark.parametrize("variant", ["full", "e2e"])
+    def test_empty_training_set_rejected(self, variant):
+        config, model = self._setup(variant=variant)
+        with pytest.raises(TrainingError, match="stage 2: no training windows"):
+            stage2_train(model, _samples(0, 8), _samples(4, 8, seed=9), config,
+                         RunRecord(seed=0), domain_index={0: 0, 1: 1})
 
     def test_empty_validation_rejected(self):
         config, model = self._setup()
@@ -561,3 +574,27 @@ class TestMultiSeed:
         row = multi_seed_evaluate(poisoned, tiny_config, [bad_seed, good_seed])
         assert list(row["failed_seeds"]) == [bad_seed]
         assert row["n_seeds"] == 1
+
+    def test_undefined_metric_ends_the_row(self, tiny_datasets, tiny_config):
+        # an all-zero domain leaves the quantile loss of its test split
+        # undefined: the seed that holds it out raises, after a seed that
+        # trains on it ran, and is not recorded as a failed seed
+        from latentcast.data import split_domains
+        for values in tiny_datasets[0].values:
+            values[:] = 0.0
+        held_out = [0 in split_domains(tiny_datasets, tiny_config.test_fraction, seed,
+                                       tiny_config.val_fraction).test_domains
+                    for seed in range(6)]
+        seeds = [held_out.index(False), held_out.index(True)]
+        with pytest.raises(MetricError, match="test split, domain 0"):
+            multi_seed_evaluate(tiny_datasets, tiny_config, seeds)
+
+    def test_engine_fault_propagates(self, tiny_datasets, tiny_config, monkeypatch):
+        def shape_fault_at_seed_2(datasets, config, **kwargs):
+            if config.seed == 2:
+                raise ShapeError("matmul: inner dimensions differ")
+            return run_pipeline(datasets, config, **kwargs)
+
+        monkeypatch.setattr(training, "run_pipeline", shape_fault_at_seed_2)
+        with pytest.raises(ShapeError, match="inner dimensions"):
+            multi_seed_evaluate(tiny_datasets, tiny_config, [1, 2])
