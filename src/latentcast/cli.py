@@ -467,7 +467,3 @@ def main(argv=None) -> int:
     except TrainingError as exc:
         print(f"training failure: {exc}", file=sys.stderr)
         return EXIT_TRAINING
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import csv
 import datetime as _dt
-import io
 import math
+import warnings
 from dataclasses import dataclass, fields, replace
 from functools import cache
 from typing import Iterable, Sequence, get_args, get_origin, get_type_hints
@@ -24,6 +24,9 @@ from .checkpoint import atomic_write, csv_lines, csv_row, repr_rows
 REVIN_EPS = 1e-5
 MAX_SERIES_STEPS = 10_000_000    # longest timestamp span a series may fill gaps over
 PREPARE_BLOCK = 1 << 14          # rows per block of prepare_samples' temporaries
+# the information separators: numpy's number parsers skip them as space,
+# Python's int and float refuse them
+NUMPY_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
 
 
 class DataError(ValueError):
@@ -203,44 +206,71 @@ def _records(lines: list[str]):
             yield line_no, row
 
 
-class _Shared(dict):
-    """Maps a string to the first equal one it was given, so that a column's
-    equal fields share one object: a string per row of the three text
-    columns held about 25 MB more at 96,000 rows."""
-    def __missing__(self, key: str) -> str:
-        self[key] = key
-        return key
+class _Codes(dict):
+    """Maps each distinct field of a column to its first-seen index, so that
+    the tokenizer keeps an int per row, not a string."""
+    def __missing__(self, key: str) -> int:
+        self[key] = code = len(self)
+        return code
 
 
-def _table(lines: list[str], width: int) -> np.ndarray:
-    """The records as a structured array: the domain, series and timestamp
-    fields as strings and the others through Python's `float` as `numbers`;
-    ValueError when a record has another width or a number does not parse.
+def _read(records: list[str], width: int, native: bool) -> tuple[np.ndarray, list[_Codes]]:
+    """One pass of numpy's tokenizer over `records` (one string each): the
+    table, with domain and series as codes, and their two code dicts. With
+    `native`, numpy parses timestamps and numbers in C; otherwise Python does,
+    in its wider grammar (`1_000.5`, non-ASCII digits, ISO dates), each
+    distinct timestamp field once."""
+    codes = [_Codes() for _ in range(2 if native else 3)]
+    converters = {j: c.__getitem__ for j, c in enumerate(codes)}
+    if not native:
+        converters.update(dict.fromkeys(range(3, width), float))
+    dtype = [("domain", np.int64), ("series", np.int64), ("timestamp", np.int64),
+             ("numbers", np.float64, (width - 3,))]
+    with warnings.catch_warnings():
+        # numpy releases that still read an int64 field such as 3.7 through
+        # a float, truncated, warn instead of refusing it; as an error numpy
+        # raises ValueError, and the records take Python's grammar
+        warnings.simplefilter("error", DeprecationWarning)
+        table = np.loadtxt(records, dtype=dtype, delimiter=",", quotechar='"', comments=None,
+                           ndmin=1, converters=converters) if records else np.empty(0, dtype)
+    if not native:
+        stamps = codes.pop()
+        table["timestamp"] = np.fromiter(map(_parse_timestamp, stamps), np.int64,
+                                         len(stamps))[table["timestamp"]]
+    return table, codes
+
+
+def _parse(records: list[str], width: int) -> tuple[np.ndarray, list[_Codes]]:
+    """`_read` in numpy's grammar, or in Python's where numpy refuses a field
+    or the records hold a character that only numpy reads as space."""
+    # a block of records at a time: one string of the whole file raised the
+    # CLI's peak RSS by about 3 MB
+    blocks = ("".join(records[i:i + 1024]) for i in range(0, len(records), 1024))
+    if not any(c in block for block in blocks for c in NUMPY_ONLY_SPACE):
+        try:
+            return _read(records, width, native=True)
+        except ValueError:
+            pass
+    return _read(records, width, native=False)
+
+
+def _table(lines: list[str], width: int) -> tuple[np.ndarray, list[_Codes]]:
+    """The records as `_parse` gives them; ValueError when a record has
+    another width or a field does not parse.
 
     numpy's C tokenizer reads the lines with visible text, quoting as
     csv.reader does. Where that fails or gives fewer records than lines (a
     quoted line break), it reads csv.reader's records as csv.writer writes
     them: only csv.reader sees a whitespace line inside quotes and skips a
     record that is one quoted blank."""
-    dtype = [("domain", object), ("series", object), ("timestamp", object),
-             ("numbers", np.float64, (width - 3,))]
-
-    def parse(source):
-        shared = [_Shared() for _ in range(3)]
-        converters = {j: shared[j].__getitem__ if j < 3 else float for j in range(width)}
-        return np.loadtxt(source, dtype=dtype, delimiter=",", quotechar='"', comments=None,
-                          ndmin=1, converters=converters)
-
     text = list(filter(str.strip, lines))
     try:
-        table = parse(text) if text else np.empty(0, dtype)
-        if len(table) == len(text):
-            return table
+        parsed = _parse(text, width)
+        if len(parsed[0]) == len(text):
+            return parsed
     except ValueError:
         pass
-    rows = io.StringIO()
-    csv.writer(rows).writerows(row for _, row in _records(lines))
-    return parse(io.StringIO(rows.getvalue())) if rows.tell() else np.empty(0, dtype)
+    return _parse([csv_row(row) + "\n" for _, row in _records(lines)], width)
 
 
 def _raise_first_fault(lines: list[str], width: int, value_scale: float) -> None:
@@ -267,19 +297,13 @@ def _raise_first_fault(lines: list[str], width: int, value_scale: float) -> None
         seen.add(key)
 
 
-def _codes(column: np.ndarray) -> tuple[list[str], np.ndarray]:
-    """The sorted distinct stripped names of a column, and each row's index among them."""
-    names = list(map(str.strip, column))
-    distinct = sorted(set(names))
-    index = dict(zip(distinct, range(len(distinct))))
-    return distinct, np.fromiter(map(index.__getitem__, names), np.int64, len(names))
-
-
-def _stamps(column: np.ndarray) -> np.ndarray:
-    """A column of timestamp fields as int64, each distinct field parsed once."""
-    distinct = set(column)
-    stamp = dict(zip(distinct, map(_parse_timestamp, distinct)))
-    return np.fromiter(map(stamp.__getitem__, column), np.int64, len(column))
+def _names(codes: _Codes, column: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """The sorted distinct stripped names of a coded column, and each row's
+    index among them: the codes' fields are stripped and ranked once each."""
+    stripped = list(map(str.strip, codes))
+    names = sorted(set(stripped))
+    rank = dict(zip(names, range(len(names))))
+    return names, np.fromiter(map(rank.__getitem__, stripped), np.int64, len(stripped))[column]
 
 
 def ingest_csv(path, value_scale: float = 1.0, fill_missing: float = 0.0) -> list[DomainDataset]:
@@ -287,8 +311,9 @@ def ingest_csv(path, value_scale: float = 1.0, fill_missing: float = 0.0) -> lis
 
     Rows are grouped by domain then series and sorted by timestamp; gaps in a
     series' timestamp range are filled with `fill_missing` (features with 0).
-    Values are divided by `value_scale`. Fields are converted a column at a
-    time; when one is at fault, a scan of the records names the first.
+    Values are divided by `value_scale`. The records are converted in one
+    tokenizer pass (`_parse`); when one is at fault, a scan of the records
+    names the first.
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -304,9 +329,10 @@ def ingest_csv(path, value_scale: float = 1.0, fill_missing: float = 0.0) -> lis
         raise DataError(f"unexpected header {header!r}; need domain,series,timestamp,value[,feat_*]")
     width, body = len(header), lines[reader.line_num:]
     try:
-        table = _table(body, width)
-        (domains, dom_id), (series, ser_id) = _codes(table["domain"]), _codes(table["series"])
-        ts, numbers = _stamps(table["timestamp"]), table["numbers"]
+        table, (domain_codes, series_codes) = _table(body, width)
+        domains, dom_id = _names(domain_codes, table["domain"])
+        series, ser_id = _names(series_codes, table["series"])
+        ts, numbers = table["timestamp"], table["numbers"]
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             numbers[:, 0] /= value_scale
         order = np.lexsort((ts, ser_id, dom_id))

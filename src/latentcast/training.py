@@ -495,10 +495,12 @@ def load_stage1(path, pair: CvaePair, config: TrainConfig, domain_map: list[list
     """Restore pretrained VAE parameters into a freshly built pair, after
     checking that they were pretrained for this config and domain split."""
     blob, ckpt_config = read_checkpoint(path, "stage1")
-    # the settings that shape the pair or its pretraining split, with the
-    # encoder as the pair resolves it
+    # the settings that shape the pair, its pretraining split, windows and
+    # objective, with the encoder as the pair resolves it; the variant itself
+    # differs between variants that pretrain alike
     for key in ("lookback", "d_z", "hidden", "alpha", "kernel", "seed", "dropout", "val_fraction",
-                "encoder"):
+                "encoder", "beta", "reg_weight", "reg_active", "epochs_stage1", "learning_rate",
+                "batch_size", "stride", "horizon", "value_scale", "fill_missing"):
         stored, wanted = (c.resolved_encoder() if key == "encoder" else getattr(c, key)
                           for c in (ckpt_config, config))
         if stored != wanted:

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latentcast import evaluation, training
+from latentcast.__main__ import BLAS_THREAD_VARS
 from latentcast.cli import main, write_manifest
 from latentcast.data import SyntheticSpec, ingest_csv, make_windows
 from latentcast.evaluation import MetricError
@@ -60,6 +61,34 @@ def test_the_cli_imports_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": str(src)}, check=True)
     assert out.stdout == "[]\n"
+
+
+def test_the_command_runs_blas_on_one_thread_unless_told(tmp_path, monkeypatch):
+    # at OpenBLAS's default of a thread per core, the GRU's weight gradients
+    # on the recurrent-sample workload's data take other bits on a
+    # multi-core host; the command pins one thread unless its caller set one
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+    from pipebench.workloads import WORKLOADS, CliRun
+
+    inputs = CliRun(WORKLOADS["recurrent-sample"], 101, tmp_path)
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env["PYTHONPATH"] = str(Path(training.__file__).resolve().parents[1])
+    outputs = []
+    for side, blas in (("unset", {}), ("one", dict.fromkeys(BLAS_THREAD_VARS, "1"))):
+        root = tmp_path / side
+        for command, *extra in (("pretrain",),
+                                ("train", "--pretrained", root / "pretrain" / "stage1.ckpt.json")):
+            subprocess.run([sys.executable, "-m", "latentcast", command, "--config",
+                            inputs.config_file, "--data", inputs.data, "--out", root / command,
+                            *extra], env={**env, **blas}, capture_output=True, check=True)
+        outputs.append({path.relative_to(root): path.read_bytes() for path in root.rglob("*")
+                        if path.is_file() and path.name != "manifest.json"})
+        for name, data in outputs[-1].items():   # a run record's seconds are the clock's
+            if name.name.startswith("runrecord"):
+                outputs[-1][name] = {k: v for k, v in json.loads(data).items()
+                                     if not k.endswith("_seconds")}
+    assert Path("train", "model.ckpt.json") in outputs[0]
+    assert outputs[0] == outputs[1]
 
 
 # domain counts and test fractions whose split has an empty side for any seed
@@ -341,6 +370,33 @@ class TestPipelineFlow:
         assert "val_fraction=0.25 does not match config val_fraction=0.5" in (
             capsys.readouterr().err)
         assert not (root / "fit").exists()
+
+    @pytest.mark.parametrize("pretrain, train, refused", [
+        (("--variant", "no_reg", "--set", "train.beta=9"), ("--variant", "full"),
+         "beta=9 does not match config beta=1.0"),
+        (("--variant", "full"), ("--variant", "shared_only"), None),
+        (("--set", "train.decoder=linear"), ("--set", "train.decoder=recurrent"), None),
+        (("--set", "train.fill_missing=-1.5"), (),
+         "fill_missing=-1.5 does not match config fill_missing=0.0"),
+        (("--set", "train.value_scale=2.5"), (),
+         "value_scale=2.5 does not match config value_scale=1.0"),
+    ], ids=["objective_differs", "variant_pretrained_alike", "decoder_only",
+            "gap_fill_differs", "value_scale_differs"])
+    def test_pretrained_stage1_objective_must_match(self, workdir, data_csv, capsys,
+                                                    pretrain, train, refused):
+        # stage 1's windows and objective must be the run's; the variant and
+        # the decoder matter only where they change those
+        root, cfg = workdir
+        assert run("pretrain", "--config", cfg, "--data", data_csv, *pretrain,
+                   "--out", root / "pre") == 0
+        code = run("train", "--config", cfg, "--data", data_csv, *train,
+                   "--pretrained", root / "pre" / "stage1.ckpt.json", "--out", root / "fit")
+        if refused is None:
+            assert code == 0
+        else:
+            assert code == 2
+            assert refused in capsys.readouterr().err
+            assert not (root / "fit").exists()
 
     def test_forecast_matches_train_for_recurrent_decoder(self, workdir, data_csv):
         root, cfg = workdir

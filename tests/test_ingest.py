@@ -148,8 +148,15 @@ def field(text, pad):
     return pad + text + pad
 
 
-def number(draw, value):
-    style = draw(st.sampled_from(("repr", "exp", "pad", "underscore")))
+# Spellings that only Python's grammar reads: a file that uses any of them is
+# read by ingest's second tier; the others are read in numpy's grammar.
+PYTHON_ONLY = ("underscore", "non_ascii")
+NON_ASCII_DIGITS = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")     # Arabic-Indic
+STAMP_PADS = ("", " ", "\u2003", "\xa0\t")
+
+
+def number(draw, value, styles):
+    style = draw(st.sampled_from(styles))
     if style == "exp":
         return f"{value:.6e}"
     if style == "pad":
@@ -157,16 +164,35 @@ def number(draw, value):
     if style == "underscore" and value == int(value) and abs(value) >= 10:
         digits = str(int(abs(value)))
         return "-" * (value < 0) + digits[0] + "_" + digits[1:]
+    if style == "non_ascii":
+        return repr(value).translate(NON_ASCII_DIGITS)
     return repr(value)
+
+
+def stamp(draw, t, iso, styles):
+    """Timestamp `t` as an ISO date or an integer, padded by ASCII or Unicode
+    spaces."""
+    style, text = draw(st.sampled_from(styles)), str(t)
+    if iso:
+        text = dt.date.fromordinal(738000 + t).isoformat()
+    elif style == "underscore" and abs(t) >= 10:
+        text = text[:-1] + "_" + text[-1]
+    elif style == "non_ascii":
+        text = text.translate(NON_ASCII_DIGITS)
+    pad = draw(st.sampled_from(STAMP_PADS))
+    return pad + text + pad
 
 
 @st.composite
 def csv_records(draw):
     """A well-formed file's header and data records as lists of field texts,
     in shuffled order: 1-3 domains of 1-2 series, gaps, 0 or 2 features,
-    integer, ISO-date or mixed timestamps, and padded or quoted fields."""
+    integer, ISO-date, mixed or last-record-only ISO timestamps, numbers and
+    integers in numpy's grammar or also in Python's alone, and padded or
+    quoted fields."""
     feat_dim = draw(st.sampled_from((0, 2)))
-    stamps = draw(st.sampled_from(("int", "iso", "mixed")))
+    stamps = draw(st.sampled_from(("int", "iso", "mixed", "iso_last")))
+    styles = ("repr", "exp", "pad") + (PYTHON_ONLY if draw(st.booleans()) else ())
     names = BROKEN_NAMES if draw(st.integers(0, 4)) == 0 else NAMES
     values = st.floats(-1e6, 1e6, allow_nan=False) | st.integers(-10**6, 10**6).map(float)
     records = []
@@ -174,16 +200,17 @@ def csv_records(draw):
         for ser in draw(st.lists(names, min_size=1, max_size=2, unique_by=str.strip)):
             t0 = draw(st.integers(-3, 3))
             for offset in draw(st.sets(st.integers(0, 9), min_size=1, max_size=6)):
-                t = t0 + offset
-                iso = stamps == "iso" or (stamps == "mixed" and draw(st.booleans()))
                 pad = draw(st.sampled_from(("", " ")))
-                records.append([field(dom, pad), field(ser, pad),
-                                pad + (dt.date.fromordinal(738000 + t).isoformat() if iso
-                                       else str(t)) + pad,
-                                *(number(draw, draw(values)) for _ in range(1 + feat_dim))])
-    order = draw(st.permutations(range(len(records))))
+                records.append([field(dom, pad), field(ser, pad), t0 + offset,
+                                *(number(draw, draw(values), styles)
+                                  for _ in range(1 + feat_dim))])
+    records = [records[i] for i in draw(st.permutations(range(len(records))))]
+    for i, rec in enumerate(records):
+        iso = (stamps == "iso" or (stamps == "mixed" and draw(st.booleans()))
+               or (stamps == "iso_last" and i == len(records) - 1))
+        rec[2] = stamp(draw, rec[2], iso, styles)
     header = ["domain", " series", "timestamp ", "value"] + [f"feat_{i}" for i in range(feat_dim)]
-    return header, [records[i] for i in order]
+    return header, records
 
 
 @st.composite
@@ -244,6 +271,103 @@ def test_a_fault_gets_the_reference_message(tmp_path_factory, data, fault):
     path = write(tmp_path_factory.mktemp("csv"), data.draw(render(header, records)))
     expected = assert_same_outcome(path)
     assert isinstance(expected, str)
+
+
+# ---------------------------------------------------------------------------
+# The two grammar tiers: numpy's parser first, Python's where numpy refuses
+# ---------------------------------------------------------------------------
+
+# Characters of numbers in both grammars and in Python's alone, and the
+# ASCII and Unicode spaces either may strip
+NUMERIC_TEXT = st.lists(st.sampled_from(
+    list("0123456789+-.eE_xabfinty") + ["inf", "nan", "1e308", "9" * 19, "٣", "０", "𝟗",
+                                       " ", "\t", "\x00", "\x0b", "\x0c", "\x1c", "\x1f",
+                                       "\x85", "\xa0", "\u2003", "\u2028", "\u3000"]),
+    max_size=8).map("".join)
+NUMERIC_FIELDS = (NUMERIC_TEXT | st.integers(-2**64, 2**64).map(str)
+                  | st.floats().map(repr) | st.floats().map("{:.17e}".format))
+
+
+@given(text=NUMERIC_FIELDS)
+def test_numpy_reads_a_field_only_as_python_does(text):
+    # ingest's first tier rests on this: a timestamp or number that numpy's
+    # loadtxt accepts has the bits of Python's int or float of the field. The
+    # exception is a field with a character numpy alone reads as space, which
+    # sends the file to the second tier.
+    if any(c in text for c in D.NUMPY_ONLY_SPACE):
+        return
+    for dtype, parse in ((np.int64, int), (np.float64, float)):
+        try:
+            got = np.loadtxt([text + ",0"], dtype=dtype, delimiter=",", quotechar='"',
+                             comments=None)[0]
+        except ValueError:
+            continue
+        assert same_bits(got, np.array(parse(text), dtype)), (text, dtype)
+
+
+@pytest.mark.parametrize("stamp", ["3.7", "1e3"])
+def test_an_integer_numpy_reads_through_a_float_takes_python_grammar(tmp_path, monkeypatch,
+                                                                     stamp):
+    # numpy releases that still read an int64 field such as 3.7 through a
+    # float give its truncation with only a DeprecationWarning; as an error,
+    # numpy raises ValueError. Ingest refuses such a field whatever the
+    # caller's warning filters are.
+    loadtxt = np.loadtxt
+
+    def warning_loadtxt(*args, converters, **kwargs):
+        try:
+            return loadtxt(*args, converters=converters, **kwargs)
+        except ValueError:
+            if 2 in converters:
+                raise
+            try:
+                warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                              DeprecationWarning)
+            except DeprecationWarning as exc:
+                raise ValueError(f"could not convert string {stamp!r} to int64") from exc
+            return loadtxt(*args, converters={**converters, 2: lambda f: int(float(f))},
+                           **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", warning_loadtxt)
+    path = write(tmp_path, f"domain,series,timestamp,value\na,s,{stamp},1.5\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)
+        expected = assert_same_outcome(path)
+    assert expected == f"DataError: line 2: unparseable timestamp {stamp!r}"
+
+
+@pytest.mark.parametrize("before", [1, 1500], ids=["first_block", "later_block"])
+@pytest.mark.parametrize("record", ["a,s,\x1c3,1.5", "a,s,3,1.5\x1d", "a\x1f,s,3,1.5"],
+                         ids=["timestamp", "number", "name"])
+def test_a_character_only_numpy_reads_as_space_is_read_in_python_grammar(tmp_path, record,
+                                                                         before):
+    # numpy would read 1.5\x1d as 1.5, which Python's float refuses
+    rows = "".join(f"a,s,{-t},1.0\n" for t in range(before))
+    path = write(tmp_path, "domain,series,timestamp,value\n" + rows + record + "\n")
+    expected = assert_same_outcome(path)
+    assert ((expected == f"DataError: line {before + 2}: unparseable numeric value")
+            == ("\x1d" in record))
+
+
+@pytest.mark.parametrize("series, python_grammar", [
+    ((["1", "2", "3"], [" 1", "2", "3\u2003"]), False),
+    ((["2024-01-01", "2024-01-02"], [" 2024-01-01", "2024-01-02"]), True),
+    ((["1_0", "11"], ["١٠", "11"]), True),
+], ids=["numpy_grammar", "iso_dates", "python_integers"])
+def test_each_distinct_timestamp_field_is_parsed_once(tmp_path, monkeypatch, series,
+                                                      python_grammar):
+    # numpy parses the integers of its grammar in C; otherwise each distinct
+    # field goes through _parse_timestamp once, however many rows hold it
+    calls, parse_timestamp = [], D._parse_timestamp
+    monkeypatch.setattr(D, "_parse_timestamp", lambda raw: calls.append(raw) or
+                        parse_timestamp(raw))
+    path = write(tmp_path, "domain,series,timestamp,value\n" + "".join(
+        f"a,s{s},{ts},1.5\n" for s, stamps in enumerate(series) for ts in stamps))
+    got = ingest_csv(path)
+    assert sorted(calls) == (sorted({ts for stamps in series for ts in stamps})
+                             if python_grammar else [])
+    monkeypatch.undo()
+    assert_same_datasets(got, reference_ingest(path))
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,11 @@ data seed, as in `pipebench/run.py --seed`) it prints one line per artifact,
   `decompose` on the workload's data and config (its first series)
 - for each seed, under the name `synth`, the `data.csv` that the CLI's
   `synth` writes from the default synthetic spec at that seed
+- for every workload, the `DomainDataset`s that `data.ingest_csv` reads from
+  the workload's data as a CSV (numpy's number grammar), and for each seed,
+  under the name `ingest`, those of `PYTHON_GRAMMAR_CSV`, a fixed file only
+  Python's grammar reads (ISO dates, `1_000.5`); so both of ingest's tiers
+  are covered
 
 `--src` names the latentcast source tree to import (default: this repo's
 `src`). `--against DIR` digests that tree and DIR (a source tree, or a
@@ -49,6 +54,14 @@ REPO = Path(__file__).resolve().parent.parent
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 ABLATION_VARIANTS = "full,e2e"
 ABLATION_SEEDS = "0,1"
+PYTHON_GRAMMAR_CSV = (
+    "domain,series,timestamp,value,feat_0\n"
+    " north , s1 ,2024-01-03,1_000.5,1\n"
+    '"south, east",s1, 2024-01-01 ,-2.5e1,0\n'
+    '"south, east","s ""2""",2024-01-02,3,4\n'
+    "north,s1,2024-01-01,7,8\n"
+    '"north",s2,738886,1_0,\u0663\n'
+)
 
 
 def digest(data: bytes) -> str:
@@ -115,6 +128,19 @@ def synth_artifacts(seed: int, out: Path) -> dict[str, bytes]:
             "synth:data.csv": (out / "data.csv").read_bytes()}
 
 
+def ingest_artifacts(path: Path) -> dict[str, bytes]:
+    """What `data.ingest_csv` reads from the CSV at `path`: each
+    `DomainDataset`'s names, and its arrays' dtypes, shapes and bytes."""
+    from latentcast.data import ingest_csv
+
+    out = []
+    for ds in ingest_csv(path):
+        out.append(repr((ds.domain_id, ds.domain_name, ds.series_names)).encode())
+        for array in ds.timestamps + ds.values + (ds.features or []):
+            out.append(repr((array.dtype.str, array.shape)).encode() + array.tobytes())
+    return {"ingest:datasets": b"".join(out)}
+
+
 def source_tree(path: str) -> Path:
     """The directory holding the `latentcast` package: `path` itself or its `src`."""
     root = Path(path).resolve()
@@ -161,8 +187,12 @@ def main(argv=None) -> int:
     for seed in args.seeds:
         with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
             artifacts = synth_artifacts(seed, Path(tmp) / "synth")
-        for artifact, data in artifacts.items():
-            print(f"synth {seed} {artifact} {digest(data)}", flush=True)
+            csv_file = Path(tmp) / "python_grammar.csv"
+            csv_file.write_text(PYTHON_GRAMMAR_CSV, encoding="utf-8")
+            grammar = ingest_artifacts(csv_file)
+        for name, found in (("synth", artifacts), ("ingest", grammar)):
+            for artifact, data in found.items():
+                print(f"{name} {seed} {artifact} {digest(data)}", flush=True)
     for name, workload in WORKLOADS.items():
         for seed in args.seeds:
             # the commands' own stdout would mix with the digest lines
@@ -170,6 +200,7 @@ def main(argv=None) -> int:
                 tmp = Path(tmp)
                 artifacts = pipeline_artifacts(PipelineRun(workload, seed, tmp).iterate(0).result)
                 cli_run = CliRun(workload, seed, tmp)
+                artifacts.update(ingest_artifacts(cli_run.data))
                 if workload.via_cli or workload.config.get("decoder") == "recurrent":
                     outcome = cli_run.iterate(0)
                     artifacts.update(cli_artifacts(tmp / "iter0", outcome.exit_codes))
