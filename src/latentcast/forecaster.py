@@ -251,8 +251,12 @@ class ForecastModel:
     def recurrent(self) -> bool:
         return isinstance(self.decoder, RecurrentDecoder)
 
+    def trend(self, x: np.ndarray) -> np.ndarray | None:
+        """`CvaePair.trend` of the windows; None with the latent pathway off."""
+        return None if self.zero_latent else self.pair.trend(x)
+
     def latent_batch(self, x: np.ndarray, rng=None, training: bool = False,
-                     trace: dict | None = None) -> Tensor:
+                     trace: dict | None = None, trend: np.ndarray | None = None) -> Tensor:
         """The fused latent entering the augmentation: the sum of the
         component posterior means, after variant handling."""
         n = x.shape[0]
@@ -261,7 +265,7 @@ class ForecastModel:
             z = Tensor(np.zeros((n, pair.d_z)))
         else:
             # reduce, not sum(): sum's `0 +` start would add a graph node
-            z = reduce(T.add, pair.encode(x, rng=rng, training=training).values())
+            z = reduce(T.add, pair.encode(x, rng=rng, training=training, trend=trend).values())
             if self.shared_only:
                 kept = T.slice_last(z, 0, pair.index)
                 z = T.concat([kept, Tensor(np.zeros((n, pair.d_z - pair.index)))])
@@ -269,24 +273,24 @@ class ForecastModel:
             trace["z"] = z.data.copy()
         return z
 
-    def augmented(self, x: np.ndarray, rng=None, training: bool = False) -> Tensor:
-        z = self.latent_batch(x, rng=rng, training=training)
+    def augmented(self, x: np.ndarray, rng=None, training: bool = False, trend=None) -> Tensor:
+        z = self.latent_batch(x, rng=rng, training=training, trend=trend)
         return augment_input(z, Tensor(x), self.w, self.b)
 
     def train_params(self, y: np.ndarray, x: np.ndarray, a: np.ndarray | None,
-                     rng=None, training: bool = False) -> tuple[Tensor, Tensor]:
+                     rng=None, training: bool = False, trend=None) -> tuple[Tensor, Tensor]:
         """(mu, sigma) for the horizon, teacher-forced for the recurrent decoder."""
-        xp = self.augmented(x, rng=rng, training=training)
+        xp = self.augmented(x, rng=rng, training=training, trend=trend)
         if self.recurrent:
             return self.decoder.teacher_forced(xp, a, y, rng=rng, training=training)
         return self.decoder(xp)
 
     def predict(self, x: np.ndarray, a: np.ndarray | None, n_paths: int,
-                rng: np.random.Generator | None) -> dict:
+                rng: np.random.Generator | None, trend: np.ndarray | None = None) -> dict:
         """Inference outputs: closed-form (mu, sigma) for the linear decoder,
         sampled paths for the recurrent one."""
         with no_grad():
-            xp = self.augmented(x)
+            xp = self.augmented(x, trend=trend)
             if self.recurrent:
                 if rng is None:
                     raise ValueError("sampling the recurrent decoder needs an rng")

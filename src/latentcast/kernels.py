@@ -27,16 +27,20 @@ def _window_sums(padded: np.ndarray, length: int) -> np.ndarray:
 
 def moving_average(x: np.ndarray, kernel: int) -> np.ndarray:
     """Centered moving average of a 1-D window or of each row of a 2-D
-    array, edges replicated: the window sums of the edge-padded transposed
-    (T, N) rows, scaled by 1/kernel, returned in C order."""
+    array, edges replicated: the window sums of edge-padded transposed blocks
+    of 1,024 rows, which stay in cache, scaled by 1/kernel, in C order."""
     x = np.asarray(x, dtype=np.float64)
     pad, length = (kernel - 1) // 2, x.shape[-1]
     rows = x.reshape(-1, length)
-    padded = np.empty((length + 2 * pad, rows.shape[0]))
-    np.multiply(rows.T, 1.0 / kernel, out=padded[pad:pad + length])
-    padded[:pad] = padded[pad]            # the first and last steps, replicated
-    padded[pad + length:] = padded[pad + length - 1]
-    return np.ascontiguousarray(_window_sums(padded, length).T).reshape(x.shape)
+    out = np.empty(rows.shape)
+    for lo in range(0, rows.shape[0], 1024):
+        block = slice(lo, lo + 1024)
+        padded = np.empty((length + 2 * pad, rows[block].shape[0]))
+        np.multiply(rows[block].T, 1.0 / kernel, out=padded[pad:pad + length])
+        padded[:pad] = padded[pad]            # the first and last steps, replicated
+        padded[pad + length:] = padded[pad + length - 1]
+        out[block] = _window_sums(padded, length).T
+    return out.reshape(x.shape)
 
 
 def moving_average_adjoint(g: np.ndarray, kernel: int) -> np.ndarray:

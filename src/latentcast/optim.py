@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -14,32 +15,36 @@ class MissingGradError(ValueError):
 
 
 class Adam:
-    """Standard Adam update (bias-corrected first/second moments). step()
-    updates in place and zeroes the gradients afterwards."""
+    """Bias-corrected Adam over flat buffers. Each parameter's `data` and
+    `grad` become views of its slice of `values` and `grads` (the last Adam
+    built over a parameter owns its storage); `m` and `v` are per-parameter
+    views of the moments. step() updates in place, then zeroes the grads."""
 
     def __init__(self, params: Sequence[Tensor], lr: float = 1e-3,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.params = list(params)
-        for p in self.params:
+        for i, p in enumerate(self.params):
             if p.grad is None:
                 raise MissingGradError(f"parameter {p.name or '<unnamed>'} has no grad buffer")
-        self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
-        self.m = [np.zeros_like(p.data) for p in self.params]
-        self.v = [np.zeros_like(p.data) for p in self.params]
-        self.t = 0
+            if any(q is p for q in self.params[:i]):
+                raise ValueError(f"parameter {p.name or '<unnamed>'} is listed twice")
+        self.lr, self.beta1, self.beta2, self.eps, self.t = lr, beta1, beta2, eps, 0
+        bounds = list(accumulate((p.size for p in self.params), initial=0))
+        self.values, self.grads, self._m, self._v = flat = [np.zeros(bounds[-1]) for _ in range(4)]
+        values, grads, self.m, self.v = ([f[lo:hi].reshape(p.shape) for p, lo, hi
+                                          in zip(self.params, bounds, bounds[1:])] for f in flat)
+        for p, value, grad in zip(self.params, values, grads):
+            value[...], grad[...] = p.data, p.grad
+            p.data, p.grad = value, grad
 
     def step(self) -> None:
+        # the bits of m = b1 * m + (1 - b1) * g and so on, per parameter
         self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
-        for i, p in enumerate(self.params):
-            g = p.grad
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * (g * g)
-            m_hat = self.m[i] / bc1
-            v_hat = self.v[i] / bc2
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-            p.zero_grad()
+        self._m *= self.beta1
+        self._m += (1.0 - self.beta1) * self.grads
+        self._v *= self.beta2
+        self._v += (1.0 - self.beta2) * (self.grads * self.grads)
+        update = self.lr * (self._m / (1.0 - self.beta1 ** self.t))
+        update /= np.sqrt(self._v / (1.0 - self.beta2 ** self.t)) + self.eps
+        self.values -= update
+        self.grads[...] = 0.0

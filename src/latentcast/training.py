@@ -177,8 +177,7 @@ def _fit(stage: int, opt: Adam, n: int, epochs: int, config: TrainConfig,
     """
     if not n:
         raise TrainingError(f"stage {stage}: no training windows")
-    params = opt.params
-    best, best_epoch, best_snap = np.inf, -1, [p.data.copy() for p in params]
+    best, best_epoch, best_snap = np.inf, -1, opt.values.copy()
     for epoch in range(epochs):
         tick = time.perf_counter()
         values = []
@@ -195,11 +194,10 @@ def _fit(stage: int, opt: Adam, n: int, epochs: int, config: TrainConfig,
         current = losses[-1] if score is None else score(epoch)
         seconds.append(time.perf_counter() - tick)
         if current < best:
-            best, best_epoch, best_snap = current, epoch, [p.data.copy() for p in params]
+            best, best_epoch, best_snap = current, epoch, opt.values.copy()
         elif patience is not None and epoch - best_epoch >= patience:
             break
-    for p, snap in zip(params, best_snap):
-        p.data[...] = snap
+    opt.values[...] = best_snap
     return best_epoch
 
 
@@ -309,8 +307,8 @@ def stage1_pretrain(pair: CvaePair, samples: WindowSet, domain_index: dict[int, 
 # Stage 2 (and the end-to-end variant)
 # ---------------------------------------------------------------------------
 
-def _forecast_loss(model: ForecastModel, y, x, a, rng=None, training=False):
-    mu, sigma = model.train_params(y, x, a, rng=rng, training=training)
+def _forecast_loss(model: ForecastModel, y, x, a, rng=None, training=False, trend=None):
+    mu, sigma = model.train_params(y, x, a, rng=rng, training=training, trend=trend)
     return gaussian_nll(y, mu, sigma)
 
 
@@ -330,13 +328,16 @@ def stage2_train(model: ForecastModel, train_samples: WindowSet, val_samples: Wi
         raise TrainingError("e2e training needs the domain index map")
     latent_inputs = (_latent_inputs(model.pair, train_samples, domain_index, config)
                      if e2e else None)
+    train_trend = latent_inputs.trend if e2e else model.trend(train_samples.x)
+    val_trend = model.trend(val_samples.x)
 
     opt = Adam(model.checkpoint_params() if e2e else model.params(), lr=config.learning_rate)
     rng = np.random.default_rng([config.seed, 3])
 
     def batch_loss(idx: np.ndarray) -> tuple[Tensor, dict[str, float]]:
         loss = _forecast_loss(model, train_samples.y[idx], train_samples.x[idx],
-                              train_samples.a[idx], rng=rng, training=True)
+                              train_samples.a[idx], rng=rng, training=True,
+                              trend=None if train_trend is None else train_trend[idx])
         parts = {"nll": float(loss.data)}
         if e2e:
             latent, latent_parts = _latent_objective(model.pair, latent_inputs.take(idx),
@@ -348,7 +349,7 @@ def stage2_train(model: ForecastModel, train_samples: WindowSet, val_samples: Wi
     def validate(epoch: int) -> float:
         with no_grad():
             val_loss = float(_forecast_loss(model, val_samples.y, val_samples.x,
-                                            val_samples.a).data)
+                                            val_samples.a, trend=val_trend).data)
         if not np.isfinite(val_loss):
             raise TrainingError(f"stage 2 validation loss non-finite (epoch {epoch})")
         record.stage2_val_losses.append(val_loss)
@@ -370,11 +371,13 @@ def predict_windows(model: ForecastModel, windows: WindowSet,
     the split size."""
     prepared = prepare_samples(windows)
     n = len(prepared)
+    trend = model.trend(prepared.x)
     quantiles = np.empty((len(QUANTILE_LEVELS), n, config.horizon))
     notes: list[str] = []
     for lo, hi in row_blocks(n, PREDICT_BLOCK_WINDOWS):
         part = prepared[lo:hi]
-        out = model.predict(part.x, part.a, config.sample_paths, rng)
+        out = model.predict(part.x, part.a, config.sample_paths, rng,
+                            None if trend is None else trend[lo:hi])
         quantiles[:, lo:hi], notes = to_distribution(
             **out, scale=part.scale[:, None],
             norm_stats=(part.norm_mean[:, None], part.norm_std[:, None]))

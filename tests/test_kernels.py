@@ -113,9 +113,11 @@ OPERATOR_CASES = dict(n=st.integers(0, 300), half=st.integers(0, 30),
 # the workloads' shapes: 64, 256 and 1,088 rows of 60 steps at kernel 9
 @example(n=64, half=4, extra=51, seed=0)
 @example(n=1088, half=4, extra=51, seed=1)
+# two blocks of 1,024 rows and a one-row third, as a whole window set is
+@example(n=2049, half=4, extra=51, seed=2)
 def test_moving_average_is_the_operator_product_bit_for_bit(n, half, extra, seed):
-    # any subset of the rows gets the same bits as the whole set, so stage 1
-    # can decompose per minibatch
+    # any subset of the rows gets the same bits as the whole set, so a set's
+    # trend can be computed once and gathered per minibatch
     kernel, x, a, rows = operator_case(n, half, extra, seed)
     got = kernels.moving_average(x, kernel)
     assert got.flags.c_contiguous
@@ -172,6 +174,20 @@ def test_long_series_decomposes_with_a_sparse_operator():
         tracemalloc.stop()
     assert np.max(np.abs(x_t + x_s - x)) <= 1e-12
     assert peak <= 4 * x.nbytes < kernel * x.nbytes
+
+
+def test_a_window_set_is_averaged_in_blocks_of_rows():
+    # a set's trend is computed at once; the transposed padding and the window
+    # sums are held for one block of rows at a time, so the peak is about the
+    # output (the whole set in one block held about three copies of it)
+    x = np.random.default_rng(5).normal(size=(20_000, 60))
+    tracemalloc.start()
+    try:
+        kernels.moving_average(x, 9)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * x.nbytes
 
 
 def test_pairwise_sums_match_bruteforce():

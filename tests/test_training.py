@@ -9,9 +9,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from latentcast import cli, training
+from latentcast import cli, cvae, training
 from latentcast.cvae import FULL, make_stage1_batch
 from latentcast.data import WindowSample, WindowSet, prepare_samples, write_csv
+from latentcast.decomposition import decompose_batch
 from latentcast.evaluation import METRIC_NAMES, MetricError, MetricReport
 from latentcast.forecaster import ForecastDistribution, Forecasts, gaussian_nll
 from latentcast.tensor import ShapeError, Tensor
@@ -359,6 +360,33 @@ class TestPipeline:
         assert np.array_equal(test.test_forecasts.quantiles, both.test_forecasts.quantiles)
         with pytest.raises(ValueError, match="splits must be among"):
             run_pipeline(tiny_datasets, tiny_config, splits=("val",))
+
+    @pytest.mark.parametrize("variant, sets", [
+        ("full", ["train", "train", "val", "eval_train", "eval_test"]),
+        ("e2e", ["train", "val", "eval_train", "eval_test"]),
+        ("no_decomp", []), ("no_latent", [])])
+    def test_each_window_set_is_decomposed_once(self, monkeypatch, tiny_datasets, tiny_config,
+                                                variant, sets):
+        # stage 1's training set, stage 2's training and validation sets (e2e
+        # reuses its latent inputs' trend of the training set) and each
+        # evaluated split: minibatches, epochs and forecast blocks gather their
+        # rows of the set's trend
+        rows = []
+
+        def counted(x, kernel):
+            rows.append(len(x))
+            return decompose_batch(x, kernel)
+
+        monkeypatch.setattr(cvae, "decompose_batch", counted)
+        from dataclasses import replace
+        config = replace(tiny_config, variant=variant)
+        run_pipeline(tiny_datasets, config)
+        data = training.training_data(tiny_datasets, config, ("train", "val"))
+        sizes = {role: len(data.samples[role]) for role in ("train", "val")}
+        for which in ("train", "test"):
+            sizes[f"eval_{which}"] = len(training.eval_windows(tiny_datasets, data.split,
+                                                               config, which))
+        assert rows == [sizes[s] for s in sets]
 
     @pytest.mark.parametrize("variant", ["full", "e2e"])
     def test_regularizer_needs_two_training_domains_on_both_paths(self, tiny_datasets,
