@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import kernels
+from . import decomposition, kernels
 from . import tensor as T
 from .data import DataError, WindowSample, WindowSet, as_window_set, one_hot_domain
 from .decomposition import decompose_batch
@@ -156,9 +156,9 @@ class CvaePair:
         return FULL not in self.components
 
     def trend(self, x: np.ndarray) -> np.ndarray | None:
-        """The trend of a window set, row by row, so that each minibatch can
-        gather its rows' bits; None without decomposition or rows."""
-        return decompose_batch(x, self.kernel).x_t if self.decomposed and len(x) else None
+        """The trend alone of a window set that is used again, so that each
+        minibatch can gather its rows' bits; None without decomposition or rows."""
+        return decomposition.trend(x, self.kernel) if self.decomposed and len(x) else None
 
     def component_inputs(self, x: np.ndarray, trend=None) -> dict[str, np.ndarray]:
         """Each component's input, from the rows' `trend` when it is given."""

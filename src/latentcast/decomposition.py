@@ -34,11 +34,15 @@ class Parts(NamedTuple):
     x_s: np.ndarray   # seasonal
 
 
+def trend(x: np.ndarray, kernel: int) -> np.ndarray:
+    """The trend alone: the checked moving average of a (T,) window or (N, T) rows."""
+    check_kernel(kernel, np.shape(x)[-1])
+    return kernels.moving_average(x, kernel)
+
+
 def decompose_batch(x: np.ndarray, kernel: int) -> Parts:
     """A (T,) window or (N, T) rows decomposed at once."""
-    x = np.asarray(x, dtype=np.float64)
-    check_kernel(kernel, x.shape[-1])
-    x_t = kernels.moving_average(x, kernel)
+    x_t = trend(x, kernel)
     return Parts(x_t, x - x_t)
 
 
@@ -47,6 +51,5 @@ decompose = decompose_batch   # the name the acceptance suite imports
 
 def trend_component(x: Tensor, kernel: int) -> Tensor:
     """Differentiable moving average for graph inputs (1-D or 2-D rows)."""
-    check_kernel(kernel, x.shape[-1])
-    out = kernels.moving_average(x.data, kernel)
-    return custom_op(out, (x,), (lambda g: kernels.moving_average_adjoint(g, kernel),))
+    return custom_op(trend(x.data, kernel), (x,),
+                     (lambda g: kernels.moving_average_adjoint(g, kernel),))

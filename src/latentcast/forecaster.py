@@ -273,29 +273,25 @@ class ForecastModel:
             trace["z"] = z.data.copy()
         return z
 
-    def augmented(self, x: np.ndarray, rng=None, training: bool = False, trend=None) -> Tensor:
-        z = self.latent_batch(x, rng=rng, training=training, trend=trend)
-        return augment_input(z, Tensor(x), self.w, self.b)
-
     def train_params(self, y: np.ndarray, x: np.ndarray, a: np.ndarray | None,
                      rng=None, training: bool = False, trend=None) -> tuple[Tensor, Tensor]:
         """(mu, sigma) for the horizon, teacher-forced for the recurrent decoder."""
-        xp = self.augmented(x, rng=rng, training=training, trend=trend)
+        z = self.latent_batch(x, rng=rng, training=training, trend=trend)
+        xp = augment_input(z, Tensor(x), self.w, self.b)
         if self.recurrent:
             return self.decoder.teacher_forced(xp, a, y, rng=rng, training=training)
         return self.decoder(xp)
 
     def predict(self, x: np.ndarray, a: np.ndarray | None, n_paths: int,
-                rng: np.random.Generator | None, trend: np.ndarray | None = None) -> dict:
+                rng: np.random.Generator | None) -> dict:
         """Inference outputs: closed-form (mu, sigma) for the linear decoder,
-        sampled paths for the recurrent one."""
+        sampled paths for the recurrent one. The encoders decompose `x` itself."""
         with no_grad():
-            xp = self.augmented(x, trend=trend)
+            xp = augment_input(self.latent_batch(x), Tensor(x), self.w, self.b)
             if self.recurrent:
                 if rng is None:
                     raise ValueError("sampling the recurrent decoder needs an rng")
-                paths = self.decoder.sample_paths(xp, a, n_paths, rng)
-                return {"samples": paths}
+                return {"samples": self.decoder.sample_paths(xp, a, n_paths, rng)}
             mu, sigma = self.decoder(xp)
             return {"mu": mu.data.copy(), "sigma": sigma.data.copy()}
 

@@ -67,10 +67,11 @@ def read_dump(path) -> LatentDump:
     with open(path, newline="", encoding="utf-8") as fh:
         kv = dict(item.split("=") for item in fh.readline().strip().lstrip("#").split())
         reader = csv.reader(fh)
-        n_sh = sum(1 for h in next(reader) if h.startswith("zsh_"))
+        header = next(reader)   # the latent width, which an empty dump holds too
+        n_sh = sum(1 for h in header if h.startswith("zsh_"))
         rows = list(reader)
     keys = np.array([row[:3] for row in rows], dtype=str).reshape(-1, 3)
-    z = np.array([[float(v) for v in row[3:]] for row in rows]).reshape(len(rows), -1)
+    z = np.array([[float(v) for v in row[3:]] for row in rows]).reshape(len(rows), len(header) - 3)
     return LatentDump(int(kv["d_z"]), float(kv["alpha"]), keys[:, 0].astype(np.int64),
                       keys[:, 1], keys[:, 2].astype(np.int64), z[:, :n_sh], z[:, n_sh:])
 

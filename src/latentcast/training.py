@@ -103,6 +103,9 @@ class TrainConfig:
         for name in ("beta", "reg_weight"):
             if getattr(self, name) < 0.0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if self.reg_active and self.beta == 0.0:
+            raise ValueError(f"beta must be > 0 while the domain regularizer is on (reg_weight="
+                             f"{self.reg_weight}): its push leaves the loss unbounded below")
         for name in ("test_fraction", "val_fraction"):
             if not 0.0 < getattr(self, name) < 1.0:
                 raise ValueError(f"{name} must be in (0, 1), got {getattr(self, name)}")
@@ -307,11 +310,6 @@ def stage1_pretrain(pair: CvaePair, samples: WindowSet, domain_index: dict[int, 
 # Stage 2 (and the end-to-end variant)
 # ---------------------------------------------------------------------------
 
-def _forecast_loss(model: ForecastModel, y, x, a, rng=None, training=False, trend=None):
-    mu, sigma = model.train_params(y, x, a, rng=rng, training=training, trend=trend)
-    return gaussian_nll(y, mu, sigma)
-
-
 def stage2_train(model: ForecastModel, train_samples: WindowSet, val_samples: WindowSet,
                  config: TrainConfig, record: RunRecord,
                  domain_index: dict[int, int] | None = None) -> None:
@@ -335,9 +333,11 @@ def stage2_train(model: ForecastModel, train_samples: WindowSet, val_samples: Wi
     rng = np.random.default_rng([config.seed, 3])
 
     def batch_loss(idx: np.ndarray) -> tuple[Tensor, dict[str, float]]:
-        loss = _forecast_loss(model, train_samples.y[idx], train_samples.x[idx],
-                              train_samples.a[idx], rng=rng, training=True,
-                              trend=None if train_trend is None else train_trend[idx])
+        y = train_samples.y[idx]
+        mu, sigma = model.train_params(
+            y, train_samples.x[idx], train_samples.a[idx], rng=rng, training=True,
+            trend=None if train_trend is None else train_trend[idx])
+        loss = gaussian_nll(y, mu, sigma)
         parts = {"nll": float(loss.data)}
         if e2e:
             latent, latent_parts = _latent_objective(model.pair, latent_inputs.take(idx),
@@ -348,8 +348,9 @@ def stage2_train(model: ForecastModel, train_samples: WindowSet, val_samples: Wi
 
     def validate(epoch: int) -> float:
         with no_grad():
-            val_loss = float(_forecast_loss(model, val_samples.y, val_samples.x,
-                                            val_samples.a, trend=val_trend).data)
+            mu, sigma = model.train_params(val_samples.y, val_samples.x, val_samples.a,
+                                           trend=val_trend)
+            val_loss = float(gaussian_nll(val_samples.y, mu, sigma).data)
         if not np.isfinite(val_loss):
             raise TrainingError(f"stage 2 validation loss non-finite (epoch {epoch})")
         record.stage2_val_losses.append(val_loss)
@@ -368,16 +369,14 @@ def predict_windows(model: ForecastModel, windows: WindowSet,
                     config: TrainConfig, rng: np.random.Generator | None) -> Forecasts:
     """Per-window forecast distributions in original units, in `row_blocks`
     of `PREDICT_BLOCK_WINDOWS` windows, so that forecasts do not depend on
-    the split size."""
+    the split size. A block decomposes its own windows (a split is used once)."""
     prepared = prepare_samples(windows)
     n = len(prepared)
-    trend = model.trend(prepared.x)
     quantiles = np.empty((len(QUANTILE_LEVELS), n, config.horizon))
     notes: list[str] = []
     for lo, hi in row_blocks(n, PREDICT_BLOCK_WINDOWS):
         part = prepared[lo:hi]
-        out = model.predict(part.x, part.a, config.sample_paths, rng,
-                            None if trend is None else trend[lo:hi])
+        out = model.predict(part.x, part.a, config.sample_paths, rng)
         quantiles[:, lo:hi], notes = to_distribution(
             **out, scale=part.scale[:, None],
             norm_stats=(part.norm_mean[:, None], part.norm_std[:, None]))

@@ -434,25 +434,42 @@ class TestPipelineFlow:
         (("train", "--variant", "e2e", "--set", "train.reg_weight=-1"), "reg_weight"),
         (("ablate", "--set", "train.variant=no_reg", "--set", "train.batch_size=1",
           "--variants", "full", "--seeds", "0"), "--variants full: batch_size must be >= 2"),
+        (("pretrain", "--set", "train.beta=0"), "beta must be > 0 while the domain "
+                                                 "regularizer is on (reg_weight=1.0)"),
+        (("ablate", "--set", "train.variant=no_reg", "--set", "train.beta=0",
+          "--variants", "full", "--seeds", "0"), "--variants full: beta must be > 0"),
     ], ids=["epochs_stage1", "epochs_stage2", "batch_size", "sample_paths", "latent_split",
             "learning_rate", "value_scale", "text_for_float", "text_for_int",
             "fraction_for_int", "negative_seed", "test_fraction_range", "val_fraction_range",
             "even_kernel", "zero_kernel", "negative_kernel", "kernel_over_lookback",
             "zero_stride", "zero_eval_stride", "zero_eval_stride_e2e", "negative_patience",
-            "negative_beta", "negative_reg_weight", "ablate_listed_variant"])
+            "negative_beta", "negative_reg_weight", "ablate_listed_variant",
+            "zero_beta_regularized", "ablate_zero_beta_regularized"])
     def test_empty_training_loop_is_a_usage_error(self, workdir, data_csv, capsys,
                                                   argv, field):
         # a loop that would run no epoch or no batch, a setting that would
-        # crash after training, train uphill or on a loss unbounded below,
-        # divide every value by zero or hold out no domain, a kernel, stride
-        # or patience out of range, and a value of the wrong type, are
-        # refused before any data loads; ablate refuses so a listed variant
-        # whose config fails these checks, though the file's config passes
+        # crash after training, train uphill or on a loss unbounded below
+        # (a negative rate, or beta 0 under the regularizer's push), divide
+        # every value by zero or hold out no domain, a kernel, stride or
+        # patience out of range, and a value of the wrong type, are refused
+        # before any data loads; ablate refuses so a listed variant whose
+        # config fails these checks, though the file's config passes
         root, cfg = workdir
         code = run(*argv, "--config", cfg, "--data", data_csv, "--out", root / "bad")
         assert code == 1
         assert field in capsys.readouterr().err
         assert not (root / "bad").exists()
+
+    @pytest.mark.parametrize("setting", [("--variant", "no_reg"),
+                                         ("--set", "train.reg_weight=0")],
+                             ids=["no_reg", "zero_reg_weight"])
+    def test_zero_beta_trains_without_the_regularizer(self, workdir, data_csv, setting):
+        # without the push nothing drives the latents apart, so stage 1 at
+        # beta 0 is a bounded objective: the components' reconstruction alone
+        root, cfg = workdir
+        assert run("pretrain", *setting, "--set", "train.beta=0", "--config", cfg,
+                   "--data", data_csv, "--out", root / "pre") == 0
+        assert (root / "pre" / "stage1.ckpt.json").exists()
 
     @pytest.mark.parametrize("argv, role", [
         (("pretrain", "--set", "train.lookback=60"), "train"),
@@ -876,9 +893,10 @@ def test_post_training_commands_refuse_other_feature_columns(tmp_path, capsys, c
     ("full", lambda blob: blob["extra"].update(feat_dim=10**9)),
     ("stage1", None),
     ("stage1", lambda blob: blob["config"].update(encoder=None)),
+    ("full", lambda blob: blob["config"].update(beta=0.0)),
 ], ids=["not_json", "unknown_config_key", "config_type", "no_domain_map", "short_domain_row",
         "short_data", "non_finite_data", "version_1", "huge_feat_dim", "stage1_not_json",
-        "stage1_other_encoder"])
+        "stage1_other_encoder", "zero_beta_regularized"])
 def test_malformed_checkpoint_is_a_data_error(fuzz_run, tmp_path, capsys, which, edit):
     # each case ended in a traceback, or trained on, before checkpoints were checked
     text = fuzz_run[which].read_text(encoding="utf-8")

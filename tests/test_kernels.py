@@ -12,6 +12,7 @@ from scipy import sparse
 
 import latentcast.tensor as T
 from latentcast import kernels
+from latentcast.cvae import CvaePair
 from latentcast.decomposition import decompose_batch, trend_component
 from latentcast.tensor import Tensor
 
@@ -188,6 +189,23 @@ def test_a_window_set_is_averaged_in_blocks_of_rows():
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * x.nbytes
+
+
+def test_a_set_trend_holds_no_seasonal_part():
+    # `CvaePair.trend` computes the trend alone, the bits of the split's
+    # trend, and peaks at about its output (it peaked at twice that while it
+    # went through the split and dropped the seasonal part)
+    x = np.random.default_rng(6).normal(size=(20_000, 60))
+    pair = CvaePair.build(np.random.default_rng(0), lookback=60, d_z=2, hidden=2, beta=1.0,
+                          alpha=0.5, kernel=9, num_domains=2)
+    tracemalloc.start()
+    try:
+        trend = pair.trend(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * x.nbytes
+    assert trend.tobytes() == decompose_batch(x, 9).x_t.tobytes()
 
 
 def test_pairwise_sums_match_bruteforce():

@@ -39,19 +39,21 @@ class TestDump:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_csv_roundtrip_and_header(self, tiny_pair, tmp_path):
-        wins = _windows(4)
-        dump = dump_latents(tiny_pair, wins)
-        path = tmp_path / "latents.csv"
-        write_dump(dump, path)
-        header = path.read_text().splitlines()[1]
-        assert header.count("zsh_") == 2 * tiny_pair.index
-        assert header.count("zsp_") == 2 * (tiny_pair.d_z - tiny_pair.index)
-        back = read_dump(path)
-        assert back.d_z == dump.d_z and back.alpha == dump.alpha
-        assert np.array_equal(dump.z_shared, back.z_shared)
-        assert np.array_equal(dump.z_specific, back.z_specific)
-        assert np.array_equal(dump.domain_id, back.domain_id)
-        assert list(dump.series_name) == list(back.series_name)
+        # an empty set's dump has no latent column and reads back as written
+        for n in (4, 0):
+            dump = dump_latents(tiny_pair, _windows(n))
+            path = tmp_path / f"latents{n}.csv"
+            write_dump(dump, path)
+            header = path.read_text().splitlines()[1]
+            assert header.count("zsh_") == (2 * tiny_pair.index if n else 0)
+            assert header.count("zsp_") == (2 * (tiny_pair.d_z - tiny_pair.index) if n else 0)
+            back = read_dump(path)
+            assert len(back) == n
+            assert back.d_z == dump.d_z and back.alpha == dump.alpha
+            assert np.array_equal(dump.z_shared, back.z_shared)
+            assert np.array_equal(dump.z_specific, back.z_specific)
+            assert np.array_equal(dump.domain_id, back.domain_id)
+            assert list(dump.series_name) == list(back.series_name)
 
 
 class TestSeparationScore:

@@ -14,7 +14,8 @@ from latentcast.cvae import FULL, make_stage1_batch
 from latentcast.data import WindowSample, WindowSet, prepare_samples, write_csv
 from latentcast.decomposition import decompose_batch
 from latentcast.evaluation import METRIC_NAMES, MetricError, MetricReport
-from latentcast.forecaster import ForecastDistribution, Forecasts, gaussian_nll
+from latentcast.forecaster import (PREDICT_BLOCK_WINDOWS, ForecastDistribution, Forecasts,
+                                   gaussian_nll, row_blocks)
 from latentcast.tensor import ShapeError, Tensor
 from latentcast.training import (VARIANTS, RunRecord, TrainConfig, TrainingError, build,
                                  build_cvae, build_model, evaluate_split, load_full,
@@ -362,31 +363,40 @@ class TestPipeline:
             run_pipeline(tiny_datasets, tiny_config, splits=("val",))
 
     @pytest.mark.parametrize("variant, sets", [
-        ("full", ["train", "train", "val", "eval_train", "eval_test"]),
-        ("e2e", ["train", "val", "eval_train", "eval_test"]),
+        ("full", ["train", "train", "val"]), ("e2e", ["train", "val"]),
         ("no_decomp", []), ("no_latent", [])])
     def test_each_window_set_is_decomposed_once(self, monkeypatch, tiny_datasets, tiny_config,
                                                 variant, sets):
-        # stage 1's training set, stage 2's training and validation sets (e2e
-        # reuses its latent inputs' trend of the training set) and each
-        # evaluated split: minibatches, epochs and forecast blocks gather their
-        # rows of the set's trend
-        rows = []
+        # a set that minibatches and epochs use again (stage 1's training set,
+        # stage 2's training and validation sets; e2e reuses its latent
+        # inputs' trend of the training set) gets its trend once, set-sized,
+        # through `CvaePair.trend`, and no seasonal part; an evaluated split
+        # is used once, so each forecast block decomposes its own rows
+        trends, blocks = [], []
+        trend = cvae.CvaePair.trend
 
-        def counted(x, kernel):
-            rows.append(len(x))
+        def counted_trend(pair, x):
+            out = trend(pair, x)
+            if out is not None:
+                trends.append(len(x))
+            return out
+
+        def counted_blocks(x, kernel):
+            blocks.append(len(x))
             return decompose_batch(x, kernel)
 
-        monkeypatch.setattr(cvae, "decompose_batch", counted)
+        monkeypatch.setattr(cvae.CvaePair, "trend", counted_trend)
+        monkeypatch.setattr(cvae, "decompose_batch", counted_blocks)
         from dataclasses import replace
         config = replace(tiny_config, variant=variant)
         run_pipeline(tiny_datasets, config)
         data = training.training_data(tiny_datasets, config, ("train", "val"))
-        sizes = {role: len(data.samples[role]) for role in ("train", "val")}
-        for which in ("train", "test"):
-            sizes[f"eval_{which}"] = len(training.eval_windows(tiny_datasets, data.split,
-                                                               config, which))
-        assert rows == [sizes[s] for s in sets]
+        assert trends == [len(data.samples[role]) for role in sets]
+        evaluated = [len(training.eval_windows(tiny_datasets, data.split, config, which))
+                     for which in ("train", "test")] if sets else []
+        assert blocks == [hi - lo for n in evaluated
+                          for lo, hi in row_blocks(n, PREDICT_BLOCK_WINDOWS)]
+        assert not sets or len(blocks) > len(evaluated)   # a split of several blocks
 
     @pytest.mark.parametrize("variant", ["full", "e2e"])
     def test_regularizer_needs_two_training_domains_on_both_paths(self, tiny_datasets,

@@ -52,7 +52,7 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-ABLATION_VARIANTS = "full,e2e,no_decomp"
+ABLATION_VARIANTS = "full,e2e,no_decomp,no_latent"
 ABLATION_SEEDS = "0,1"
 PYTHON_GRAMMAR_CSV = (
     "domain,series,timestamp,value,feat_0\n"
