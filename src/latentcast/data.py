@@ -382,62 +382,58 @@ def write_csv(datasets: Sequence[DomainDataset], path) -> None:
 # Windows
 # ---------------------------------------------------------------------------
 
-def make_windows(datasets: Iterable[DomainDataset], lookback: int, horizon: int,
-                 stride: int = 1) -> tuple[WindowSet, int]:
-    """Slide (lookback, horizon) windows over every series.
-
-    Series shorter than lookback + horizon are skipped; the second return
-    value counts them. `y_raw` is the same array as `y`.
-    """
-    if lookback < 1 or horizon < 1 or stride < 1:
-        raise DataError("lookback, horizon, stride must be >= 1")
-    span = lookback + horizon
-    series = [(ds, s) for ds in datasets for s in range(len(ds.series_names))]
-    counts = [len(range(0, ds.values[s].size - span + 1, stride)) for ds, s in series]
-    n, feat_dim = sum(counts), series[0][0].feat_dim if series else 0
-    x, y, a = np.empty((n, lookback)), np.empty((n, horizon)), np.empty((n, lookback, feat_dim))
-    origin = np.empty(n, dtype=np.int64)
-    end = 0
-    for (ds, s), k in zip(series, counts):
-        if not k:
-            continue
-        rows, end = slice(end, end + k), end + k
-        win = sliding_window_view(ds.values[s], span)[::stride]
-        x[rows], y[rows] = win[:, :lookback], win[:, lookback:]
-        if feat_dim:
-            feats = sliding_window_view(ds.features[s], lookback, axis=0)
-            a[rows] = feats[:k * stride:stride].transpose(0, 2, 1)
-        origin[rows] = ds.timestamps[s][lookback - 1::stride][:k]
-    windows = WindowSet(
-        x=x, a=a, y=y, y_raw=y, origin=origin, scale=np.ones(n), norm_mean=np.zeros(n),
-        norm_std=np.ones(n),
-        domain_id=np.repeat(np.array([ds.domain_id for ds, _ in series], dtype=np.int64), counts),
-        series_name=np.repeat(np.array([ds.series_names[s] for ds, s in series], dtype=str),
-                              counts))
-    return windows, counts.count(0)
-
-
 def windows_for_role(datasets: Sequence[DomainDataset], split: DomainSplit, role: str,
                      lookback: int, horizon: int, stride: int = 1) -> WindowSet:
-    """Windows restricted by split role.
+    """The (lookback, horizon) windows of one split role, with origins on
+    each series' stride grid and rows in domain, series, origin order:
 
-    train: window fits inside the training period of a training domain.
-    val:   target starts at/after the training boundary of a training domain.
+    train: windows of a training domain whose target ends before its
+           training boundary (origin < train_end - horizon);
+    val:   windows of a training domain whose target starts at or after it
+           (origin >= train_end - 1);
     test:  every window of a test domain.
+
+    Only the role's windows are made. A series' timestamps must ascend, so
+    each role is one run of its origins; a series shorter than lookback +
+    horizon has no window. `y_raw` is the same array as `y`.
     """
     if role not in ("train", "val", "test"):
         raise DataError(f"unknown window role {role!r}")
+    if lookback < 1 or horizon < 1 or stride < 1:
+        raise DataError("lookback, horizon, stride must be >= 1")
     by_id = {ds.domain_id: ds for ds in datasets}
-    wanted = split.test_domains if role == "test" else split.train_domains
-    windows, _ = make_windows([by_id[dom] for dom in wanted], lookback, horizon, stride)
-    if role == "test":
-        return windows
-    train_end = np.empty(len(windows), dtype=np.int64)
-    for dom in wanted:
-        train_end[windows.domain_id == dom] = split.boundaries[dom][0]
-    if role == "train":
-        return windows[windows.origin + horizon < train_end]
-    return windows[windows.origin + 1 >= train_end]
+    runs = []                     # (dataset, series, first grid index, origins)
+    for dom in split.test_domains if role == "test" else split.train_domains:
+        ds = by_id[dom]
+        for s, ts in enumerate(ds.timestamps):
+            origins = ts[lookback - 1:max(ds.values[s].size - horizon, 0):stride]
+            lo, hi = 0, len(origins)
+            if role == "train":
+                hi = int(np.searchsorted(origins, split.boundaries[dom][0] - horizon))
+            elif role == "val":
+                lo = int(np.searchsorted(origins, split.boundaries[dom][0] - 1))
+            runs.append((ds, s, lo, origins[lo:hi]))
+    counts = [len(origins) for *_, origins in runs]
+    n, feat_dim = sum(counts), runs[0][0].feat_dim if runs else 0
+    x, y, a = np.empty((n, lookback)), np.empty((n, horizon)), np.empty((n, lookback, feat_dim))
+    origin = np.empty(n, dtype=np.int64)
+    end = 0
+    for (ds, s, lo, origins), k in zip(runs, counts):
+        if not k:
+            continue
+        rows, end = slice(end, end + k), end + k
+        origin[rows] = origins
+        win = sliding_window_view(ds.values[s], lookback + horizon)[lo * stride::stride][:k]
+        x[rows], y[rows] = win[:, :lookback], win[:, lookback:]
+        if feat_dim:
+            feats = sliding_window_view(ds.features[s], lookback, axis=0)
+            a[rows] = feats[lo * stride::stride][:k].transpose(0, 2, 1)
+    return WindowSet(
+        x=x, a=a, y=y, y_raw=y, origin=origin, scale=np.ones(n), norm_mean=np.zeros(n),
+        norm_std=np.ones(n),
+        domain_id=np.repeat(np.array([ds.domain_id for ds, *_ in runs], dtype=np.int64), counts),
+        series_name=np.repeat(np.array([ds.series_names[s] for ds, s, *_ in runs], dtype=str),
+                              counts))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -38,6 +38,11 @@ from .optim import Adam
 from .tensor import Tensor, no_grad
 
 VARIANTS = ("full", "e2e", "no_reg", "no_decomp", "shared_only", "no_cond", "no_latent")
+# the TrainConfig fields that only stage 2 and evaluation read; a stage-1
+# checkpoint must match the run in every other one (`load_stage1`), and the
+# domain map compares the split that test_fraction makes
+STAGE2_ONLY = ("variant", "decoder", "epochs_stage2", "patience", "sample_paths",
+               "eval_stride", "test_fraction")
 
 class TrainingError(RuntimeError):
     pass
@@ -497,12 +502,10 @@ def load_stage1(path, pair: CvaePair, config: TrainConfig, domain_map: list[list
     """Restore pretrained VAE parameters into a freshly built pair, after
     checking that they were pretrained for this config and domain split."""
     blob, ckpt_config = read_checkpoint(path, "stage1")
-    # the settings that shape the pair, its pretraining split, windows and
-    # objective, with the encoder as the pair resolves it; the variant itself
-    # differs between variants that pretrain alike
-    for key in ("lookback", "d_z", "hidden", "alpha", "kernel", "seed", "dropout", "val_fraction",
-                "encoder", "beta", "reg_weight", "reg_active", "epochs_stage1", "learning_rate",
-                "batch_size", "stride", "horizon", "value_scale", "fill_missing"):
+    # in declaration order, the encoder as the pair resolves it (the decoder
+    # matters only there); the variant itself differs between variants that
+    # pretrain alike, so only whether it turns the regularizer on is compared
+    for key in [f.name for f in fields(TrainConfig) if f.name not in STAGE2_ONLY] + ["reg_active"]:
         stored, wanted = (c.resolved_encoder() if key == "encoder" else getattr(c, key)
                           for c in (ckpt_config, config))
         if stored != wanted:

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from latentcast import evaluation, training
 from latentcast.__main__ import BLAS_THREAD_VARS
 from latentcast.cli import main, write_manifest
-from latentcast.data import SyntheticSpec, ingest_csv, make_windows
+from latentcast.data import DomainSplit, SyntheticSpec, ingest_csv, windows_for_role
 from latentcast.evaluation import MetricError
 from latentcast.forecaster import Forecasts, write_forecast_csv
 from latentcast.tensor import Tensor
@@ -561,7 +561,8 @@ class TestAtomicWrites:
     def test_forecast_csv(self, tmp_path, tiny_datasets):
         # three quantile rows instead of nine: the header and the row keys are
         # out before the missing median row fails
-        windows, _ = make_windows(tiny_datasets[:1], 12, 4, stride=10)
+        split = DomainSplit([], [tiny_datasets[0].domain_id], {}, seed=0)
+        windows = windows_for_role(tiny_datasets, split, "test", 12, 4, stride=10)
         path = tmp_path / "forecasts_test.csv"
         self._check(path,
                     lambda: write_forecast_csv(path, windows,

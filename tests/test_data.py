@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from latentcast import data as D
-from latentcast.data import (DataError, SyntheticSpec, WindowSample, generate_synthetic,
-                             ingest_csv, make_windows, one_hot_domain, prepare_samples,
+from latentcast.data import (DataError, DomainSplit, SyntheticSpec, WindowSample,
+                             generate_synthetic, ingest_csv, one_hot_domain, prepare_samples,
                              revin_denormalize, revin_normalize, split_domains,
                              synthetic_value, windows_for_role, write_csv)
 
@@ -102,29 +102,34 @@ class TestIngest:
                 assert np.array_equal(a, b)
 
 
+def _every_window(datasets, lookback, horizon, stride=1):
+    """The test role of a split whose test side holds every domain."""
+    split = DomainSplit([], [ds.domain_id for ds in datasets], {}, seed=0)
+    return windows_for_role(datasets, split, "test", lookback, horizon, stride)
+
+
 class TestWindows:
     def _single(self, values, lookback, horizon, stride=1):
         ds = D.DomainDataset(0, "d", ["s"], [np.arange(len(values), dtype=np.int64)],
                              [np.asarray(values, dtype=float)])
-        return make_windows([ds], lookback, horizon, stride)
+        return _every_window([ds], lookback, horizon, stride)
 
     def test_exactly_one_window(self):
-        wins, skipped = self._single(np.arange(120.0), 90, 30)
-        assert len(wins) == 1 and skipped == 0
+        wins = self._single(np.arange(120.0), 90, 30)
+        assert len(wins) == 1
 
     def test_hand_enumerated_windows(self):
-        wins, _ = self._single([1.0, 2, 3, 4, 5], 3, 1)
+        wins = self._single([1.0, 2, 3, 4, 5], 3, 1)
         assert len(wins) == 2
         assert np.array_equal(wins[0].x, [1, 2, 3]) and np.array_equal(wins[0].y, [4])
         assert np.array_equal(wins[1].x, [2, 3, 4]) and np.array_equal(wins[1].y, [5])
 
     def test_large_stride_gives_at_most_one(self):
-        wins, _ = self._single(np.arange(10.0), 3, 2, stride=10)
+        wins = self._single(np.arange(10.0), 3, 2, stride=10)
         assert len(wins) <= 1
 
-    def test_short_series_skipped_with_count(self):
-        wins, skipped = self._single([1.0, 2, 3], 3, 1)
-        assert len(wins) == 0 and skipped == 1
+    def test_short_series_yields_no_window(self):
+        assert len(self._single([1.0, 2, 3], 3, 1)) == 0
 
     def test_windows_never_mix_series(self):
         # sentinel values per series; any mixing would surface the wrong sentinel
@@ -133,7 +138,7 @@ class TestWindows:
             [np.arange(6, dtype=np.int64)] * 2,
             [np.full(6, 1.0), np.full(6, 2.0)],
         )
-        wins, _ = make_windows([ds], 3, 1)
+        wins = _every_window([ds], 3, 1)
         for w in wins:
             assert np.all(w.x == w.x[0]) and w.y[0] == w.x[0]
 

@@ -4,14 +4,17 @@ variant structure, determinism, and multi-seed aggregation."""
 import hashlib
 import inspect
 import json
+import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from latentcast import cli, cvae, training
+from latentcast.checkpoint import CheckpointError
 from latentcast.cvae import FULL, make_stage1_batch
-from latentcast.data import WindowSample, WindowSet, prepare_samples, write_csv
+from latentcast.data import WindowSample, WindowSet, field_types, prepare_samples, write_csv
 from latentcast.decomposition import decompose_batch
 from latentcast.evaluation import METRIC_NAMES, MetricError, MetricReport
 from latentcast.forecaster import (PREDICT_BLOCK_WINDOWS, ForecastDistribution, Forecasts,
@@ -328,6 +331,58 @@ def test_validate_checks_each_field_against_its_annotation():
             TrainConfig(**{name: value}).validate()
 
 
+# one valid value per TrainConfig field, other than tiny_config's, and whether
+# a stage-1 checkpoint of tiny_config refuses a run that has it: it refuses
+# every field stage 1 reads and accepts the ones only stage 2 and evaluation read
+STAGE1_RULE = {
+    "lookback": (16, True), "horizon": (6, True), "d_z": (8, True), "hidden": (6, True),
+    "kernel": (3, True), "batch_size": (8, True), "dropout": (0.1, True),
+    "learning_rate": (1e-3, True), "beta": (2.0, True), "alpha": (0.75, True),
+    "reg_weight": (0.5, True), "epochs_stage1": (2, True), "epochs_stage2": (5, False),
+    "patience": (1, False), "seed": (4, True), "variant": ("shared_only", False),
+    "decoder": ("recurrent", False), "encoder": ("bigru", True), "sample_paths": (10, False),
+    "test_fraction": (0.5, False), "val_fraction": (0.5, True), "stride": (2, True),
+    "eval_stride": (2, False), "value_scale": (2.0, True), "fill_missing": (-1.0, True),
+}
+
+
+def test_stage1_rule_has_one_value_per_config_field():
+    assert list(STAGE1_RULE) == list(field_types(TrainConfig))
+
+
+def _stage1_checkpoint(tmp_path, datasets, config):
+    split, _, domain_map = pipeline_split(datasets, config)
+    pair = build_cvae(config, len(split.train_domains), np.random.default_rng(0))
+    path = tmp_path / "stage1.ckpt.json"
+    save_stage1(path, pair, domain_map, config)
+    return path, pair, domain_map
+
+
+@pytest.mark.parametrize("name", list(STAGE1_RULE))
+def test_stage1_checkpoint_refuses_exactly_the_fields_stage1_reads(tmp_path, tiny_datasets,
+                                                                   tiny_config, name):
+    value, refused = STAGE1_RULE[name]
+    config = replace(tiny_config, **{name: value})
+    config.validate()
+    assert getattr(config, name) != getattr(tiny_config, name)
+    path, pair, domain_map = _stage1_checkpoint(tmp_path, tiny_datasets, tiny_config)
+    if refused:
+        with pytest.raises(CheckpointError, match=re.escape(
+                f"{name}={getattr(tiny_config, name)!r} does not match config {name}={value!r}")):
+            load_stage1(path, pair, config, domain_map)
+    else:
+        load_stage1(path, pair, config, domain_map)
+
+
+@pytest.mark.parametrize("variant", ["no_reg", "no_latent"])
+def test_stage1_checkpoint_refuses_the_regularizer_switched(tmp_path, tiny_datasets,
+                                                            tiny_config, variant):
+    path, pair, domain_map = _stage1_checkpoint(tmp_path, tiny_datasets, tiny_config)
+    with pytest.raises(CheckpointError,
+                       match="reg_active=True does not match config reg_active=False"):
+        load_stage1(path, pair, replace(tiny_config, variant=variant), domain_map)
+
+
 class TestPipeline:
     def test_full_pipeline_emits_finite_reports(self, tiny_datasets, tiny_config):
         result = run_pipeline(tiny_datasets, tiny_config)
@@ -337,7 +392,6 @@ class TestPipeline:
         assert result.record.selected_epoch >= 0
 
     def test_recurrent_pipeline_runs(self, tiny_datasets, tiny_config):
-        from dataclasses import replace
         config = replace(tiny_config, decoder="recurrent", sample_paths=15,
                          epochs_stage1=2, epochs_stage2=2)
         result = run_pipeline(tiny_datasets, config)
@@ -387,7 +441,6 @@ class TestPipeline:
 
         monkeypatch.setattr(cvae.CvaePair, "trend", counted_trend)
         monkeypatch.setattr(cvae, "decompose_batch", counted_blocks)
-        from dataclasses import replace
         config = replace(tiny_config, variant=variant)
         run_pipeline(tiny_datasets, config)
         data = training.training_data(tiny_datasets, config, ("train", "val"))
@@ -403,14 +456,12 @@ class TestPipeline:
                                                                  tiny_config, variant):
         # two domains at test_fraction 0.5 leave one training domain: stage 1
         # and the e2e objective, which holds the regularizer too, refuse it alike
-        from dataclasses import replace
         config = replace(tiny_config, variant=variant, test_fraction=0.5)
         with pytest.raises(TrainingError, match="^stage 1: domain regularization needs "
                                                 "at least 2 training domains$"):
             run_pipeline(tiny_datasets[:2], config)
 
     def test_stage1_loss_mostly_nonincreasing(self, tiny_datasets, tiny_config):
-        from dataclasses import replace
         config = replace(tiny_config, epochs_stage1=12, epochs_stage2=1)
         result = run_pipeline(tiny_datasets, config)
         losses = np.array(result.record.stage1_losses)

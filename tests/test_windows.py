@@ -1,16 +1,18 @@
 """The columnar window store against a per-window reference: windowing,
-split roles, scaling and RevIN, the row interface that code outside the
-package reads, and forecasts that do not depend on how a split is chunked."""
+split roles, scaling and RevIN, the memory a role's windows take, the row
+interface that code outside the package reads, and forecasts that do not
+depend on how a split is chunked."""
 
-from dataclasses import replace
+import tracemalloc
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from latentcast.data import (REVIN_EPS, DomainDataset, SyntheticSpec, WindowSample,
-                             generate_synthetic, make_windows, prepare_samples,
+from latentcast.data import (REVIN_EPS, DomainDataset, DomainSplit, SyntheticSpec,
+                             WindowSample, generate_synthetic, prepare_samples,
                              revin_denormalize, split_domains, windows_for_role)
 from latentcast.forecaster import ForecastDistribution
 from latentcast.training import (TrainConfig, build, evaluate_split, pipeline_split,
@@ -23,22 +25,38 @@ from latentcast.training import (TrainConfig, build, evaluate_split, pipeline_sp
 # ---------------------------------------------------------------------------
 
 def reference_windows(datasets, lookback, horizon, stride=1):
-    windows, skipped = [], 0
+    windows = []
     for ds in datasets:
         for s, name in enumerate(ds.series_names):
             v = ds.values[s]
             ts = ds.timestamps[s]
             f = ds.features[s] if ds.features is not None else np.zeros((v.size, 0))
-            if v.size < lookback + horizon:
-                skipped += 1
-                continue
             for i in range(0, v.size - lookback - horizon + 1, stride):
                 y = v[i + lookback:i + lookback + horizon]
                 windows.append(WindowSample(
                     x=v[i:i + lookback].copy(), a=f[i:i + lookback].copy(), y=y.copy(),
                     domain_id=ds.domain_id, series_name=name,
                     origin=int(ts[i + lookback - 1]), y_raw=y.copy()))
-    return windows, skipped
+    return windows
+
+
+def reference_role(datasets, split, role, lookback, horizon, stride=1):
+    """A role's windows by masking every window of its side's domains."""
+    by_id = {ds.domain_id: ds for ds in datasets}
+    wanted = split.test_domains if role == "test" else split.train_domains
+    ref = reference_windows([by_id[d] for d in wanted], lookback, horizon, stride)
+    if role == "train":
+        return [w for w in ref if w.origin + horizon < split.boundaries[w.domain_id][0]]
+    if role == "val":
+        return [w for w in ref if w.origin + 1 >= split.boundaries[w.domain_id][0]]
+    return ref
+
+
+def every_window(datasets, lookback, horizon, stride=1):
+    """Every window of every series: the test role of a split that tests
+    every domain."""
+    split = DomainSplit([], [ds.domain_id for ds in datasets], {}, seed=0)
+    return windows_for_role(datasets, split, "test", lookback, horizon, stride)
 
 
 def reference_prepare(windows):
@@ -97,9 +115,8 @@ def window_inputs(draw):
 @given(window_inputs())
 def test_windows_and_preparation_equal_the_reference(inputs):
     datasets, lookback, horizon, stride = inputs
-    windows, skipped = make_windows(datasets, lookback, horizon, stride)
-    ref, ref_skipped = reference_windows(datasets, lookback, horizon, stride)
-    assert skipped == ref_skipped
+    windows = every_window(datasets, lookback, horizon, stride)
+    ref = reference_windows(datasets, lookback, horizon, stride)
     assert_rows_equal(windows, ref)
     assert_rows_equal(prepare_samples(windows), reference_prepare(ref))
 
@@ -108,7 +125,7 @@ def test_windows_and_preparation_equal_the_reference(inputs):
 def test_revin_round_trips(inputs):
     """Undoing the normalization and the scaling gives the raw windows back."""
     datasets, lookback, horizon, stride = inputs
-    raw, _ = make_windows(datasets, lookback, horizon, stride)
+    raw = every_window(datasets, lookback, horizon, stride)
     prepared = prepare_samples(raw)
     stats = (prepared.norm_mean[:, None], prepared.norm_std[:, None])
     scale = prepared.scale[:, None]
@@ -138,21 +155,58 @@ def test_roles_are_disjoint_and_train_targets_stay_inside(num_domains, length, l
         assert w.domain_id in split.train_domains
         assert w.origin + horizon < split.boundaries[w.domain_id][0]
     assert set(roles["test"].domain_id.tolist()) <= set(split.test_domains)
-    # the masks keep exactly the reference's windows of each role
-    by_id = {ds.domain_id: ds for ds in datasets}
+    # each role keeps exactly the reference's masked windows
     for role, ws in roles.items():
-        wanted = split.test_domains if role == "test" else split.train_domains
-        ref, _ = reference_windows([by_id[d] for d in wanted], lookback, horizon, stride)
-        if role == "train":
-            ref = [w for w in ref if w.origin + horizon < split.boundaries[w.domain_id][0]]
-        elif role == "val":
-            ref = [w for w in ref if w.origin + 1 >= split.boundaries[w.domain_id][0]]
-        assert_rows_equal(ws, ref)
+        assert_rows_equal(ws, reference_role(datasets, split, role, lookback, horizon, stride))
+
+
+@st.composite
+def role_inputs(draw):
+    """`window_inputs` with a split drawn by hand: any domains on either
+    side, and each training boundary anywhere around its domain's stamps.
+    Val windows start past a series' first stride step, so with features
+    they take the feature windows from an offset."""
+    datasets, lookback, horizon, stride = draw(window_inputs())
+    ids = [ds.domain_id for ds in datasets]
+    test = sorted(draw(st.lists(st.sampled_from(ids), unique=True)))
+    train = [d for d in ids if d not in test]
+    # windowing reads only the training boundary, not the validation end
+    boundaries = {d: (draw(st.integers(-10, 50)), 50) for d in train}
+    return datasets, DomainSplit(train, test, boundaries, seed=0), lookback, horizon, stride
+
+
+@given(role_inputs())
+def test_every_role_equals_the_reference_masks(inputs):
+    datasets, split, lookback, horizon, stride = inputs
+    for role in ("train", "val", "test"):
+        assert_rows_equal(windows_for_role(datasets, split, role, lookback, horizon, stride),
+                          reference_role(datasets, split, role, lookback, horizon, stride))
+
+
+def _set_bytes(windows):
+    return sum(getattr(windows, f.name).nbytes for f in fields(windows) if f.name != "y_raw")
+
+
+@pytest.mark.parametrize("role", ["train", "val", "test"])
+def test_a_role_allocates_little_more_than_its_windows(role):
+    """A role's windows are made alone, not cut out of every window of its
+    side's domains: the traced peak stays within 1.2 times the set."""
+    datasets = generate_synthetic(SyntheticSpec(num_domains=8, series_per_domain=4,
+                                                length=1000, seed=0))
+    split = split_domains(datasets, 0.25, seed=0, val_fraction=0.2)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        windows = windows_for_role(datasets, split, role, 60, 14)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert len(windows) and peak <= 1.2 * _set_bytes(windows)
 
 
 def test_rows_are_views_into_the_set():
     ds = DomainDataset(0, "d", ["s"], [np.arange(8, dtype=np.int64)], [np.arange(8.0)])
-    windows, _ = make_windows([ds], 3, 1)
+    windows = every_window([ds], 3, 1)
     windows[2].x[0] = -1.0
     assert windows.x[2, 0] == -1.0
     assert ds.values[0][2] == 2.0     # the set owns its arrays
@@ -205,7 +259,7 @@ def test_forecasts_do_not_depend_on_the_chunking(n):
     config = TrainConfig(lookback=12, horizon=4, d_z=4, hidden=8, kernel=5,
                          decoder="linear", encoder="mlp")
     model = build(config, 2, 0)
-    windows, _ = make_windows(datasets, config.lookback, config.horizon)
+    windows = every_window(datasets, config.lookback, config.horizon)
     assert len(windows) >= 256
     alone = predict_windows(model, windows[:n], config, None)
     inside = predict_windows(model, windows[:256], config, None)

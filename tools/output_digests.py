@@ -9,6 +9,10 @@ data seed, as in `pipebench/run.py --seed`) it prints one line per artifact,
 
 - from `training.run_pipeline` on the workload's in-memory data: both
   reports, the test quantiles, each checkpointed parameter and the loss lists
+- from `data.windows_for_role` on the workload's in-memory data and its
+  config's domain split, every `WindowSet` array of each role at the
+  config's `stride` (train, val), its `eval_stride` (val, test) and stride 1
+  (all three): a windowing change shows up here before it shows downstream
 - for the CLI workload and for every workload with a recurrent decoder, every
   file that the CLI run of its config writes (pretrain, train, forecast and
   dump-latents on the workload's data as a CSV), except the manifests and
@@ -48,6 +52,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -79,6 +84,26 @@ def pipeline_artifacts(result) -> dict[str, bytes]:
            "losses": json.dumps(losses).encode()}
     for p in result.model.checkpoint_params():
         out[f"param:{p.name}"] = repr(p.data.shape).encode() + p.data.tobytes()
+    return out
+
+
+def window_artifacts(run) -> dict[str, bytes]:
+    """The windows of each split role of a `PipelineRun`'s data and config,
+    at the strides the run windows them at and at stride 1: each `WindowSet`
+    array's dtype, shape and bytes."""
+    from latentcast.data import split_domains, windows_for_role
+
+    config = run.config
+    split = split_domains(run.datasets, config.test_fraction, config.seed, config.val_fraction)
+    out = {}
+    for role, stride in (("train", config.stride), ("val", config.stride),
+                         ("val", config.eval_stride), ("test", config.eval_stride),
+                         ("train", 1), ("val", 1), ("test", 1)):
+        windows = windows_for_role(run.datasets, split, role, config.lookback, config.horizon,
+                                   stride)
+        out[f"windows:{role}:stride{stride}"] = b"".join(
+            repr((f.name, array.dtype.str, array.shape)).encode() + array.tobytes()
+            for f in fields(windows) for array in [getattr(windows, f.name)])
     return out
 
 
@@ -198,7 +223,9 @@ def main(argv=None) -> int:
             # the commands' own stdout would mix with the digest lines
             with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
                 tmp = Path(tmp)
-                artifacts = pipeline_artifacts(PipelineRun(workload, seed, tmp).iterate(0).result)
+                pipeline_run = PipelineRun(workload, seed, tmp)
+                artifacts = pipeline_artifacts(pipeline_run.iterate(0).result)
+                artifacts.update(window_artifacts(pipeline_run))
                 cli_run = CliRun(workload, seed, tmp)
                 artifacts.update(ingest_artifacts(cli_run.data))
                 if workload.via_cli or workload.config.get("decoder") == "recurrent":
