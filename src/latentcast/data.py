@@ -24,6 +24,7 @@ from .checkpoint import atomic_write, csv_lines, csv_row, repr_rows
 REVIN_EPS = 1e-5
 MAX_SERIES_STEPS = 10_000_000    # longest timestamp span a series may fill gaps over
 PREPARE_BLOCK = 1 << 14          # rows per block of prepare_samples' temporaries
+SCAN_BLOCK = 1 << 16             # bytes per block of ingest's scan for marks
 # the information separators: numpy's number parsers skip them as space,
 # Python's int and float refuse them
 NUMPY_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
@@ -206,6 +207,38 @@ def _records(lines: list[str]):
             yield line_no, row
 
 
+def _width(fh) -> int:
+    """The column count of the header that starts the open CSV file, read
+    as one csv.reader record; DataError when it is missing or not the
+    schema's."""
+    header = next(csv.reader(fh), None)
+    if header is None:
+        raise DataError("empty CSV file")
+    header = [h.strip() for h in header]
+    if header[:4] != ["domain", "series", "timestamp", "value"]:
+        raise DataError(f"unexpected header {header!r}; need domain,series,timestamp,value[,feat_*]")
+    return len(header)
+
+
+def _body(fh) -> list[str]:
+    """The lines after the header of the open CSV file, read again from its
+    start."""
+    fh.seek(0)
+    next(csv.reader(fh))
+    return fh.readlines()
+
+
+def _marks(path) -> str:
+    """The characters of `'"' + NUMPY_ONLY_SPACE` that the file holds, from a
+    scan of its bytes in blocks (none of them is part of a longer UTF-8
+    sequence)."""
+    found = set()
+    with open(path, "rb") as raw:
+        for block in iter(lambda: raw.read(SCAN_BLOCK), b""):
+            found.update(c for c in '"' + NUMPY_ONLY_SPACE if c.encode() in block)
+    return "".join(sorted(found))
+
+
 class _Codes(dict):
     """Maps each distinct field of a column to its first-seen index, so that
     the tokenizer keeps an int per row, not a string."""
@@ -214,12 +247,12 @@ class _Codes(dict):
         return code
 
 
-def _read(records: list[str], width: int, native: bool) -> tuple[np.ndarray, list[_Codes]]:
-    """One pass of numpy's tokenizer over `records` (one string each): the
-    table, with domain and series as codes, and their two code dicts. With
-    `native`, numpy parses timestamps and numbers in C; otherwise Python does,
-    in its wider grammar (`1_000.5`, non-ASCII digits, ISO dates), each
-    distinct timestamp field once."""
+def _read(records, width: int, native: bool) -> tuple[np.ndarray, list[_Codes]]:
+    """One pass of numpy's tokenizer over `records`, an open file or a list
+    of one string per record: the table, with domain and series as codes,
+    and their two code dicts. With `native`, numpy parses timestamps and
+    numbers in C; otherwise Python does, in its wider grammar (`1_000.5`,
+    non-ASCII digits, ISO dates), each distinct timestamp field once."""
     codes = [_Codes() for _ in range(2 if native else 3)]
     converters = {j: c.__getitem__ for j, c in enumerate(codes)}
     if not native:
@@ -231,8 +264,9 @@ def _read(records: list[str], width: int, native: bool) -> tuple[np.ndarray, lis
         # a float, truncated, warn instead of refusing it; as an error numpy
         # raises ValueError, and the records take Python's grammar
         warnings.simplefilter("error", DeprecationWarning)
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         table = np.loadtxt(records, dtype=dtype, delimiter=",", quotechar='"', comments=None,
-                           ndmin=1, converters=converters) if records else np.empty(0, dtype)
+                           ndmin=1, converters=converters)
     if not native:
         stamps = codes.pop()
         table["timestamp"] = np.fromiter(map(_parse_timestamp, stamps), np.int64,
@@ -240,13 +274,10 @@ def _read(records: list[str], width: int, native: bool) -> tuple[np.ndarray, lis
     return table, codes
 
 
-def _parse(records: list[str], width: int) -> tuple[np.ndarray, list[_Codes]]:
-    """`_read` in numpy's grammar, or in Python's where numpy refuses a field
-    or the records hold a character that only numpy reads as space."""
-    # a block of records at a time: one string of the whole file raised the
-    # CLI's peak RSS by about 3 MB
-    blocks = ("".join(records[i:i + 1024]) for i in range(0, len(records), 1024))
-    if not any(c in block for block in blocks for c in NUMPY_ONLY_SPACE):
+def _parse(records: list[str], width: int, native: bool) -> tuple[np.ndarray, list[_Codes]]:
+    """`_read` in numpy's grammar if `native` and numpy accepts every field,
+    otherwise in Python's."""
+    if native:
         try:
             return _read(records, width, native=True)
         except ValueError:
@@ -254,23 +285,42 @@ def _parse(records: list[str], width: int) -> tuple[np.ndarray, list[_Codes]]:
     return _read(records, width, native=False)
 
 
-def _table(lines: list[str], width: int) -> tuple[np.ndarray, list[_Codes]]:
-    """The records as `_parse` gives them; ValueError when a record has
-    another width or a field does not parse.
+def _table(fh, path, width: int) -> tuple[np.ndarray, list[_Codes]]:
+    """The records of the open CSV file `fh`, positioned after its header,
+    as `_read` gives them; ValueError when a record has another width or a
+    field does not parse.
 
-    numpy's C tokenizer reads the lines with visible text, quoting as
-    csv.reader does. Where that fails or gives fewer records than lines (a
-    quoted line break), it reads csv.reader's records as csv.writer writes
-    them: only csv.reader sees a whitespace line inside quotes and skips a
-    record that is one quoted blank."""
+    numpy's tokenizer reads the open file in numpy's grammar, one line per
+    record. The file takes the line path instead when it holds a quote or a
+    character only numpy reads as space, or when numpy refuses it (a field
+    outside numpy's grammar, a whitespace-only line, a fault). The path
+    reads the file's lines again, drops those without visible text and
+    tokenizes the rest, in numpy's grammar only if the file holds no such
+    character and numpy has not read it yet. In a file with quotes, where
+    that fails or gives fewer records than lines (a quoted line break), it
+    tokenizes csv.reader's records as csv.writer writes them: only
+    csv.reader sees a whitespace line inside quotes and skips a record that
+    is one quoted blank."""
+    marks = _marks(path)
+    if not marks:
+        try:
+            return _read(fh, width, native=True)
+        except UnicodeDecodeError:
+            raise
+        except ValueError:
+            pass
+    lines = _body(fh)
     text = list(filter(str.strip, lines))
-    try:
-        parsed = _parse(text, width)
-        if len(parsed[0]) == len(text):
-            return parsed
-    except ValueError:
-        pass
-    return _parse([csv_row(row) + "\n" for _, row in _records(lines)], width)
+    native = marks == '"'
+    if '"' in marks:
+        try:
+            parsed = _parse(text, width, native)
+            if len(parsed[0]) == len(text):
+                return parsed
+        except ValueError:
+            pass
+        text = [csv_row(row) + "\n" for _, row in _records(lines)]
+    return _parse(text, width, native)
 
 
 def _raise_first_fault(lines: list[str], width: int, value_scale: float) -> None:
@@ -306,43 +356,51 @@ def _names(codes: _Codes, column: np.ndarray) -> tuple[list[str], np.ndarray]:
     return names, np.fromiter(map(rank.__getitem__, stripped), np.int64, len(stripped))[column]
 
 
+def _sorted_columns(table: np.ndarray, codes: list[_Codes], value_scale: float):
+    """The domain and series names, then the `_read` table's domain and
+    series indices, timestamps and scaled numbers in domain, series,
+    timestamp order; ValueError at a non-finite number or a repeated key."""
+    domains, dom_id = _names(codes[0], table["domain"])
+    series, ser_id = _names(codes[1], table["series"])
+    ts, numbers = table["timestamp"], table["numbers"]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        numbers[:, 0] /= value_scale
+    order = np.lexsort((ts, ser_id, dom_id))
+    # one column at a time, so that at most one column is held twice
+    dom_id = dom_id[order]
+    ser_id = ser_id[order]
+    ts = ts[order]
+    numbers = numbers[order]
+    same_key = (dom_id[1:] == dom_id[:-1]) & (ser_id[1:] == ser_id[:-1]) & (ts[1:] == ts[:-1])
+    if not np.isfinite(numbers).all() or same_key.any():
+        raise ValueError("a non-finite value or a duplicate key")
+    return domains, series, dom_id, ser_id, ts, numbers
+
+
 def ingest_csv(path, value_scale: float = 1.0, fill_missing: float = 0.0) -> list[DomainDataset]:
     """Load the domain/series/timestamp/value schema into DomainDatasets.
 
     Rows are grouped by domain then series and sorted by timestamp; gaps in a
     series' timestamp range are filled with `fill_missing` (features with 0).
     Values are divided by `value_scale`. The records are converted in one
-    tokenizer pass (`_parse`); when one is at fault, a scan of the records
-    names the first.
+    tokenizer pass over the open file where it can be (`_table`); when one
+    is at fault, a scan of the file's lines names the first.
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            lines = fh.readlines()
+            width = _width(fh)
+            try:
+                # no name holds the table, so it is freed once its columns are sorted
+                columns = _sorted_columns(*_table(fh, path, width), value_scale)
+            except UnicodeDecodeError:
+                raise
+            except (ValueError, OverflowError):
+                _raise_first_fault(_body(fh), width, value_scale)
+                raise                   # the scan disagrees with the columns; not reached
     except UnicodeDecodeError as exc:
         raise DataError(f"not UTF-8 text: {exc.reason}") from None
-    reader = csv.reader(lines)
-    header = next(reader, None)
-    if header is None:
-        raise DataError("empty CSV file")
-    header = [h.strip() for h in header]
-    if header[:4] != ["domain", "series", "timestamp", "value"]:
-        raise DataError(f"unexpected header {header!r}; need domain,series,timestamp,value[,feat_*]")
-    width, body = len(header), lines[reader.line_num:]
-    try:
-        table, (domain_codes, series_codes) = _table(body, width)
-        domains, dom_id = _names(domain_codes, table["domain"])
-        series, ser_id = _names(series_codes, table["series"])
-        ts, numbers = table["timestamp"], table["numbers"]
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            numbers[:, 0] /= value_scale
-        order = np.lexsort((ts, ser_id, dom_id))
-        dom_id, ser_id, ts, numbers = dom_id[order], ser_id[order], ts[order], numbers[order]
-        same_series = (dom_id[1:] == dom_id[:-1]) & (ser_id[1:] == ser_id[:-1])
-        if not np.isfinite(numbers).all() or (same_series & (ts[1:] == ts[:-1])).any():
-            raise ValueError("a non-finite value or a duplicate key")
-    except (ValueError, OverflowError):
-        _raise_first_fault(body, width, value_scale)
-        raise                       # the scan disagrees with the columns; not reached
+    domains, series, dom_id, ser_id, ts, numbers = columns
+    same_series = (dom_id[1:] == dom_id[:-1]) & (ser_id[1:] == ser_id[:-1])
 
     datasets = [DomainDataset(domain_id=i, domain_name=name, series_names=[], timestamps=[],
                               values=[], features=[] if width > 4 else None)

@@ -20,6 +20,8 @@ from .cvae import CvaePair, split_latents
 from .data import WindowSet, prepare_samples
 from .tensor import no_grad
 
+PAIR_TILE = 128                   # rows per tile of the separation score's distances
+
 
 @dataclass
 class LatentDump:
@@ -82,20 +84,25 @@ def _pair_means(vectors: np.ndarray, domains: np.ndarray) -> tuple[float, float,
     labels, index, counts = np.unique(domains, return_inverse=True, return_counts=True)
     notes = [f"domain {int(dom)} has a single row; excluded from intra-domain mean"
              for dom in labels[counts < 2]]
-    # Gram-based squared distances: O(n^2) memory regardless of latent width.
-    # Centering first keeps the form from cancelling when the latents sit far
-    # from the origin.
+    # Gram-based distances over row tiles: O(tile x n) memory regardless of
+    # latent width and of n. Centering first keeps the form from cancelling
+    # when the latents sit far from the origin.
     v = vectors - vectors.mean(axis=0)
     sq = (v ** 2).sum(axis=1)
-    dist = v @ v.T
-    dist *= -2.0
-    dist += sq[:, None]
-    dist += sq[None, :]
-    np.sqrt(np.maximum(dist, 0.0, out=dist), out=dist)
-    np.fill_diagonal(dist, 0.0)
-    # (domain, domain) sums over ordered pairs; each unordered pair counts twice
     onehot = (index[:, None] == np.arange(labels.size)).astype(np.float64)
-    blocks = onehot.T @ dist @ onehot
+    # (domain, domain) sums over ordered pairs; each unordered pair counts twice
+    blocks = np.zeros((labels.size, labels.size))
+    n = len(v)
+    tile = np.empty((min(PAIR_TILE, n), n))
+    for lo in range(0, n, PAIR_TILE):
+        hi = min(lo + PAIR_TILE, n)
+        dist = np.matmul(v[lo:hi], v.T, out=tile[:hi - lo])
+        dist *= -2.0
+        dist += sq[lo:hi, None]
+        dist += sq[None, :]
+        np.sqrt(np.maximum(dist, 0.0, out=dist), out=dist)
+        np.fill_diagonal(dist[:, lo:], 0.0)
+        blocks += onehot[lo:hi].T @ (dist @ onehot)
     same = np.eye(labels.size, dtype=bool)
     n_intra = int((counts * (counts - 1)).sum())
     n_inter = int(counts.sum() ** 2 - (counts ** 2).sum())

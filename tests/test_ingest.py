@@ -6,6 +6,7 @@ import csv
 import datetime as dt
 import math
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -446,6 +447,123 @@ def test_a_utf8_byte_order_mark_is_read_as_no_mark(tmp_path):
     marked = tmp_path / "marked.csv"
     marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
     assert_same_datasets(ingest_csv(marked), ingest_csv(write(tmp_path, text)))
+
+
+def test_an_empty_file_is_a_data_error(tmp_path):
+    for name, content in (("empty.csv", b""), ("mark.csv", b"\xef\xbb\xbf")):
+        path = tmp_path / name
+        path.write_bytes(content)
+        with pytest.raises(DataError, match=r"^empty CSV file$"):
+            ingest_csv(path)
+
+
+# ---------------------------------------------------------------------------
+# Tokenizer passes and memory: numpy reads the open file, and a file it
+# refuses takes the line path once
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def passes(monkeypatch):
+    """The `_read` calls of the test, each as (what it read, native): "file"
+    for the open file, "lines" for a list of records."""
+    calls, read = [], D._read
+    monkeypatch.setattr(D, "_read", lambda records, width, native: calls.append(
+        ("lines" if isinstance(records, list) else "file", native))
+        or read(records, width, native))
+    return calls
+
+
+def rows_text(rows, end="\r\n"):
+    """A CSV file of `rows` (tuples of field texts) under the 4-column header."""
+    return "".join(",".join(map(str, row)) + end
+                   for row in [("domain", "series", "timestamp", "value"), *rows])
+
+
+def wide_rows(domains, series, length, seed=101):
+    """Rows shaped like the benchmark's CLI file: `domains` x `series` series
+    of `length` steps, names dom00/s0, a float's repr per value."""
+    values = np.random.default_rng(seed).normal(10.0, 1.0, domains * series * length).tolist()
+    keys = [(f"dom{d:02d}", f"s{s}", t) for d in range(domains) for s in range(series)
+            for t in range(length)]
+    return [(*key, repr(v)) for key, v in zip(keys, values)]
+
+
+def iso(t):
+    return dt.date.fromordinal(738000 + t).isoformat()
+
+
+ROWS = wide_rows(4, 2, 250)
+LAST = ROWS[-1]
+# six files that leave numpy's path at different points, each with the
+# passes ingest takes, and the count it took when numpy read only a list of
+# the file's lines (an unparseable number then took four)
+PASS_FILES = {
+    "well_formed": (ROWS, [("file", True)], 1),
+    "iso_throughout": ([(d, s, iso(t), v) for d, s, t, v in ROWS],
+                       [("file", True), ("lines", False)], 2),
+    "iso_last_row": (ROWS[:-1] + [(*LAST[:2], iso(LAST[2]), LAST[3])],
+                     [("file", True), ("lines", False)], 2),
+    "quoted_line_breaks": ([(f'"{d}\r\nx"', s, t, v) for d, s, t, v in ROWS],
+                           [("lines", True), ("lines", True)], 2),
+    "duplicate_last_row": (ROWS + [ROWS[0]], [("file", True)], 1),
+    "bad_number_last_row": (ROWS[:-1] + [(*LAST[:3], "1.2.3")],
+                            [("file", True), ("lines", False)], 4),
+}
+
+
+@pytest.mark.parametrize("name", PASS_FILES)
+def test_each_file_takes_no_more_passes_than_before(tmp_path, passes, name):
+    rows, expected, before = PASS_FILES[name]
+    assert_same_outcome(write(tmp_path, rows_text(rows)))
+    assert passes == expected
+    assert len(passes) <= before
+
+
+@pytest.mark.parametrize("blank, expected", [
+    ("\r\n", [("file", True)]),
+    ("  \r\n", [("file", True), ("lines", False)]),
+], ids=["blank_crlf_line", "whitespace_line"])
+def test_blank_lines_on_the_open_file(tmp_path, passes, blank, expected):
+    # numpy skips an empty line of the open file, CRLF or not, but refuses a
+    # whitespace-only one; that file takes the line path, which drops it
+    text = rows_text(ROWS[:10]).replace("\r\n", "\r\n" + blank, 4)
+    assert_same_outcome(write(tmp_path, text))
+    assert passes == expected
+
+
+@pytest.mark.parametrize("rows", [ROWS, [(f'"{d}"', s, t, v) for d, s, t, v in ROWS]],
+                         ids=["open_file", "line_path"])
+def test_bytes_that_are_not_utf8_late_in_a_file_are_a_data_error(tmp_path, passes, rows):
+    # the byte lies past the decoder's first chunk, so the header reads and
+    # the tokenizer or the line path meets it; nothing is read again
+    data = rows_text(rows).encode("utf-8") + b"caf\xe9,s,0,1.0\r\n"
+    path = tmp_path / "late.csv"
+    path.write_bytes(data)
+    with pytest.raises(DataError, match=r"^not UTF-8 text: invalid continuation byte$"):
+        ingest_csv(path)
+    assert len(passes) <= 1
+
+
+def test_a_byte_order_mark_on_the_line_path_is_read_as_no_mark(tmp_path):
+    # the line path reads the file again from its start
+    text = rows_text([(d, s, iso(t), v) for d, s, t, v in ROWS[:20]])
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    assert_same_datasets(ingest_csv(marked), ingest_csv(write(tmp_path, text)))
+
+
+def test_ingest_holds_at_most_three_times_the_file(tmp_path):
+    # the benchmark CLI's 20 x 8 x 600 file: 96,000 rows, about 3 MB; reading
+    # a list of its lines held about 5.8 times the file
+    path = write(tmp_path, rows_text(wide_rows(20, 8, 600)))
+    ingest_csv(path)
+    tracemalloc.start()
+    try:
+        ingest_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * path.stat().st_size
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,14 @@
 """Latent dumps and the shared/specific separation score."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from latentcast import latent
 from latentcast.latent import (LatentDump, dump_latents, read_dump, separation_score,
                                write_dump)
 from latentcast.data import WindowSample
@@ -114,3 +120,96 @@ class TestSeparationScore:
         shared_ratio, _, _ = separation_score(_dump_from(z, z, domains))
         expected = np.mean(inter) / np.mean(intra)
         assert abs(shared_ratio - expected) <= 1e-10 * expected
+
+
+# ---------------------------------------------------------------------------
+# The row-tiled pair sums against the dense (N, N) form they replaced
+# ---------------------------------------------------------------------------
+
+def dense_pair_means(vectors, domains):
+    """`latent._pair_means` as it was before its distances came in row tiles:
+    one (N, N) distance matrix."""
+    labels, index, counts = np.unique(domains, return_inverse=True, return_counts=True)
+    notes = [f"domain {int(dom)} has a single row; excluded from intra-domain mean"
+             for dom in labels[counts < 2]]
+    v = vectors - vectors.mean(axis=0)
+    sq = (v ** 2).sum(axis=1)
+    dist = v @ v.T
+    dist *= -2.0
+    dist += sq[:, None]
+    dist += sq[None, :]
+    np.sqrt(np.maximum(dist, 0.0, out=dist), out=dist)
+    np.fill_diagonal(dist, 0.0)
+    onehot = (index[:, None] == np.arange(labels.size)).astype(np.float64)
+    blocks = onehot.T @ dist @ onehot
+    same = np.eye(labels.size, dtype=bool)
+    n_intra = int((counts * (counts - 1)).sum())
+    n_inter = int(counts.sum() ** 2 - (counts ** 2).sum())
+    intra_mean = float(blocks[same].sum() / n_intra) if n_intra else 0.0
+    inter_mean = float(blocks[~same].sum() / n_inter) if n_inter else 0.0
+    return intra_mean, inter_mean, notes
+
+
+def dense_separation_score(dump):
+    """`separation_score` over `dense_pair_means`."""
+    ratios, notes = [], []
+    for part in ("z_shared", "z_specific"):
+        intra, inter, part_notes = dense_pair_means(getattr(dump, part), dump.domain_id)
+        notes.extend(part_notes)
+        if intra == 0.0 and inter == 0.0:
+            notes.append(f"{part}: all pairwise distances zero; ratio defaults to 1.0")
+            ratios.append(1.0)
+        else:
+            ratios.append(float("inf") if intra == 0.0 else inter / intra)
+    return ratios[0], ratios[1], sorted(set(notes))
+
+
+TILE = latent.PAIR_TILE
+
+
+@st.composite
+def latent_dumps(draw):
+    """A dump whose row count sits at a tile edge or is small, with 1-4
+    domains (singletons among them), repeated rows and an offset from the
+    origin. The entries are multiples of a power of two with a column sum of
+    zero before the offset, so the centred squared distances are exact and
+    the dense and tiled forms differ only in the order of their sums: a
+    coincident pair's distance is 0 in both, not rounding noise under a
+    square root."""
+    n = draw(st.sampled_from((2, 3, 5, TILE - 1, TILE, TILE + 1, 2 * TILE + 1)))
+    unit = 2.0 ** draw(st.integers(-4, 4))
+    offset = draw(st.sampled_from((0.0, 1024.0, -3.0 * 2 ** 20)))
+    rows = st.lists(st.integers(-8, 8), min_size=5, max_size=5)
+    distinct = draw(st.lists(rows, min_size=1, max_size=6))
+    z = np.array([draw(st.sampled_from(distinct)) for _ in range(n - 1)], dtype=float)
+    z = np.vstack([z, -z.sum(axis=0)]) * unit + offset
+    domains = np.array(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+    width = draw(st.integers(1, 4))
+    return _dump_from(z[:, :width], z[:, width:], domains)
+
+
+@given(dump=latent_dumps())
+def test_the_tiled_score_matches_the_dense_one(dump):
+    if np.unique(dump.domain_id).size < 2:
+        with pytest.raises(ValueError, match="at least 2 domains"):
+            separation_score(dump)
+        return
+    got, expected = separation_score(dump), dense_separation_score(dump)
+    assert got[2] == expected[2]
+    for ratio, reference in zip(got[:2], expected[:2]):
+        assert ratio == reference or math.isclose(ratio, reference, rel_tol=1e-12)
+
+
+def test_the_score_holds_one_tile_of_distances():
+    # 4,640 rows, the test windows of the stride-1 scale set: the dense
+    # (N, N) form held 167 MB; a tile of PAIR_TILE rows holds 4.8 MB
+    n = 4640
+    rng = np.random.default_rng(7)
+    dump = _dump_from(rng.normal(size=(n, 8)), rng.normal(size=(n, 8)), np.arange(n) % 8)
+    tracemalloc.start()
+    try:
+        separation_score(dump)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16e6

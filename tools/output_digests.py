@@ -27,10 +27,13 @@ data seed, as in `pipebench/run.py --seed`) it prints one line per artifact,
 - for each seed, under the name `synth`, the `data.csv` that the CLI's
   `synth` writes from the default synthetic spec at that seed
 - for every workload, the `DomainDataset`s that `data.ingest_csv` reads from
-  the workload's data as a CSV (numpy's number grammar), and for each seed,
-  under the name `ingest`, those of `PYTHON_GRAMMAR_CSV`, a fixed file only
-  Python's grammar reads (ISO dates, `1_000.5`); so both of ingest's tiers
-  are covered
+  the workload's data as a CSV (numpy's number grammar, from the open file),
+  and for each seed, under the name `ingest`, those of `PYTHON_GRAMMAR_CSV`,
+  a fixed file only Python's grammar reads (ISO dates, `1_000.5`), and under
+  the name `ingest_lines`, those of `LINE_PATH_CSV`, a fixed file that
+  takes ingest's line path to csv.reader's records (a byte-order mark, CRLF
+  ends, a quoted name with a comma and a line break, a whitespace-only line
+  and a `""` line); so both of ingest's tiers and its line path are covered
 
 `--src` names the latentcast source tree to import (default: this repo's
 `src`). `--against DIR` digests that tree and DIR (a source tree, or a
@@ -66,6 +69,15 @@ PYTHON_GRAMMAR_CSV = (
     '"south, east","s ""2""",2024-01-02,3,4\n'
     "north,s1,2024-01-01,7,8\n"
     '"north",s2,738886,1_0,\u0663\n'
+)
+LINE_PATH_CSV = (
+    "\ufeffdomain,series,timestamp,value\r\n"
+    '"east, ""old""\r\nport",s1,3,1.5\r\n'
+    "  \t\r\n"
+    '""\r\n'
+    "west,s1,1,2.5\r\n"
+    '"east, ""old""\r\nport",s1,1,-0.25\r\n'
+    "west, s2 ,2,4e1\r\n"
 )
 
 
@@ -215,7 +227,11 @@ def main(argv=None) -> int:
             csv_file = Path(tmp) / "python_grammar.csv"
             csv_file.write_text(PYTHON_GRAMMAR_CSV, encoding="utf-8")
             grammar = ingest_artifacts(csv_file)
-        for name, found in (("synth", artifacts), ("ingest", grammar)):
+            csv_file = Path(tmp) / "line_path.csv"
+            csv_file.write_bytes(LINE_PATH_CSV.encode("utf-8"))
+            line_path = ingest_artifacts(csv_file)
+        for name, found in (("synth", artifacts), ("ingest", grammar),
+                            ("ingest_lines", line_path)):
             for artifact, data in found.items():
                 print(f"{name} {seed} {artifact} {digest(data)}", flush=True)
     for name, workload in WORKLOADS.items():
