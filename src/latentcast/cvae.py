@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import decomposition, kernels
+from . import kernels
 from . import tensor as T
 from .data import DataError, WindowSample, WindowSet, as_window_set, one_hot_domain
 from .decomposition import decompose_batch
@@ -155,23 +155,17 @@ class CvaePair:
     def decomposed(self) -> bool:
         return FULL not in self.components
 
-    def trend(self, x: np.ndarray) -> np.ndarray | None:
-        """The trend alone of a window set that is used again, so that each
-        minibatch can gather its rows' bits; None without decomposition or rows."""
-        return decomposition.trend(x, self.kernel) if self.decomposed and len(x) else None
-
-    def component_inputs(self, x: np.ndarray, trend=None) -> dict[str, np.ndarray]:
-        """Each component's input, from the rows' `trend` when it is given."""
+    def component_inputs(self, x: np.ndarray) -> dict[str, np.ndarray]:
+        """Each component's input, decomposed from the rows themselves."""
         if not self.decomposed:
             return {FULL: np.asarray(x, dtype=np.float64)}
-        x_t, x_s = decompose_batch(x, self.kernel) if trend is None else (trend, x - trend)
+        x_t, x_s = decompose_batch(x, self.kernel)
         return {TREND: x_t, SEASONAL: x_s}
 
-    def encode(self, x: np.ndarray, rng=None, training: bool = False,
-               trend: np.ndarray | None = None) -> dict[str, Tensor]:
+    def encode(self, x: np.ndarray, rng=None, training: bool = False) -> dict[str, Tensor]:
         """Each component's posterior mean for (N, T) windows, in component
         order (so dropout draws come trend first, then seasonal)."""
-        comps = self.component_inputs(x, trend)
+        comps = self.component_inputs(x)
         return {which: comp.mu(comp.encoder(Tensor(comps[which]), rng=rng, training=training))
                 for which, comp in self.components.items()}
 
@@ -252,26 +246,25 @@ def domain_regularizer(z_shared: Tensor, z_specific: Tensor,
 
 @dataclass
 class Stage1Batch:
-    x: np.ndarray             # (N, T) normalized windows
-    domain_ids: np.ndarray    # (N,) training-domain indexes
-    trend: np.ndarray | None  # (N, T) `CvaePair.trend` of x
+    x: np.ndarray           # (N, T) normalized windows
+    domain_ids: np.ndarray  # (N,) training-domain indexes
 
     def take(self, index: np.ndarray) -> "Stage1Batch":
         """The minibatch of the given rows."""
-        return Stage1Batch(self.x[index], self.domain_ids[index],
-                           None if self.trend is None else self.trend[index])
+        return Stage1Batch(self.x[index], self.domain_ids[index])
 
 
 def make_stage1_batch(pair: CvaePair, samples: WindowSet | list[WindowSample],
                       domain_index: dict[int, int]) -> Stage1Batch:
-    """Stage-1 inputs of every window (the windows, their training-domain
-    indexes and the pair's trend), gathered per minibatch by `Stage1Batch.take`."""
+    """Stage-1 inputs of every window (the windows and their training-domain
+    indexes), gathered per minibatch by `Stage1Batch.take`. `pair` is unread;
+    the acceptance suite passes it positionally."""
     ws = as_window_set(samples)
     idx = np.array([domain_index.get(d, -1) for d in ws.domain_id.tolist()], dtype=np.int64)
     if np.any(idx < 0):
         raise DataError(f"window from domain {ws.domain_id[idx < 0][0]} "
                         "is not in the training domains")
-    return Stage1Batch(x=ws.x, domain_ids=idx, trend=pair.trend(ws.x))
+    return Stage1Batch(x=ws.x, domain_ids=idx)
 
 
 def latent_loss(pair: CvaePair, batch: Stage1Batch,
@@ -289,7 +282,7 @@ def latent_loss(pair: CvaePair, batch: Stage1Batch,
     """
     n = batch.x.shape[0]
     x = Tensor(batch.x)
-    comps = pair.component_inputs(batch.x, batch.trend)
+    comps = pair.component_inputs(batch.x)
     onehot = (Tensor(one_hot_domain(batch.domain_ids, pair.num_domains))
               if pair.conditional else None)
     combined = None

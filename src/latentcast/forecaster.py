@@ -251,12 +251,8 @@ class ForecastModel:
     def recurrent(self) -> bool:
         return isinstance(self.decoder, RecurrentDecoder)
 
-    def trend(self, x: np.ndarray) -> np.ndarray | None:
-        """`CvaePair.trend` of the windows; None with the latent pathway off."""
-        return None if self.zero_latent else self.pair.trend(x)
-
     def latent_batch(self, x: np.ndarray, rng=None, training: bool = False,
-                     trace: dict | None = None, trend: np.ndarray | None = None) -> Tensor:
+                     trace: dict | None = None) -> Tensor:
         """The fused latent entering the augmentation: the sum of the
         component posterior means, after variant handling."""
         n = x.shape[0]
@@ -265,7 +261,7 @@ class ForecastModel:
             z = Tensor(np.zeros((n, pair.d_z)))
         else:
             # reduce, not sum(): sum's `0 +` start would add a graph node
-            z = reduce(T.add, pair.encode(x, rng=rng, training=training, trend=trend).values())
+            z = reduce(T.add, pair.encode(x, rng=rng, training=training).values())
             if self.shared_only:
                 kept = T.slice_last(z, 0, pair.index)
                 z = T.concat([kept, Tensor(np.zeros((n, pair.d_z - pair.index)))])
@@ -274,9 +270,9 @@ class ForecastModel:
         return z
 
     def train_params(self, y: np.ndarray, x: np.ndarray, a: np.ndarray | None,
-                     rng=None, training: bool = False, trend=None) -> tuple[Tensor, Tensor]:
+                     rng=None, training: bool = False) -> tuple[Tensor, Tensor]:
         """(mu, sigma) for the horizon, teacher-forced for the recurrent decoder."""
-        z = self.latent_batch(x, rng=rng, training=training, trend=trend)
+        z = self.latent_batch(x, rng=rng, training=training)
         xp = augment_input(z, Tensor(x), self.w, self.b)
         if self.recurrent:
             return self.decoder.teacher_forced(xp, a, y, rng=rng, training=training)
@@ -285,7 +281,7 @@ class ForecastModel:
     def predict(self, x: np.ndarray, a: np.ndarray | None, n_paths: int,
                 rng: np.random.Generator | None) -> dict:
         """Inference outputs: closed-form (mu, sigma) for the linear decoder,
-        sampled paths for the recurrent one. The encoders decompose `x` itself."""
+        sampled paths for the recurrent one."""
         with no_grad():
             xp = augment_input(self.latent_batch(x), Tensor(x), self.w, self.b)
             if self.recurrent:

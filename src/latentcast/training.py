@@ -331,8 +331,6 @@ def stage2_train(model: ForecastModel, train_samples: WindowSet, val_samples: Wi
         raise TrainingError("e2e training needs the domain index map")
     latent_inputs = (_latent_inputs(model.pair, train_samples, domain_index, config)
                      if e2e else None)
-    train_trend = latent_inputs.trend if e2e else model.trend(train_samples.x)
-    val_trend = model.trend(val_samples.x)
 
     opt = Adam(model.checkpoint_params() if e2e else model.params(), lr=config.learning_rate)
     rng = np.random.default_rng([config.seed, 3])
@@ -340,8 +338,7 @@ def stage2_train(model: ForecastModel, train_samples: WindowSet, val_samples: Wi
     def batch_loss(idx: np.ndarray) -> tuple[Tensor, dict[str, float]]:
         y = train_samples.y[idx]
         mu, sigma = model.train_params(
-            y, train_samples.x[idx], train_samples.a[idx], rng=rng, training=True,
-            trend=None if train_trend is None else train_trend[idx])
+            y, train_samples.x[idx], train_samples.a[idx], rng=rng, training=True)
         loss = gaussian_nll(y, mu, sigma)
         parts = {"nll": float(loss.data)}
         if e2e:
@@ -353,8 +350,7 @@ def stage2_train(model: ForecastModel, train_samples: WindowSet, val_samples: Wi
 
     def validate(epoch: int) -> float:
         with no_grad():
-            mu, sigma = model.train_params(val_samples.y, val_samples.x, val_samples.a,
-                                           trend=val_trend)
+            mu, sigma = model.train_params(val_samples.y, val_samples.x, val_samples.a)
             val_loss = float(gaussian_nll(val_samples.y, mu, sigma).data)
         if not np.isfinite(val_loss):
             raise TrainingError(f"stage 2 validation loss non-finite (epoch {epoch})")
@@ -374,7 +370,7 @@ def predict_windows(model: ForecastModel, windows: WindowSet,
                     config: TrainConfig, rng: np.random.Generator | None) -> Forecasts:
     """Per-window forecast distributions in original units, in `row_blocks`
     of `PREDICT_BLOCK_WINDOWS` windows, so that forecasts do not depend on
-    the split size. A block decomposes its own windows (a split is used once)."""
+    the split size."""
     prepared = prepare_samples(windows)
     n = len(prepared)
     quantiles = np.empty((len(QUANTILE_LEVELS), n, config.horizon))

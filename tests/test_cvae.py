@@ -3,8 +3,6 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 import latentcast.tensor as T
 from latentcast.cvae import (CvaePair, domain_regularizer, kl_standard_normal,
@@ -256,28 +254,6 @@ class TestEncoderDecoder:
         assert list(loss_means) == list(pair.components)
         for which in pair.components:
             assert np.array_equal(means[which].data, loss_means[which].data)
-
-
-@pytest.mark.parametrize("decomposed", [True, False])
-@given(n=st.integers(1, 9), half_kernel=st.integers(0, 3), extra=st.integers(0, 5),
-       picks=st.lists(st.integers(0, 8), min_size=1, max_size=12), seed=st.integers(0, 2**16))
-def test_encode_from_the_set_trend_is_bit_equal_to_decomposing_the_rows(
-        decomposed, n, half_kernel, extra, picks, seed):
-    # a set's trend is computed once and gathered per minibatch: the means
-    # must carry the bits of decomposing the minibatch's own rows
-    kernel = 2 * half_kernel + 1
-    lookback = kernel + extra
-    rng = np.random.default_rng(seed)
-    pair = CvaePair.build(rng, lookback=lookback, d_z=2, hidden=3, beta=1.0, alpha=0.5,
-                          kernel=kernel, num_domains=2, decomposed=decomposed)
-    x = rng.normal(size=(n, lookback)) * 10.0 ** rng.uniform(-3, 3, size=(n, 1))
-    trend = pair.trend(x)
-    assert (trend is None) == (not decomposed)
-    idx = np.array([i % n for i in picks])
-    gathered = pair.encode(x[idx], trend=None if trend is None else trend[idx])
-    direct = pair.encode(x[idx])
-    for which in pair.components:
-        assert gathered[which].data.tobytes() == direct[which].data.tobytes()
 
 
 class TestLatentLoss:

@@ -24,7 +24,7 @@ class _FixedMeans:
         self.means = [np.asarray(m, float) for m in means]
         self.d_z = self.means[0].size
 
-    def encode(self, x, rng=None, training=False, trend=None):
+    def encode(self, x, rng=None, training=False):
         return {f"c{i}": Tensor(np.tile(m, (x.shape[0], 1))) for i, m in enumerate(self.means)}
 
 

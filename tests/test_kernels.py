@@ -12,8 +12,7 @@ from scipy import sparse
 
 import latentcast.tensor as T
 from latentcast import kernels
-from latentcast.cvae import CvaePair
-from latentcast.decomposition import decompose_batch, trend_component
+from latentcast.decomposition import decompose_batch, trend, trend_component
 from latentcast.tensor import Tensor
 
 
@@ -117,8 +116,8 @@ OPERATOR_CASES = dict(n=st.integers(0, 300), half=st.integers(0, 30),
 # two blocks of 1,024 rows and a one-row third, as a whole window set is
 @example(n=2049, half=4, extra=51, seed=2)
 def test_moving_average_is_the_operator_product_bit_for_bit(n, half, extra, seed):
-    # any subset of the rows gets the same bits as the whole set, so a set's
-    # trend can be computed once and gathered per minibatch
+    # any subset of the rows gets the same bits as the whole set, so a
+    # minibatch that decomposes its own rows gets its rows' bits of the set
     kernel, x, a, rows = operator_case(n, half, extra, seed)
     got = kernels.moving_average(x, kernel)
     assert got.flags.c_contiguous
@@ -178,9 +177,10 @@ def test_long_series_decomposes_with_a_sparse_operator():
 
 
 def test_a_window_set_is_averaged_in_blocks_of_rows():
-    # a set's trend is computed at once; the transposed padding and the window
-    # sums are held for one block of rows at a time, so the peak is about the
-    # output (the whole set in one block held about three copies of it)
+    # a whole set's trend is computed at once (stage 2's validation pass);
+    # the transposed padding and the window sums are held for one block of
+    # rows at a time, so the peak is about the output (the whole set in one
+    # block held about three copies of it)
     x = np.random.default_rng(5).normal(size=(20_000, 60))
     tracemalloc.start()
     try:
@@ -192,20 +192,18 @@ def test_a_window_set_is_averaged_in_blocks_of_rows():
 
 
 def test_a_set_trend_holds_no_seasonal_part():
-    # `CvaePair.trend` computes the trend alone, the bits of the split's
+    # `decomposition.trend` computes the trend alone, the bits of the split's
     # trend, and peaks at about its output (it peaked at twice that while it
     # went through the split and dropped the seasonal part)
     x = np.random.default_rng(6).normal(size=(20_000, 60))
-    pair = CvaePair.build(np.random.default_rng(0), lookback=60, d_z=2, hidden=2, beta=1.0,
-                          alpha=0.5, kernel=9, num_domains=2)
     tracemalloc.start()
     try:
-        trend = pair.trend(x)
+        x_t = trend(x, 9)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak <= 1.2 * x.nbytes
-    assert trend.tobytes() == decompose_batch(x, 9).x_t.tobytes()
+    assert x_t.tobytes() == decompose_batch(x, 9).x_t.tobytes()
 
 
 def test_pairwise_sums_match_bruteforce():

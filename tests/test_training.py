@@ -293,6 +293,35 @@ class TestStage2:
         assert float(np.linalg.norm(bias.data - target)) < 0.01 * start_dist
 
 
+def _stage_peak(stage, n):
+    """tracemalloc peak of one epoch of `stage` (1 or 2) over the first `n`
+    of 6,000 60-step windows, at the `wide-cli` workload's model settings,
+    with 256 validation windows."""
+    samples = _samples(6256, 60)
+    config = TrainConfig(horizon=2, decoder="linear", encoder="mlp", batch_size=256,
+                         epochs_stage1=1, epochs_stage2=1)
+    model = build(config, 2, 0)
+    tracemalloc.start()
+    try:
+        if stage == 1:
+            stage1_pretrain(model.pair, samples[:n], {0: 0, 1: 1}, config, RunRecord(seed=0))
+        else:
+            stage2_train(model, samples[:n], samples[6000:], config, RunRecord(seed=0))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("stage", [1, 2])
+def test_a_stage_holds_nothing_the_size_of_its_training_set(stage):
+    # each minibatch and validation pass decomposes its own rows, so a
+    # doubled training set raises a stage's peak by much less than its
+    # added windows (a held trend of the set would raise it by about that
+    # much); a 256-row batch's own transients, whatever the set size, cancel
+    added = 3000 * 60 * 8   # the float64 x of the added windows
+    assert _stage_peak(stage, 6000) - _stage_peak(stage, 3000) < 0.5 * added
+
+
 CHECKPOINT_DIGESTS = {   # sha256 prefixes of the initial parameter values at seed 5
     ("mlp", "full"): "23d3009090f3fdd46580dd9665575e1a",
     ("mlp", "no_decomp"): "632d6c8b3e28c0e719d58a7b5831b20a",
@@ -416,40 +445,37 @@ class TestPipeline:
         with pytest.raises(ValueError, match="splits must be among"):
             run_pipeline(tiny_datasets, tiny_config, splits=("val",))
 
-    @pytest.mark.parametrize("variant, sets", [
-        ("full", ["train", "train", "val"]), ("e2e", ["train", "val"]),
-        ("no_decomp", []), ("no_latent", [])])
-    def test_each_window_set_is_decomposed_once(self, monkeypatch, tiny_datasets, tiny_config,
-                                                variant, sets):
-        # a set that minibatches and epochs use again (stage 1's training set,
-        # stage 2's training and validation sets; e2e reuses its latent
-        # inputs' trend of the training set) gets its trend once, set-sized,
-        # through `CvaePair.trend`, and no seasonal part; an evaluated split
-        # is used once, so each forecast block decomposes its own rows
-        trends, blocks = [], []
-        trend = cvae.CvaePair.trend
+    @pytest.mark.parametrize("variant", ["full", "e2e", "no_decomp", "no_latent"])
+    def test_each_encoded_batch_decomposes_its_own_rows(self, monkeypatch, tiny_datasets,
+                                                        tiny_config, variant):
+        # no window set's trend is held: each stage-1 and stage-2 minibatch
+        # (twice in e2e, for the forecast and the latent objective), each
+        # validation pass and each forecast block decomposes the rows it
+        # encodes, so no call has the training set's size
+        sizes = []
 
-        def counted_trend(pair, x):
-            out = trend(pair, x)
-            if out is not None:
-                trends.append(len(x))
-            return out
-
-        def counted_blocks(x, kernel):
-            blocks.append(len(x))
+        def counted(x, kernel):
+            sizes.append(len(x))
             return decompose_batch(x, kernel)
 
-        monkeypatch.setattr(cvae.CvaePair, "trend", counted_trend)
-        monkeypatch.setattr(cvae, "decompose_batch", counted_blocks)
+        monkeypatch.setattr(cvae, "decompose_batch", counted)
         config = replace(tiny_config, variant=variant)
-        run_pipeline(tiny_datasets, config)
+        record = run_pipeline(tiny_datasets, config).record
         data = training.training_data(tiny_datasets, config, ("train", "val"))
-        assert trends == [len(data.samples[role]) for role in sets]
+        n_train, n_val = len(data.samples["train"]), len(data.samples["val"])
+        assert n_train > config.batch_size and n_train != n_val
+        batches = [min(config.batch_size, n_train - lo)
+                   for lo in range(0, n_train, config.batch_size)]
+        encoded = config.decomposed and variant != "no_latent"
+        stage1 = batches * len(record.stage1_losses) if config.decomposed else []
+        per_epoch = [b for b in batches for _ in range(2 if variant == "e2e" else 1)] + [n_val]
+        stage2 = per_epoch * len(record.stage2_train_losses) if encoded else []
         evaluated = [len(training.eval_windows(tiny_datasets, data.split, config, which))
-                     for which in ("train", "test")] if sets else []
-        assert blocks == [hi - lo for n in evaluated
-                          for lo, hi in row_blocks(n, PREDICT_BLOCK_WINDOWS)]
-        assert not sets or len(blocks) > len(evaluated)   # a split of several blocks
+                     for which in ("train", "test")] if encoded else []
+        blocks = [hi - lo for n in evaluated for lo, hi in row_blocks(n, PREDICT_BLOCK_WINDOWS)]
+        assert sizes == stage1 + stage2 + blocks
+        assert n_train not in sizes
+        assert not encoded or len(blocks) > len(evaluated)   # a split of several blocks
 
     @pytest.mark.parametrize("variant", ["full", "e2e"])
     def test_regularizer_needs_two_training_domains_on_both_paths(self, tiny_datasets,

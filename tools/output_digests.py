@@ -19,8 +19,8 @@ data seed, as in `pipebench/run.py --seed`) it prints one line per artifact,
   the seconds of the run records; so the sampled forecasts that `train` and
   `forecast` write from a recurrent checkpoint are covered too
 - for every workload, the exit code and `ablation.json` of the CLI's
-  `ablate` on the workload's data and config, over the variants
-  `ABLATION_VARIANTS` at the training seeds `ABLATION_SEEDS`: the table the
+  `ablate` on the workload's data and config, over all seven variants
+  (`ABLATION_VARIANTS`) at the training seeds `ABLATION_SEEDS`: the table the
   paper's ablation claims rest on, from `training.multi_seed_evaluate`
 - for every workload, the exit code and `decomposition.csv` of the CLI's
   `decompose` on the workload's data and config (its first series)
@@ -60,7 +60,7 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-ABLATION_VARIANTS = "full,e2e,no_decomp,no_latent"
+ABLATION_VARIANTS = "full,e2e,no_reg,no_decomp,shared_only,no_cond,no_latent"
 ABLATION_SEEDS = "0,1"
 PYTHON_GRAMMAR_CSV = (
     "domain,series,timestamp,value,feat_0\n"
