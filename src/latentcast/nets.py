@@ -3,6 +3,8 @@ recurrent cell run over whole sequences, and inverted dropout."""
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 
 from . import tensor as T
@@ -45,13 +47,27 @@ class GRUCell:
     formula) and the same per-step products, so its values are bit-equal to
     that graph, one-row batches included.
 
-    A call that records a graph node keeps, for its backward, exactly what
-    backpropagation through time reads: the inputs as step-major rows
-    (T*N, D), the T + 1 states from the zero state on (N, H each), and per
-    step the [reset | update] gates (N, 2H), the candidate (N, H) and a copy
-    of the candidate slice of h @ wh (N, H). The first vjp to run adds the
-    grads of the input projections (T*N, 3H) and of wh, which the other vjps
-    share. `Tensor.backward` frees all of it once the node's vjps have run.
+    A call that records a graph node writes what backpropagation through
+    time reads into one flat float64 tape buffer of N*H*(5T + 1) floats, as
+    three step-major blocks: the T + 1 states from the zero state on
+    (T + 1, N, H); per step the [reset | update] gates and the candidate
+    (T, N, 3H); per step the candidate slice of h @ wh (T, N, H). Its
+    backward, one pass shared by the node's vjps, overwrites each step's
+    entries with that step's grads once it has read them (memory-efficient
+    BPTT, Gruslys et al. 2016, arXiv:1606.03401): the second block becomes
+    the grad of h @ wh and the third the candidate's input grad, which one
+    copy then moves into the second, now the grad of the input projections.
+    So every product reads a contiguous (T*N, 3H) view of the buffer, as
+    with separate grad arrays, and no grad array the size of the tape is
+    made. A second pass would read grads as gates: it raises GraphError.
+
+    The cell keeps at most one spare buffer, the one its last taped call's
+    graph released (`Tensor.backward` drops the node's vjps once they have
+    run, or the graph is dropped unrun). The next taped call takes it if it
+    is large enough, so training steps reuse one buffer instead of handing
+    it back to the allocator, and the kernel, every step. An untaped call
+    (validation, evaluation, sampling) drops the spare, so no buffer
+    outlives training or sits under a validation pass.
     """
 
     def __init__(self, rng: np.random.Generator, in_dim: int, hidden: int, name: str):
@@ -61,6 +77,7 @@ class GRUCell:
         self.wh = Tensor(glorot(rng, (hidden, 3 * hidden), hidden, hidden),
                          requires_grad=True, name=f"{name}.wh")
         self.b = Tensor(np.zeros(3 * hidden), requires_grad=True, name=f"{name}.b")
+        self._spare: np.ndarray | None = None
 
     def _project(self, x: np.ndarray) -> np.ndarray:
         """(M, D) inputs -> (M, 3H) input projections, bias included.
@@ -72,32 +89,46 @@ class GRUCell:
         px += self.b.data
         return px
 
-    def _step(self, px: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, ...]:
+    def _step(self, px: np.ndarray, h: np.ndarray, h_next: np.ndarray | None = None,
+              gates: np.ndarray | None = None, phc: np.ndarray | None = None) -> np.ndarray:
         """One step from the input projection px (N, 3H) and the state h
-        (N, H): the next state, the [reset | update] gates, the candidate
-        and h @ wh."""
+        (N, H) to the next state, written into `h_next` if given. A taped
+        step also writes its [reset | update] gates and candidate into
+        `gates` (N, 3H) and the candidate slice of h @ wh into `phc` (N, H)."""
         hid = self.hidden
         ph = h @ self.wh.data
-        ru = 0.5 + 0.5 * np.tanh(0.5 * (px[:, :2 * hid] + ph[:, :2 * hid]))
+        ru = np.add(0.5, 0.5 * np.tanh(0.5 * (px[:, :2 * hid] + ph[:, :2 * hid])),
+                    out=None if gates is None else gates[:, :2 * hid])
         r, u = ru[:, :hid], ru[:, hid:]
-        c = np.tanh(px[:, 2 * hid:] + r * ph[:, 2 * hid:])
-        h_next = u * h + (1.0 - u) * c
-        return h_next, ru, c, ph
+        c = np.tanh(px[:, 2 * hid:] + r * ph[:, 2 * hid:],
+                    out=None if gates is None else gates[:, 2 * hid:])
+        if phc is not None:
+            phc[...] = ph[:, 2 * hid:]
+        return np.add(u * h, (1.0 - u) * c, out=h_next)
 
     def step(self, x: np.ndarray, h: np.ndarray) -> np.ndarray:
         """One step on plain arrays, without a graph: (N, D) inputs and the
         (N, H) state -> the next (N, H) state. Bit-equal to the step a
         sequence call takes from the state `h` with the inputs `x`."""
-        return self._step(self._project(x), h)[0]
+        return self._step(self._project(x), h)
+
+    def _take_tape(self, size: int) -> np.ndarray:
+        """A buffer of at least `size` floats for a taped call: the spare if
+        it is large enough, else a new one (a too-small spare is freed first)."""
+        spare, self._spare = self._spare, None
+        if spare is not None and spare.size >= size:
+            return spare
+        del spare
+        return np.empty(size)
 
     def __call__(self, xs: Tensor, keep: int = 1) -> Tensor:
         """The last `keep` states of the cell run over (N, T, D) inputs from
         the zero state, step-major: (keep, N, H).
 
         One loop runs the steps and writes the kept states into the output.
-        It tapes every step's state, gates and candidate for the backward
-        only when the call records a graph node; otherwise (under `no_grad`,
-        or with no parent requiring grad) the tape stays empty."""
+        Only a call that records a graph node tapes its steps; otherwise
+        (under `no_grad`, or with no parent requiring grad) it drops the
+        spare buffer and keeps no tape."""
         hid = self.hidden
         if xs.ndim != 3 or xs.shape[2] != self.wx.shape[0]:
             raise T.ShapeError(f"GRUCell expects (N, T, {self.wx.shape[0]}) inputs, got {xs.shape}")
@@ -106,56 +137,71 @@ class GRUCell:
             raise ValueError(f"keep must be in [1, {length}], got {keep}")
         wx, wh = self.wx.data, self.wh.data
         parents = [xs, self.wx, self.wh, self.b]
-        taped = T.records(parents)
 
         # step-major throughout, so every per-step slice is contiguous
         x_flat = xs.data.transpose(1, 0, 2).reshape(length * n, in_dim)
         x_steps = x_flat.reshape(length, n, in_dim)
         out = np.empty((keep, n, hid))
-        h = np.zeros((n, hid))
-        hs = [h]   # the tape: hs[t] enters step t
-        gates, cands, phcs = [], [], []   # reset | update, candidate, candidate slice of h @ wh
+        taped = T.records(parents)
+        if taped:
+            nh = n * hid
+            buf = self._take_tape((5 * length + 1) * nh)
+            states = buf[:(length + 1) * nh].reshape(length + 1, n, hid)   # states[t] enters step t
+            gates = buf[(length + 1) * nh:(4 * length + 1) * nh].reshape(length, n, 3 * hid)
+            phcs = buf[(4 * length + 1) * nh:(5 * length + 1) * nh].reshape(length, n, hid)
+            h = states[0]
+            h[...] = 0.0
+            tape = (states[1:], gates, phcs)   # what step t writes to
+        else:
+            self._spare = None
+            h = np.zeros((n, hid))
+            tape = ()
         for t in range(length):
-            h, ru, c, ph = self._step(self._project(x_steps[t]), h)
+            h = self._step(self._project(x_steps[t]), h, *(a[t] for a in tape))
             if t >= length - keep:
                 out[t - length + keep] = h
-            if taped:
-                hs.append(h)
-                gates.append(ru)
-                cands.append(c)
-                phcs.append(ph[:, 2 * hid:].copy())   # a view would keep all of ph
+        if not taped:
+            return Tensor(out)
 
-        tape: dict[str, np.ndarray] = {}
+        memo: dict[str, np.ndarray] = {}
 
         def bptt(g: np.ndarray) -> dict[str, np.ndarray]:
-            """Grads of the pre-activations and wh; one pass per backward,
-            shared by every parent's vjp."""
-            if tape.get("g") is g:
-                return tape
-            dph = np.empty((length, n, 3 * hid))      # grad of h @ wh, per step
-            dpc = np.empty((length, n, hid))          # grad of the candidate's input slice
+            """Grads of the input projections and wh, written over the tape;
+            one pass per backward, shared by every parent's vjp."""
+            if "g" in memo:
+                if memo["g"] is g:
+                    return memo
+                raise T.GraphError("GRUCell tape already consumed: its backward has "
+                                   "overwritten the gates with grads")
             dh = np.zeros((n, hid))
             for t in reversed(range(length)):
                 if t >= length - keep:
                     dh = dh + g[t - length + keep]
-                r, u, c = gates[t][:, :hid], gates[t][:, hid:], cands[t]
-                dpc[t] = dh * (1.0 - u) * (1.0 - c * c)
-                dph[t, :, :hid] = dpc[t] * phcs[t] * r * (1.0 - r)
-                dph[t, :, hid:2 * hid] = dh * (hs[t] - c) * u * (1.0 - u)
-                dph[t, :, 2 * hid:] = dpc[t] * r
-                dh = dh * u + dph[t] @ wh.T
-            dph_flat = dph.reshape(length * n, 3 * hid)
-            h_prev = np.stack(hs[:-1]).reshape(length * n, hid)
-            tape.update(g=g, dwh=h_prev.T @ dph_flat)
-            dph[:, :, 2 * hid:] = dpc                 # dph now holds the grad of px
-            tape["dpx"] = dph_flat
-            return tape
+                r, u, c = gates[t, :, :hid], gates[t, :, hid:2 * hid], gates[t, :, 2 * hid:]
+                dpc = dh * (1.0 - u) * (1.0 - c * c)   # grad of the candidate's input slice
+                dr = dpc * phcs[t] * r * (1.0 - r)
+                du = dh * (states[t] - c) * u * (1.0 - u)
+                dpc_r = dpc * r
+                dh_u = dh * u
+                # every read of step t's entries is above: the grad of h @ wh
+                # and the candidate's input grad go over them
+                gates[t, :, :hid] = dr
+                gates[t, :, hid:2 * hid] = du
+                gates[t, :, 2 * hid:] = dpc_r
+                phcs[t] = dpc
+                dh = dh_u + gates[t] @ wh.T
+            dph = gates.reshape(length * n, 3 * hid)
+            memo.update(g=g, dwh=states[:-1].reshape(length * n, hid).T @ dph)
+            gates[:, :, 2 * hid:] = phcs
+            memo["dpx"] = dph   # now the grad of the input projections
+            return memo
 
+        # the graph releases the buffer when it drops the vjps, and bptt with them
+        weakref.finalize(bptt, setattr, self, "_spare", buf)
         vjps = [lambda g: (bptt(g)["dpx"] @ wx.T).reshape(length, n, in_dim).transpose(1, 0, 2),
                 lambda g: x_flat.T @ bptt(g)["dpx"],
                 lambda g: bptt(g)["dwh"],
                 lambda g: bptt(g)["dpx"].sum(axis=0)]
-        # untaped, custom_op records no node and the vjps are dropped
         return T.custom_op(out, parents, vjps)
 
     def params(self) -> list[Tensor]:

@@ -1,7 +1,9 @@
 """The fused recurrent op against slow references: finite differences, the
 composed per-step graph of engine primitives, and per-step copies of the
 encoder, teacher-forcing and sampling loops built on it; the gate formula
-against `expit`."""
+against `expit`; the tape buffer's in-place backward and its reuse."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -272,3 +274,139 @@ def test_one_wide_projection_equals_matmul(rows):
     cell, rng = _cell(rows, 1, 16)
     x = rng.normal(size=(rows, 1))
     assert np.array_equal(cell._project(x), x @ cell.wx.data + cell.b.data)
+
+
+# the tape-buffer tests' sizes: N rows, T steps, H hidden; the buffer holds
+# N*H*(5T + 1) floats, about 4.9 MB, far above what a step's temporaries take
+TAPE_N, TAPE_T, TAPE_H = 64, 60, 32
+TAPE_BYTES = 8 * TAPE_N * TAPE_H * (5 * TAPE_T + 1)
+
+
+def _taped_loss(cell, x, w):
+    """(loss, xs) of one taped call: the weighted sum of its kept states."""
+    xs = Tensor(x, requires_grad=True)
+    return T.tsum(cell(xs, keep=w.shape[0]) * Tensor(w)), xs
+
+
+def _grads(xs, cell):
+    return [xs.grad.copy()] + [p.grad.copy() for p in cell.params()]
+
+
+def test_a_second_pass_over_a_consumed_tape_raises():
+    cell, rng = _cell(0, 2, 3)
+    out = cell(Tensor(rng.normal(size=(2, 4, 2)), requires_grad=True), keep=2)
+    g = rng.normal(size=(2, 2, 3))
+    dwh = out._vjps[2](g)
+    # the vjps of one pass share it: the same upstream grad reads the memo
+    assert out._vjps[2](g) is dwh
+    assert out._vjps[3](g).shape == (9,)
+    # another upstream grad would read gates that now hold grads
+    with pytest.raises(T.GraphError):
+        out._vjps[2](g.copy())
+
+
+@pytest.mark.parametrize("in_dim", [1, 3], ids=["value_only", "with_features"])
+def test_consecutive_steps_reuse_one_tape_buffer(in_dim):
+    cell, rng = _cell(9, in_dim, TAPE_H)
+    xs_data = [rng.normal(size=(TAPE_N, TAPE_T, in_dim)) for _ in range(2)]
+    w = rng.normal(size=(2, TAPE_N, TAPE_H))
+    got, spares = [], []
+    tracemalloc.start()
+    try:
+        for x in xs_data:
+            T.zero_grads(cell.params())
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            loss, xs = _taped_loss(cell, x, w)
+            forward_peak = tracemalloc.get_traced_memory()[1] - before
+            loss.backward()
+            got.append(_grads(xs, cell))
+            spares.append(cell._spare)
+    finally:
+        tracemalloc.stop()
+    # the second step tapes into the buffer the first one's graph released
+    assert spares[0].nbytes == TAPE_BYTES and spares[1] is spares[0]
+    assert forward_peak < TAPE_BYTES / 2
+    for x, grads in zip(xs_data, got):
+        fresh, _ = _cell(9, in_dim, TAPE_H)
+        loss, xs = _taped_loss(fresh, x, w)
+        loss.backward()
+        for a, b in zip(grads, _grads(xs, fresh)):
+            assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("in_dim", [1, 3], ids=["value_only", "with_features"])
+def test_two_taped_calls_of_one_cell_in_one_graph(in_dim):
+    # the e2e pattern: the latent loss and the latent batch run one encoder
+    # in one graph, so the two calls must tape into two buffers
+    n, length, hidden = 5, 6, 4
+    cell, rng = _cell(4, in_dim, hidden)
+    x = [rng.normal(size=(n, length, in_dim)) for _ in range(2)]
+    w = [rng.normal(size=(k, n, hidden)) for k in (1, 3)]
+    (l1, xs1), (l2, xs2) = (_taped_loss(cell, x_i, w_i) for x_i, w_i in zip(x, w))
+    (l1 + l2).backward()
+    got = [xs1.grad, xs2.grad] + [p.grad for p in cell.params()]
+
+    # each call alone on a fresh cell with the same weights, param grads summed
+    alone = []
+    for x_i, w_i in zip(x, w):
+        fresh, _ = _cell(4, in_dim, hidden)
+        loss, xs = _taped_loss(fresh, x_i, w_i)
+        loss.backward()
+        alone.append(_grads(xs, fresh))
+    want = [alone[0][0], alone[1][0]] + [a + b for a, b in zip(alone[0][1:], alone[1][1:])]
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+
+    # the per-step composed graph, which sums wh's grad step by step
+    T.zero_grads(cell.params())
+    steps = [[Tensor(x_i[:, t], requires_grad=True) for t in range(length)] for x_i in x]
+    loss = None
+    for steps_i, w_i in zip(steps, w):
+        h, states = Tensor(np.zeros((n, hidden))), []
+        for x_t in steps_i:
+            h = composed_step(cell, x_t, h)
+            states.append(h)
+        for s, w_s in zip(states[length - w_i.shape[0]:], w_i):
+            term = T.tsum(s * Tensor(w_s))
+            loss = term if loss is None else loss + term
+    loss.backward()
+    ref = [np.stack([x_t.grad for x_t in steps_i], axis=1) for steps_i in steps]
+    ref += [p.grad for p in cell.params()]
+    for a, b in zip(got, ref):
+        assert _rel_err(a, b) <= 1e-10
+
+
+def test_an_untaped_call_frees_the_spare_buffer():
+    cell, rng = _cell(2, 1, TAPE_H)
+    x = rng.normal(size=(TAPE_N, TAPE_T, 1))
+    tracemalloc.start()
+    try:
+        loss, _ = _taped_loss(cell, x, rng.normal(size=(1, TAPE_N, TAPE_H)))
+        loss.backward()
+        assert cell._spare.nbytes == TAPE_BYTES
+        before = tracemalloc.get_traced_memory()[0]
+        with no_grad():
+            cell(Tensor(x))
+        freed = before - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert cell._spare is None
+    assert freed >= TAPE_BYTES
+
+
+def test_backward_writes_its_grads_over_the_tape():
+    # BPTT in place: at most small per-step arrays beside the tape, where
+    # separate grad arrays of the projections and a stacked copy of the
+    # states would come to about the tape's own size
+    cell, rng = _cell(3, 1, TAPE_H)
+    loss, _ = _taped_loss(cell, rng.normal(size=(TAPE_N, TAPE_T, 1)),
+                          rng.normal(size=(1, TAPE_N, TAPE_H)))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        loss.backward()
+        extra = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert extra < TAPE_BYTES / 4

@@ -34,6 +34,11 @@ data seed, as in `pipebench/run.py --seed`) it prints one line per artifact,
   takes ingest's line path to csv.reader's records (a byte-order mark, CRLF
   ends, a quoted name with a comma and a line break, a whitespace-only line
   and a `""` line); so both of ingest's tiers and its line path are covered
+- for each seed, under the name `featured`, every file that the CLI's
+  pretrain, train and forecast write from the `FEATURED_WORKLOAD` config on
+  its workload's CSV with one `feat_0` column (the timestamp mod 7): a
+  recurrent decoder trained and sampled with an input feature, so the GRU's
+  grads of a more than one-wide input are covered
 
 `--src` names the latentcast source tree to import (default: this repo's
 `src`). `--against DIR` digests that tree and DIR (a source tree, or a
@@ -62,6 +67,7 @@ REPO = Path(__file__).resolve().parent.parent
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 ABLATION_VARIANTS = "full,e2e,no_reg,no_decomp,shared_only,no_cond,no_latent"
 ABLATION_SEEDS = "0,1"
+FEATURED_WORKLOAD = "recurrent-sample"
 PYTHON_GRAMMAR_CSV = (
     "domain,series,timestamp,value,feat_0\n"
     " north , s1 ,2024-01-03,1_000.5,1\n"
@@ -178,6 +184,22 @@ def ingest_artifacts(path: Path) -> dict[str, bytes]:
     return {"ingest:datasets": b"".join(out)}
 
 
+def featured_artifacts(workload, seed: int, tmp: Path) -> dict[str, bytes]:
+    """The CLI's pretrain, train and forecast on `workload`'s CSV at `seed`
+    with a `feat_0` column added: every file they write, as `cli_artifacts`."""
+    from latentcast import cli
+    from pipebench.workloads import CliRun
+
+    run = CliRun(workload, seed, tmp)
+    header, *rows = run.data.read_text(encoding="utf-8").splitlines()
+    run.data = tmp / "featured.csv"
+    run.data.write_text("".join([f"{header},feat_0\n"] + [
+        f"{row},{int(row.split(',')[2]) % 7}\n" for row in rows]), encoding="utf-8")
+    exit_codes = {command: cli.main(argv) for command, argv in run.commands(tmp / "iter0")
+                  if command != "dump-latents"}
+    return cli_artifacts(tmp / "iter0", exit_codes)
+
+
 def source_tree(path: str) -> Path:
     """The directory holding the `latentcast` package: `path` itself or its `src`."""
     root = Path(path).resolve()
@@ -230,8 +252,11 @@ def main(argv=None) -> int:
             csv_file = Path(tmp) / "line_path.csv"
             csv_file.write_bytes(LINE_PATH_CSV.encode("utf-8"))
             line_path = ingest_artifacts(csv_file)
+            (Path(tmp) / "featured").mkdir()
+            featured = featured_artifacts(WORKLOADS[FEATURED_WORKLOAD], seed,
+                                          Path(tmp) / "featured")
         for name, found in (("synth", artifacts), ("ingest", grammar),
-                            ("ingest_lines", line_path)):
+                            ("ingest_lines", line_path), ("featured", featured)):
             for artifact, data in found.items():
                 print(f"{name} {seed} {artifact} {digest(data)}", flush=True)
     for name, workload in WORKLOADS.items():
