@@ -180,10 +180,8 @@ def _write_reports(out: Path, result_reports: dict) -> dict[str, str]:
         cpath = out / f"report_{name}.csv"
         _write_text(jpath, report.to_json() + "\n")
         _write_text(tpath, report.to_table() + "\n")
-        with atomic_write(cpath) as fh:
-            fh.write("domain,metric,value\n")
-            for dom, metric, value in report.to_csv_rows():
-                fh.write(f"{dom},{metric},{value!r}\n")
+        _write_text(cpath, csv_lines([("domain", "metric", "value"), *report.to_csv_rows()],
+                                     end="\n"))
         artifacts[f"report_{name}"] = str(jpath)
     return artifacts
 

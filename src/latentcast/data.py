@@ -199,8 +199,9 @@ def _parse_timestamp(raw: str) -> int:
     return stamp
 
 
-def _records(lines: list[str]):
-    """csv.reader's records with their line numbers (the header is line 1),
+def _records(lines):
+    """csv.reader's records of `lines`, the open file after its header or a
+    list of its lines, with their line numbers (the header is line 1),
     skipping blank and whitespace-only ones."""
     for line_no, row in enumerate(csv.reader(lines), start=2):
         if row and (len(row) > 1 or row[0].strip()):
@@ -220,12 +221,12 @@ def _width(fh) -> int:
     return len(header)
 
 
-def _body(fh) -> list[str]:
-    """The lines after the header of the open CSV file, read again from its
-    start."""
+def _body(fh):
+    """The open CSV file, read again from its start and positioned after its
+    header."""
     fh.seek(0)
     next(csv.reader(fh))
-    return fh.readlines()
+    return fh
 
 
 def _marks(path) -> str:
@@ -294,13 +295,14 @@ def _table(fh, path, width: int) -> tuple[np.ndarray, list[_Codes]]:
     record. The file takes the line path instead when it holds a quote or a
     character only numpy reads as space, or when numpy refuses it (a field
     outside numpy's grammar, a whitespace-only line, a fault). The path
-    reads the file's lines again, drops those without visible text and
-    tokenizes the rest, in numpy's grammar only if the file holds no such
-    character and numpy has not read it yet. In a file with quotes, where
-    that fails or gives fewer records than lines (a quoted line break), it
-    tokenizes csv.reader's records as csv.writer writes them: only
-    csv.reader sees a whitespace line inside quotes and skips a record that
-    is one quoted blank."""
+    reads the file again and drops the lines without visible text. A file
+    without a quote streams the rest through one pass in Python's grammar.
+    A file with quotes holds its lines and tokenizes the rest, in numpy's
+    grammar only if its only mark is the quote (numpy has not read it yet);
+    where that fails or gives fewer records than lines (a quoted line
+    break), it tokenizes csv.reader's records as csv.writer writes them:
+    only csv.reader sees a whitespace line inside quotes and skips a record
+    that is one quoted blank."""
     marks = _marks(path)
     if not marks:
         try:
@@ -309,21 +311,22 @@ def _table(fh, path, width: int) -> tuple[np.ndarray, list[_Codes]]:
             raise
         except ValueError:
             pass
-    lines = _body(fh)
+    if '"' not in marks:
+        return _read(filter(str.strip, _body(fh)), width, native=False)
+    lines = _body(fh).readlines()
     text = list(filter(str.strip, lines))
     native = marks == '"'
-    if '"' in marks:
-        try:
-            parsed = _parse(text, width, native)
-            if len(parsed[0]) == len(text):
-                return parsed
-        except ValueError:
-            pass
-        text = [csv_row(row) + "\n" for _, row in _records(lines)]
+    try:
+        parsed = _parse(text, width, native)
+        if len(parsed[0]) == len(text):
+            return parsed
+    except ValueError:
+        pass
+    text = [csv_row(row) + "\n" for _, row in _records(lines)]
     return _parse(text, width, native)
 
 
-def _raise_first_fault(lines: list[str], width: int, value_scale: float) -> None:
+def _raise_first_fault(lines, width: int, value_scale: float) -> None:
     """The checks a record at a time, for the error message: raises DataError
     at the first record with the wrong width, an unparseable or non-finite
     field, or the (domain, series, timestamp) of an earlier record."""

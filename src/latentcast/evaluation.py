@@ -17,6 +17,7 @@ from .data import WindowSet
 from .forecaster import QUANTILE_LEVELS, Forecasts
 
 METRIC_NAMES = ("nrmse", "smape", "q50", "qmean")
+MEDIAN = QUANTILE_LEVELS.index(0.5)   # the point forecast's quantile row
 
 
 class MetricError(ValueError):
@@ -43,29 +44,40 @@ def smape(y: np.ndarray, yhat: np.ndarray) -> float:
     return float(np.mean(ratio))
 
 
-def quantile_loss(y: np.ndarray, yhat_q: np.ndarray, q: float) -> float:
-    y, yhat_q = np.asarray(y, dtype=float), np.asarray(yhat_q, dtype=float)
-    if y.shape != yhat_q.shape:
-        raise MetricError(f"quantile_loss: shapes differ, {y.shape} vs {yhat_q.shape}")
-    if not 0.0 < q < 1.0:
-        raise MetricError(f"quantile_loss: q must be in (0, 1), got {q}")
-    denom = float(np.abs(y).sum())
+def pinball_losses(y: np.ndarray, quantiles: np.ndarray, levels=QUANTILE_LEVELS,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """The (len(levels), N, h) pinball losses 2·|(y − q)(1{y ≤ q} − τ)| of
+    each level τ's quantiles `quantiles[i]` against the (N, h) targets `y`,
+    written into `out` if given (it may be `quantiles`)."""
+    y, quantiles = np.asarray(y, dtype=float), np.asarray(quantiles, dtype=float)
+    if quantiles.shape != (len(levels), *y.shape):
+        raise MetricError(f"quantile loss: got {quantiles.shape}, need {(len(levels), *y.shape)}")
+    if not all(0.0 < q < 1.0 for q in levels):
+        raise MetricError(f"quantile loss: each q must be in (0, 1), got {levels}")
+    losses = np.empty(quantiles.shape) if out is None else out
+    for row, level_q, q in zip(losses, quantiles, levels):
+        below = y <= level_q
+        np.subtract(y, level_q, out=row)
+        row *= below - q
+        np.multiply(2.0, np.abs(row, out=row), out=row)
+    return losses
+
+
+def _normalized(y: np.ndarray, losses: np.ndarray) -> np.ndarray:
+    """Each level's normalized quantile loss: its contiguous row summed, over sum |y|."""
+    denom = float(np.abs(np.asarray(y, dtype=float)).sum())
     if denom == 0.0:
-        raise MetricError("quantile_loss: sum |Y| is zero")
-    indicator = (y <= yhat_q).astype(float)
-    num = 2.0 * np.abs((y - yhat_q) * (indicator - q))
-    return float(num.sum() / denom)
+        raise MetricError("quantile loss: sum |Y| is zero")
+    return np.array([row.sum() for row in losses]) / denom
+
+
+def quantile_loss(y: np.ndarray, yhat_q: np.ndarray, q: float) -> float:
+    return float(_normalized(y, pinball_losses(y, np.asarray(yhat_q)[None], (q,)))[0])
 
 
 def q_mean(y: np.ndarray, quantile_stack: np.ndarray) -> float:
     """Mean quantile loss over the nine levels; quantile_stack is (9, ...)."""
-    quantile_stack = np.asarray(quantile_stack, dtype=float)
-    if quantile_stack.shape[0] != len(QUANTILE_LEVELS):
-        raise MetricError(
-            f"q_mean: need {len(QUANTILE_LEVELS)} quantile rows, got {quantile_stack.shape[0]}"
-        )
-    losses = [quantile_loss(y, quantile_stack[i], q) for i, q in enumerate(QUANTILE_LEVELS)]
-    return float(np.mean(losses))
+    return float(np.mean(_normalized(y, pinball_losses(y, quantile_stack))))
 
 
 # ---------------------------------------------------------------------------
@@ -104,27 +116,10 @@ class MetricReport:
         lines.append(f"{'avg':>8} " + " ".join(f"{self.average[m]:>12.6f}" for m in METRIC_NAMES))
         return "\n".join(lines)
 
-    def to_csv_rows(self) -> list[tuple[str, str, float]]:
-        rows = []
-        for dom in sorted(self.per_domain):
-            for m in METRIC_NAMES:
-                rows.append((str(dom), m, self.per_domain[dom][m]))
-        for m in METRIC_NAMES:
-            rows.append(("average", m, self.average[m]))
-        return rows
-
-
-def domain_metrics(y: np.ndarray, point: np.ndarray, quantiles: np.ndarray) -> dict[str, float]:
-    """All four metrics for one domain's stacked (N, h) matrices.
-
-    `quantiles` is (9, N, h); the point forecast is the median row.
-    """
-    return {
-        "nrmse": nrmse(y, point),
-        "smape": smape(y, point),
-        "q50": quantile_loss(y, quantiles[4], 0.5),
-        "qmean": q_mean(y, quantiles),
-    }
+    def to_csv_rows(self) -> list[tuple[str, str, str]]:
+        scores = [(str(dom), self.per_domain[dom]) for dom in sorted(self.per_domain)]
+        return [(name, m, repr(vals[m])) for name, vals in [*scores, ("average", self.average)]
+                for m in METRIC_NAMES]
 
 
 def aggregate(windows: WindowSet, dists: Forecasts, domains: list[int], split_name: str,
@@ -145,11 +140,15 @@ def aggregate(windows: WindowSet, dists: Forecasts, domains: list[int], split_na
         if not counts[dom]:
             warnings.append(f"domain {dom} has no evaluation windows; excluded")
             continue
-        quant = dists.quantiles[:, picked]
+        # C order, so that each level's losses are summed as one contiguous block
+        y, quant = windows.y_raw[picked], dists.quantiles.compress(picked, axis=1)
         try:
-            per_domain[dom] = domain_metrics(windows.y_raw[picked], quant[4], quant)
+            point = [nrmse(y, quant[MEDIAN]), smape(y, quant[MEDIAN])]
+            losses = _normalized(y, pinball_losses(y, quant, out=quant))
         except MetricError as exc:
             raise MetricError(f"{split_name} split, domain {dom}: {exc}") from None
+        scores = [*point, losses[MEDIAN], losses.mean()]
+        per_domain[dom] = dict(zip(METRIC_NAMES, map(float, scores)))
     if not per_domain:
         raise MetricError(f"aggregate: no domain in {split_name!r} produced windows")
     warnings.extend(dists.notes)

@@ -1,13 +1,18 @@
 """Metric formulas against independently coded brute-force evaluators and
 the hand-derived examples."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import assume, example, given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from latentcast.data import WindowSet
-from latentcast.evaluation import (MetricError, aggregate, nrmse, q_mean,
+from latentcast.evaluation import (MetricError, aggregate, nrmse, pinball_losses, q_mean,
                                    quantile_loss, smape)
-from latentcast.forecaster import Forecasts
+from latentcast.forecaster import QUANTILE_LEVELS, Forecasts
 
 
 # -- brute-force oracles (naive loops, no shared code with the library) -----
@@ -184,3 +189,87 @@ class TestAggregate:
         with pytest.raises(MetricError, match=r"val split, domain 1: nrmse: all-zero"):
             aggregate(_windows([0, 1], [[2.0], [2.0]]), _flat([[1.0], [0.0]]), [0, 1], "val",
                       seed=0, config_hash="x")
+
+
+# -- one pinball-loss array per domain ----------------------------------------
+
+def loop_quantile_loss(y, yhat_q, q):
+    """One level's quantile loss from its own indicator, product and sum:
+    the reference whose bits `aggregate` keeps."""
+    indicator = (y <= yhat_q).astype(float)
+    num = 2.0 * np.abs((y - yhat_q) * (indicator - q))
+    return float(num.sum() / float(np.abs(y).sum()))
+
+
+# a few fixed values, so that ties y == q and repeated entries are common,
+# and any finite value of either sign
+VALUES = st.one_of(st.sampled_from([-2.5, -1.0, 0.0, 0.5, 3.0]),
+                   st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False))
+
+
+@st.composite
+def splits(draw):
+    """(domain of each window, targets, quantiles) of a split whose domains'
+    windows interleave; a domain may hold one window."""
+    counts = draw(st.lists(st.integers(1, 5), min_size=1, max_size=4))
+    domains = draw(st.permutations([d for d, c in enumerate(counts) for _ in range(c)]))
+    shape = (len(domains), draw(st.integers(1, 4)))
+    y = draw(arrays(np.float64, shape, elements=VALUES))
+    quantiles = draw(arrays(np.float64, (9, *shape), elements=VALUES))
+    tied = draw(arrays(np.bool_, (9, *shape)))
+    return domains, y, np.where(tied, y, quantiles)
+
+
+def large_split(windows=1200, horizon=14):
+    """Two interleaved domains, one of more than 8,192 entries: numpy sums
+    an array that size in buffer-sized chunks unless it is contiguous."""
+    rng = np.random.default_rng(5)
+    y = rng.normal(5.0, 2.0, (windows, horizon))
+    quantiles = np.sort(rng.normal(5.0, 2.0, (9, windows, horizon)), axis=0)
+    return ([0, 0, 1] * windows)[:windows], y, quantiles
+
+
+@given(splits())
+@example(large_split())
+def test_aggregate_has_the_bits_of_the_per_level_loop(split):
+    domains, y, quantiles = split
+    domain_id = np.asarray(domains)
+    for dom in set(domains):
+        picked = domain_id == dom
+        assume(np.abs(y[picked]).sum() > 0 and np.abs(quantiles[4, picked]).sum() > 0)
+    report = aggregate(_windows(domains, y), Forecasts(quantiles), sorted(set(domains)),
+                       "test", seed=0, config_hash="x")
+    for dom, scores in report.per_domain.items():
+        picked = domain_id == dom
+        yd, quant = y[picked], quantiles[:, picked]
+        assert scores["q50"] == loop_quantile_loss(yd, quant[4], 0.5)
+        assert scores["qmean"] == float(np.mean(
+            [loop_quantile_loss(yd, quant[i], q) for i, q in enumerate(QUANTILE_LEVELS)]))
+
+
+def test_pinball_losses_hold_each_entry_of_each_level():
+    y = np.array([[4.0, -1.0]])
+    losses = pinball_losses(y, np.stack([np.array([[3.0, -1.0]])] * 9))
+    assert losses.shape == (9, 1, 2)
+    assert losses[:, 0, 0].tolist() == [2.0 * q for q in QUANTILE_LEVELS]
+    assert not losses[:, 0, 1].any()
+
+
+def test_aggregate_memory_is_bounded_by_a_domain():
+    # doubling the count of equal-sized domains doubles the quantile array;
+    # aggregate's peak must not follow it, so no split-sized loss array
+    def peak(num_domains, windows=300, horizon=14):
+        rng = np.random.default_rng(0)
+        domains = np.repeat(np.arange(num_domains), windows)
+        y = rng.normal(5.0, 1.0, (len(domains), horizon))
+        quantiles = np.sort(rng.normal(5.0, 1.0, (9, len(domains), horizon)), axis=0)
+        args = (_windows(domains, y), Forecasts(quantiles), list(range(num_domains)), "test")
+        aggregate(*args, seed=0, config_hash="x")
+        tracemalloc.start()
+        try:
+            aggregate(*args, seed=0, config_hash="x")
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(8) < 1.1 * peak(4)

@@ -465,10 +465,11 @@ def test_an_empty_file_is_a_data_error(tmp_path):
 @pytest.fixture
 def passes(monkeypatch):
     """The `_read` calls of the test, each as (what it read, native): "file"
-    for the open file, "lines" for a list of records."""
+    for the open file, "lines" for its lines (a list, or a filter over the
+    open file)."""
     calls, read = [], D._read
     monkeypatch.setattr(D, "_read", lambda records, width, native: calls.append(
-        ("lines" if isinstance(records, list) else "file", native))
+        ("file" if hasattr(records, "read") else "lines", native))
         or read(records, width, native))
     return calls
 
@@ -564,6 +565,23 @@ def test_ingest_holds_at_most_three_times_the_file(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= 3 * path.stat().st_size
+
+
+def test_a_file_without_a_quote_streams_the_line_path(tmp_path, passes):
+    # the same file with ISO dates, which numpy's grammar refuses: its line
+    # path held a list of the lines and its filtered copy, about 3.7 times
+    # the file, and now reads the open file's lines in one Python pass
+    path = write(tmp_path, rows_text([(d, s, iso(t), v) for d, s, t, v in wide_rows(20, 8, 600)]))
+    ingest_csv(path)
+    passes.clear()
+    tracemalloc.start()
+    try:
+        ingest_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert passes == [("file", True), ("lines", False)]
+    assert peak <= 2.5 * path.stat().st_size
 
 
 # ---------------------------------------------------------------------------
